@@ -5,6 +5,11 @@ cross-validation, and bottom-up information-criterion pruning on the
 per-leaf Gaussian profile likelihood.  Both consume trees grown without
 prepruning and only ever collapse internal nodes, so the result is a
 subtree of the input.
+
+The weakest-link search runs only in ``cost_complexity_path``, once per
+tree.  That one path feeds the knot table, ``prune_at`` and the
+cross-validated scoring: a subtree for a given complexity parameter is
+read off the path, never searched for again.
 """
 
 from __future__ import annotations
@@ -101,15 +106,22 @@ def cost_complexity_path(tree: TreeNode) -> list[tuple[float, TreeNode]]:
     return path
 
 
+def _subtree_at(path: list[tuple[float, TreeNode]], alpha: float) -> TreeNode:
+    # take the path's collapses in order, stopping at the first knot above alpha
+    k = 1
+    while k < len(path) and path[k][0] <= alpha:
+        k += 1
+    return path[k - 1][1]
+
+
 def prune_at(tree: TreeNode, alpha: float) -> TreeNode:
-    """Collapse weakest links while their improvement rate is <= alpha."""
-    current = tree
-    while not current.is_leaf:
-        g, ids = _weakest_links(current)
-        if g > alpha:
-            break
-        current = _collapse(current, ids)
-    return current
+    """Subtree of ``tree`` on its cost-complexity path at parameter ``alpha``.
+
+    Every collapse whose knot is <= ``alpha`` is applied, in path order,
+    up to the first knot above it.  Knots are never negative, so a
+    negative ``alpha`` returns the full tree.
+    """
+    return _subtree_at(cost_complexity_path(tree), alpha)
 
 
 def _candidate_alphas(knots: list[float]) -> list[float]:
@@ -137,10 +149,12 @@ def cv_prune(
     The main tree is grown without prepruning, its path knots define
     one candidate parameter per subtree, and each candidate is scored
     by held-out squared prediction error of the correspondingly pruned
-    fold trees.  The smallest mean loss wins; with ``one_se`` the
-    simplest tree within one standard error of that minimum wins.
-    Folds whose tree cannot be grown are skipped with a warning; more
-    than half must survive.
+    fold trees.  Each tree grown here gets one cost-complexity path,
+    from which every candidate subtree and the returned tree are read.
+    The smallest mean loss wins; with ``one_se`` the simplest tree
+    within one standard error of that minimum wins.  Folds whose tree
+    cannot be grown are skipped with a warning; more than half must
+    survive.
     """
     if folds < 2:
         raise ValueError("need at least two folds")
@@ -166,11 +180,11 @@ def cv_prune(
         except ValueError as exc:
             warnings.warn(f"fold {f} skipped: {exc}")
             continue
+        fold_path = cost_complexity_path(fold_tree)
         test_data = data.take(test)
         fold_err = np.empty(len(candidates))
         for c, alpha in enumerate(candidates):
-            pruned = prune_at(fold_tree, alpha)
-            resid = test_data.y - predict_tree(pruned, test_data)
+            resid = test_data.y - predict_tree(_subtree_at(fold_path, alpha), test_data)
             fold_err[c] = float(resid @ resid)
         sq_err += fold_err
         held_out += test.size
@@ -189,7 +203,7 @@ def cv_prune(
         if mean_loss[c] <= threshold and candidates[c] >= candidates[chosen_idx]:
             chosen_idx = c
     chosen_alpha = candidates[chosen_idx]
-    pruned = prune_at(main, chosen_alpha)
+    pruned = _subtree_at(path, chosen_alpha)
     alpha_path = tuple(
         (knots[k], len(leaves(path[k][1])), float(mean_loss[k])) for k in range(len(path))
     )

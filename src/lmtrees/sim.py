@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -292,25 +291,21 @@ def run_study(
 
     Dataset and fold seeds depend on the cell and replication but not
     on the strategy, so all strategies face identical data.  Results
-    are returned in (cell, replication, strategy) order whatever the
-    thread count.
+    are returned in (cell, replication, strategy) order.  ``threads``
+    is accepted for compatibility and has no effect: replications run
+    serially, since the work is Python-bound and a thread pool only
+    slowed it down.
     """
     if pruning not in ("pre", "post"):
         raise ValueError("pruning must be 'pre' or 'post'")
     if control is None:
         control = GrowControl()
-    tasks = [(ci, cell, rep) for ci, cell in enumerate(cells) for rep in range(cell.replications)]
-
-    def work(task):
-        _, cell, rep = task
-        return _run_replication(cell, rep, strategies, control, pruning, seed, folds)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, tasks))
-    else:
-        chunks = [work(task) for task in tasks]
-    return [record for chunk in chunks for record in chunk]
+    return [
+        record
+        for cell in cells
+        for rep in range(cell.replications)
+        for record in _run_replication(cell, rep, strategies, control, pruning, seed, folds)
+    ]
 
 
 def aggregate_records(records: Sequence[ReplicationRecord]) -> list[dict]:

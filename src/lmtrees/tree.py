@@ -160,19 +160,13 @@ def _best_numeric_split(
     sxx_tol = max(total_sxx, 1.0) * 1e-12
     left_rss, left_ok, right_rss, right_ok = _prefix_rss(yc, xc, sxx_tol)
     lower = max(min_node_size, 3)
-    best_total = np.inf
-    best_cut = -1
-    for m in range(lower, n - lower + 1):
-        if vs[m - 1] == vs[m]:
-            continue
-        if not (left_ok[m - 1] and right_ok[m - 1]):
-            continue
-        total = left_rss[m - 1] + right_rss[m - 1]
-        if total < best_total:
-            best_total = total
-            best_cut = m
-    if best_cut < 0:
+    cuts = np.arange(lower, n - lower + 1)
+    admissible = (vs[cuts - 1] != vs[cuts]) & left_ok[cuts - 1] & right_ok[cuts - 1]
+    if not admissible.any():
         return None
+    # argmin keeps the first minimum: ties go to the smallest point
+    total = np.where(admissible, left_rss[cuts - 1] + right_rss[cuts - 1], np.inf)
+    best_cut = int(cuts[np.argmin(total)])
     point = 0.5 * (vs[best_cut - 1] + vs[best_cut])
     if not (vs[best_cut - 1] < point < vs[best_cut]):
         point = float(vs[best_cut - 1])
@@ -191,7 +185,7 @@ def _segment_rss(y: np.ndarray, x: np.ndarray, sxx_tol: float) -> float | None:
 def _best_categorical_split(
     y: np.ndarray, x: np.ndarray, col: SplitColumn, min_node_size: int
 ) -> Split | None:
-    observed = sorted(set(int(c) for c in col.values))
+    observed = np.unique(col.values).tolist()
     if len(observed) < 2:
         return None
     if len(observed) > 16:
@@ -244,12 +238,15 @@ def best_split_point(
     return _best_categorical_split(y, x, col, min_node_size)
 
 
-def _route_mask(split: Split, col: SplitColumn) -> np.ndarray:
+def _goes_left(split: Split, col: SplitColumn, values: np.ndarray, unseen_left: bool) -> np.ndarray:
+    # categorical splits route by label, not code: the level list of the
+    # data being routed may differ from the training one (prune --data)
     if split.point is not None:
-        return col.values <= split.point
-    left = set(split.left_levels or ())
-    labels = [col.levels[int(c)] for c in col.values]
-    return np.array([lab in left for lab in labels], dtype=bool)
+        return values <= split.point
+    code = {label: c for c, label in enumerate(col.levels)}
+    if unseen_left:
+        return ~np.isin(values, [code[lab] for lab in split.right_levels or () if lab in code])
+    return np.isin(values, [code[lab] for lab in split.left_levels or () if lab in code])
 
 
 def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) -> TreeNode:
@@ -280,11 +277,11 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) ->
                 best = argmin_outcome(outcome_list)
                 chosen = best.variable if best is not None else None
             if chosen is not None:
-                candidate = best_split_point(
-                    sub.y, sub.x, sub.column(chosen), control.min_node_size
-                )
+                col = sub.column(chosen)
+                candidate = best_split_point(sub.y, sub.x, col, control.min_node_size)
                 if candidate is not None:
-                    mask = _route_mask(candidate, sub.column(chosen))
+                    # growth sees every level of the split, so none is unseen
+                    mask = _goes_left(candidate, col, col.values, unseen_left=False)
                     split = candidate
                     children = (build(rows[mask], depth + 1), build(rows[~mask], depth + 1))
         return TreeNode(
@@ -307,19 +304,9 @@ def _route_rows(node: TreeNode, data: Dataset, idx: np.ndarray, out: np.ndarray)
         out[idx] = node.id
         return
     col = data.column(node.split.variable)
-    if node.split.point is not None:
-        mask = col.values[idx] <= node.split.point
-    else:
-        left = set(node.split.left_levels or ())
-        right = set(node.split.right_levels or ())
-        labels = [col.levels[int(c)] for c in col.values[idx]]
-        known = np.array([lab in left or lab in right for lab in labels], dtype=bool)
-        mask = np.array([lab in left for lab in labels], dtype=bool)
-        if not known.all():
-            # unseen level: follow the child that saw more training rows
-            sizes = [child.n for child in node.children]
-            go_left = sizes[0] >= sizes[1]
-            mask[~known] = go_left
+    # an unseen level follows the child that saw more training rows
+    unseen_left = node.children[0].n >= node.children[1].n
+    mask = _goes_left(node.split, col, col.values[idx], unseen_left)
     _route_rows(node.children[0], data, idx[mask], out)
     _route_rows(node.children[1], data, idx[~mask], out)
 

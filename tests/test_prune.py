@@ -9,7 +9,15 @@ import pytest
 from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
 from lmtrees.inference import parse_strategy
 from lmtrees.linmod import LinearFit
-from lmtrees.prune import PruneResult, cost_complexity_path, cv_prune, ic_prune, prune_at
+from lmtrees.prune import (
+    PruneResult,
+    _collapse,
+    _weakest_links,
+    cost_complexity_path,
+    cv_prune,
+    ic_prune,
+    prune_at,
+)
 from lmtrees.tree import GrowControl, Split, TreeNode, grow, iter_nodes, leaves
 
 
@@ -142,6 +150,33 @@ def test_prune_at_tracks_the_path():
         n.id for n in iter_nodes(tree)
     }
     assert prune_at(tree, 1e12).is_leaf
+
+
+def prune_by_repeated_search(tree, alpha):
+    """Reference: search the weakest links afresh after every collapse."""
+    current = tree
+    while not current.is_leaf:
+        g, ids = _weakest_links(current)
+        if g > alpha:
+            break
+        current = _collapse(current, ids)
+    return current
+
+
+@pytest.mark.parametrize("name", ["ctree", "mob", "guide"])
+@pytest.mark.parametrize("seed", [53, 54])
+def test_prune_at_matches_repeated_search(name, seed):
+    data = stump_data(seed=seed, n=300, delta=0.7)
+    control = GrowControl(alpha=0.05, min_node_size=20, max_depth=4, prepruning=False)
+    tree = grow(data, name, control)
+    knots = [alpha for alpha, _ in cost_complexity_path(tree)]
+    assert len(knots) >= 3
+    probes = knots + [0.5 * (a + b) for a, b in zip(knots, knots[1:])] + [2.0 * knots[-1] + 1.0]
+    for alpha in probes:
+        got = {n.id for n in iter_nodes(prune_at(tree, alpha))}
+        want = {n.id for n in iter_nodes(prune_by_repeated_search(tree, alpha))}
+        assert got == want
+    assert prune_at(tree, -1.0) is tree
 
 
 # -------------------------------------------------------------- cross-validation

@@ -7,11 +7,12 @@ import pytest
 
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn
 from lmtrees.inference import parse_strategy
-from lmtrees.linmod import predict
+from lmtrees.linmod import LinearFit, predict
 from lmtrees.tree import (
     TREE_FORMAT,
     GrowControl,
     Split,
+    TreeNode,
     best_split_point,
     format_tree,
     grow,
@@ -386,6 +387,30 @@ def test_unseen_level_routes_to_larger_child():
     known = {lev: (tree.children[0].id if lev in tree.split.left_levels else tree.children[1].id)
              for lev in ("a", "b", "c")}
     assert labels[0] == known["a"] and labels[1] == known["b"] and labels[2] == known["c"]
+
+
+def test_categorical_routing_follows_labels_when_codes_shift():
+    tree, data = categorical_tree_and_data()
+    # an extra level that sorts first shifts every code by one
+    codes = data.column("g").values + 1
+    shifted = SplitColumn("g", CATEGORICAL, codes, levels=("0", "a", "b", "c"))
+    eval_data = Dataset(data.y, data.x, (shifted,))
+    labels = partition_labels(tree, eval_data)
+    assert np.array_equal(labels, partition_labels(tree, data))
+    for i in range(eval_data.n):
+        assert labels[i] == route_by_hand(tree, eval_data, i).id
+
+
+def test_unseen_level_routes_right_when_right_child_is_larger():
+    def leaf(nid, n):
+        return TreeNode(id=nid, depth=1, n=n, fit=LinearFit(0.0, 0.0, n, 1.0), p_values={})
+
+    split = Split(variable="g", left_levels=("a",), right_levels=("b", "c"))
+    tree = TreeNode(id=0, depth=0, n=40, fit=LinearFit(0.0, 0.0, 40, 5.0), p_values={},
+                    split=split, children=(leaf(1, 10), leaf(2, 30)))
+    col = SplitColumn("g", CATEGORICAL, np.array([0, 1, 2, 3]), levels=("a", "b", "c", "d"))
+    labels = partition_labels(tree, Dataset(np.zeros(4), np.zeros(4), (col,)))
+    assert labels.tolist() == [1, 2, 2, 2]
 
 
 # -------------------------------------------------------------- serialization
