@@ -386,10 +386,10 @@ class _NullTableCache:
             bridge = walk[:, : grid - 1, :] - t[None, :, None] * walk[:, -1:, :]
             w = np.einsum("igk,igk->ig", bridge, bridge) * weight[None, :]
             m = out[done : done + b]
-            m[:, half - 1] = w[:, half - 1]
-            for g in range(half - 1, 0, -1):
-                np.maximum(w[:, g - 1], w[:, grid - g - 1], out=w[:, g - 1])
-                np.maximum(w[:, g - 1], m[:, g], out=m[:, g - 1])
+            # fold boundary g onto grid - 2 - g, then take running maxima
+            # from the centre outwards: column j is the sup over [j, grid - 2 - j]
+            np.maximum(w[:, :half], w[:, grid - 2 : half - 2 : -1], out=m)
+            np.maximum.accumulate(m[:, ::-1], axis=1, out=m[:, ::-1])
             done += b
         return out
 

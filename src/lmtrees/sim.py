@@ -230,51 +230,42 @@ def _run_replication(
         "data", cell.scenario, cell.variation, float(cell.xi), float(cell.delta), cell.n, rep
     )
     data = generate(cell, data_rng)
-    records = []
     if cell.scenario == "tree":
         truth = true_partition(cell, data)
         fold_seed = RngStream(seed, 0).substream(
             "cv", cell.scenario, cell.variation, float(cell.xi), float(cell.delta), cell.n, rep
         ).stream
-        for name, strat in strategies:
+    else:
+        fit = fit_ols(data.y, data.x)
+    records = []
+    for name, strat in strategies:
+        if cell.scenario == "tree":
             if pruning == "post":
                 tree = cv_prune(data, strat, control, folds=folds, seed=fold_seed).tree
             else:
                 tree = grow(data, strat, replace(control, prepruning=True))
-            ari = adjusted_rand_index(truth, partition_labels(tree, data))
+            p_values = dict(tree.p_values)
             chosen = tree.split.variable if tree.split is not None else None
-            records.append(
-                ReplicationRecord(
-                    scenario=cell.scenario,
-                    strategy=name,
-                    variation=cell.variation,
-                    xi=cell.xi,
-                    delta=cell.delta,
-                    rep=rep,
-                    p_values=dict(tree.p_values),
-                    chosen=chosen,
-                    ari=float(ari),
-                    leaf_count=len(leaves(tree)),
-                )
-            )
-    else:
-        fit = fit_ols(data.y, data.x)
-        for name, strat in strategies:
+            ari = float(adjusted_rand_index(truth, partition_labels(tree, data)))
+            leaf_count = len(leaves(tree))
+        else:
             outcomes, chosen = select_variable(strat, fit, data)
-            records.append(
-                ReplicationRecord(
-                    scenario=cell.scenario,
-                    strategy=name,
-                    variation=cell.variation,
-                    xi=cell.xi,
-                    delta=cell.delta,
-                    rep=rep,
-                    p_values={o.variable: o.p_value for o in outcomes},
-                    chosen=chosen,
-                    ari=None,
-                    leaf_count=None,
-                )
+            p_values = {o.variable: o.p_value for o in outcomes}
+            ari = leaf_count = None
+        records.append(
+            ReplicationRecord(
+                scenario=cell.scenario,
+                strategy=name,
+                variation=cell.variation,
+                xi=cell.xi,
+                delta=cell.delta,
+                rep=rep,
+                p_values=p_values,
+                chosen=chosen,
+                ari=ari,
+                leaf_count=leaf_count,
             )
+        )
     return records
 
 

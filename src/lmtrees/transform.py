@@ -4,8 +4,9 @@
 consumes: raw residuals, the two score columns, or their elementwise
 sign indicators.  ``make_split_transform`` turns a split column into the
 design the test statistic pairs with it: the identity for the linear
-route, quartile-bin or level one-hot columns for the categorized route,
-and after-the-candidate indicators for the maximally-selected route.
+route and quartile-bin or level one-hot columns for the categorized
+route.  The maximally-selected route needs no design: its fluctuation
+test orders the rows of the column directly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, NUMERIC, SplitColumn, empirical_quartiles
+from .dataset import CATEGORICAL, SplitColumn, empirical_quartiles
 from .linmod import LinearFit
 
 __all__ = [
@@ -37,7 +38,8 @@ class TransformError(ValueError):
 
 
 class NoAdmissibleSplitError(TransformError):
-    """No candidate split satisfies the minimum-segment constraint."""
+    """The column admits no split: too few rows, or no boundary that
+    satisfies the minimum-segment constraint."""
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,15 @@ class GofMatrix:
 class SplitTransform:
     """Design matrix a split column contributes to a test statistic.
 
-    ``bin_breaks`` is set for quartile-binned numeric columns,
-    ``candidate_splits`` for the maximally-selected route, and
-    ``labels`` names the design columns for reporting.
+    ``labels`` names the design columns for reporting: the observed
+    levels of a categorical column, ``bin1``, ``bin2``, ... for the
+    nonempty quartile bins of a numeric one, or the column name for the
+    linear route.
     """
 
     mode: str
     design: np.ndarray
     labels: tuple[str, ...]
-    bin_breaks: tuple[float, ...] | None = None
-    candidate_splits: tuple[float, ...] | None = None
 
 
 def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
@@ -102,27 +103,19 @@ def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
     return GofMatrix(values=values, dichotomized=dichotomize)
 
 
-def _quartile_bins(col: SplitColumn) -> tuple[np.ndarray, tuple[float, ...]]:
-    breaks = np.unique(np.asarray(empirical_quartiles(col)))
-    # right-closed intervals (-inf, b1], (b1, b2], ..., (bk, +inf)
-    bins = np.searchsorted(breaks, col.values, side="left")
-    return bins, tuple(float(b) for b in breaks)
-
-
-def _one_hot(codes: np.ndarray, count: int) -> np.ndarray:
-    design = np.zeros((codes.shape[0], count))
-    design[np.arange(codes.shape[0]), codes] = 1.0
-    return design
-
-
-def make_split_transform(col: SplitColumn, mode: str, min_segment: int = 1) -> SplitTransform:
+def make_split_transform(col: SplitColumn, mode: str) -> SplitTransform:
     """Build the design matrix for one split column.
 
-    Numeric columns support all three modes; categorical columns only
-    the one-hot route.  For ``mode="max"`` every distinct value whose
-    left and right groups both hold at least ``min_segment`` rows yields
-    one after-the-candidate indicator column.
+    ``"lin"`` (numeric columns only) is the raw column.  ``"cat"`` is a
+    one-hot design over integer codes: the level codes of a categorical
+    column, or the right-closed quartile bin of each value of a numeric
+    one; codes that no row takes are dropped.  A numeric column of fewer
+    than four rows has no quartiles and raises ``NoAdmissibleSplitError``.
+    The ``"max"`` route scans the ordered column directly and has no
+    design, so it is rejected here.
     """
+    if mode == MODE_MAX:
+        raise TransformError("the max route has no design: its test scans the ordered column")
     if mode not in MODES:
         raise TransformError(f"unknown transform mode {mode!r}")
     if col.kind == CATEGORICAL:
@@ -130,43 +123,21 @@ def make_split_transform(col: SplitColumn, mode: str, min_segment: int = 1) -> S
             raise TransformError(
                 f"mode {mode!r} needs a numeric column, {col.name!r} is categorical"
             )
-        counts = np.bincount(col.values, minlength=len(col.levels))
-        kept = np.flatnonzero(counts)
-        if kept.size == 0:
-            raise TransformError(f"column {col.name!r} is empty")
-        recode = np.zeros(len(col.levels), dtype=np.int64)
-        recode[kept] = np.arange(kept.size)
-        design = _one_hot(recode[col.values], kept.size)
+        codes = col.values
+    elif mode == MODE_LIN:
+        return SplitTransform(mode=MODE_LIN, design=col.values[:, None], labels=(col.name,))
+    elif col.n < 4:
+        raise NoAdmissibleSplitError(f"column {col.name!r} has too few rows for quartile bins")
+    else:
+        breaks = np.unique(np.asarray(empirical_quartiles(col)))
+        # right-closed intervals (-inf, b1], (b1, b2], ..., (bk, +inf)
+        codes = np.searchsorted(breaks, col.values, side="left")
+    kept = np.flatnonzero(np.bincount(codes))
+    if kept.size == 0:
+        raise TransformError(f"column {col.name!r} is empty")
+    design = (codes[:, None] == kept).astype(float)
+    if col.kind == CATEGORICAL:
         labels = tuple(col.levels[i] for i in kept)
-        return SplitTransform(mode=MODE_CAT, design=design, labels=labels)
-    values = col.values
-    if mode == MODE_LIN:
-        return SplitTransform(mode=MODE_LIN, design=values[:, None], labels=(col.name,))
-    if mode == MODE_CAT:
-        bins, breaks = _quartile_bins(col)
-        counts = np.bincount(bins, minlength=len(breaks) + 1)
-        kept = np.flatnonzero(counts)
-        recode = np.zeros(len(breaks) + 1, dtype=np.int64)
-        recode[kept] = np.arange(kept.size)
-        design = _one_hot(recode[bins], kept.size)
+    else:
         labels = tuple(f"bin{i + 1}" for i in range(kept.size))
-        return SplitTransform(mode=MODE_CAT, design=design, labels=labels, bin_breaks=breaks)
-    n = values.shape[0]
-    if min_segment < 1:
-        raise TransformError("min_segment must be at least 1")
-    distinct, counts = np.unique(values, return_counts=True)
-    left_sizes = np.cumsum(counts)
-    admissible = (left_sizes >= min_segment) & (n - left_sizes >= min_segment)
-    candidates = distinct[admissible]
-    if candidates.size == 0:
-        raise NoAdmissibleSplitError(
-            f"column {col.name!r} admits no split with segments of {min_segment}"
-        )
-    design = (values[:, None] > candidates[None, :]).astype(float)
-    labels = tuple(f"{col.name}>{c:g}" for c in candidates)
-    return SplitTransform(
-        mode=MODE_MAX,
-        design=design,
-        labels=labels,
-        candidate_splits=tuple(float(c) for c in candidates),
-    )
+    return SplitTransform(mode=MODE_CAT, design=design, labels=labels)

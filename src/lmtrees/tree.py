@@ -17,7 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn
+from .dataset import (CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn,
+                      order_permutation)
 from .inference import (
     StrategyConfig,
     TestOutcome,
@@ -152,7 +153,7 @@ def _best_numeric_split(
     y: np.ndarray, x: np.ndarray, col: SplitColumn, min_node_size: int
 ) -> Split | None:
     n = y.shape[0]
-    order = np.argsort(col.values, kind="stable")
+    order = order_permutation(col)
     vs = col.values[order]
     yc = y[order] - y.mean()
     xc = x[order] - x.mean()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lmtrees import inference
 from lmtrees.dataset import CATEGORICAL, NUMERIC, Dataset, RngStream, SplitColumn
 from lmtrees.inference import (
     DegenerateTestError,
@@ -349,6 +350,42 @@ def test_suplm_pvalue_agrees_with_independent_simulation():
         assert suplm_pvalue(stat, 1, 25, 250) == pytest.approx(independent, abs=0.015)
 
 
+def _former_trim_max(k):
+    """The null-table build with its earlier per-boundary fold loop."""
+    grid = inference.NULL_TABLE_GRID
+    half = grid // 2
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([inference.NULL_TABLE_SEED, k], dtype=np.uint64))
+    )
+    reps = inference.NULL_TABLE_REPLICATES
+    out = np.empty((reps, half), dtype=np.float32)
+    t = np.arange(1, grid) / grid
+    weight = 1.0 / (t * (1.0 - t))
+    done = 0
+    while done < reps:
+        b = min(2500, reps - done)
+        steps = rng.standard_normal((b, grid, k)) / math.sqrt(grid)
+        walk = np.cumsum(steps, axis=1)
+        bridge = walk[:, : grid - 1, :] - t[None, :, None] * walk[:, -1:, :]
+        w = np.einsum("igk,igk->ig", bridge, bridge) * weight[None, :]
+        m = out[done : done + b]
+        m[:, half - 1] = w[:, half - 1]
+        for g in range(half - 1, 0, -1):
+            np.maximum(w[:, g - 1], w[:, grid - g - 1], out=w[:, g - 1])
+            np.maximum(w[:, g - 1], m[:, g], out=m[:, g - 1])
+        done += b
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_null_table_fold_matches_former_loop(monkeypatch, k):
+    monkeypatch.setattr(inference, "NULL_TABLE_REPLICATES", 300)
+    built = inference._NullTableCache()._build_trim_max(k)
+    former = _former_trim_max(k)
+    assert built.dtype == np.float32 and built.shape == (300, inference.NULL_TABLE_GRID // 2)
+    assert np.array_equal(built, former)
+
+
 def test_suplm_trim_index_avoids_float_rounding():
     # 10% of 250 rows must map to grid index 100, not 101
     p_a = suplm_pvalue(9.0, 1, 25, 250)
@@ -470,6 +507,14 @@ def test_constant_column_degeneracy_per_engine():
         out = run_strategy(parse_strategy("mob"), fit, col)
         assert out.law == "suplm"
         assert 0.0 <= out.p_value <= 1.0
+
+
+@pytest.mark.parametrize("name", ["guide", "ctree+cat"])
+def test_tiny_numeric_column_is_degenerate_for_binned_engines(name):
+    # three rows have no quartiles: the binned engines end the test at p = 1
+    fit = fit_ols(np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
+    out = run_strategy(parse_strategy(name), fit, ncol([1.0, 2.0, 5.0]))
+    assert out.law == "degenerate" and out.p_value == 1.0
 
 
 def test_min_segment_default_resolution():

@@ -1,18 +1,17 @@
-"""Goodness-of-fit inputs and split-variable designs: signs, bins, cutpoints."""
+"""Goodness-of-fit inputs and split-variable designs: signs, bins, levels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmtrees.dataset import CATEGORICAL, NUMERIC, SplitColumn
+from lmtrees.dataset import CATEGORICAL, NUMERIC, SplitColumn, empirical_quartiles
 from lmtrees.linmod import fit_ols
 from lmtrees.transform import (
     MODE_CAT,
     MODE_LIN,
     MODE_MAX,
     GofMatrix,
-    NoAdmissibleSplitError,
     TransformError,
     make_gof,
     make_split_transform,
@@ -106,26 +105,11 @@ def test_duplicate_quartiles_merge_bins():
     assert labels.tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
 
 
-def test_max_mode_candidates_and_indicators():
-    t = make_split_transform(ncol([1, 2, 3, 4, 5, 6]), MODE_MAX, min_segment=2)
-    assert t.mode == MODE_MAX
-    assert list(t.candidate_splits) == [2.0, 3.0, 4.0]
-    # column j indicates rows strictly beyond candidate j
-    assert t.design.shape == (6, 3)
-    assert t.design[:, 0].tolist() == [0, 0, 1, 1, 1, 1]
-    assert t.design[:, 2].tolist() == [0, 0, 0, 0, 1, 1]
-
-
-def test_max_mode_respects_min_segment():
-    with pytest.raises(NoAdmissibleSplitError):
-        make_split_transform(ncol([1, 2, 3, 4]), MODE_MAX, min_segment=3)
-    with pytest.raises(NoAdmissibleSplitError):
-        make_split_transform(ncol([7.0] * 10), MODE_MAX, min_segment=2)
-
-
 def test_unknown_mode_rejected():
-    with pytest.raises(TransformError):
-        make_split_transform(ncol([1, 2, 3]), "spline")
+    # the max route scans the ordered column and builds no design
+    for mode, message in (("spline", "unknown"), (MODE_MAX, "no design")):
+        with pytest.raises(TransformError, match=message):
+            make_split_transform(ncol([1, 2, 3, 4]), mode)
 
 
 # ---------------------------------------------------------------- categorical
@@ -174,22 +158,49 @@ def test_bin_design_is_a_partition(seed, n):
     assert set(np.unique(t.design)) <= {0.0, 1.0}
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=5000),
-    n=st.integers(min_value=4, max_value=60),
-    ms=st.integers(min_value=1, max_value=8),
+# ------------------------------------------- differential: former builder
+
+
+def _former_one_hot(col):
+    """The builder's earlier construction: bins or levels, recode, one-hot."""
+
+    def one_hot(codes, count):
+        design = np.zeros((codes.shape[0], count))
+        design[np.arange(codes.shape[0]), codes] = 1.0
+        return design
+
+    if col.kind == CATEGORICAL:
+        counts = np.bincount(col.values, minlength=len(col.levels))
+        kept = np.flatnonzero(counts)
+        recode = np.zeros(len(col.levels), dtype=np.int64)
+        recode[kept] = np.arange(kept.size)
+        return one_hot(recode[col.values], kept.size), tuple(col.levels[i] for i in kept)
+    breaks = np.unique(np.asarray(empirical_quartiles(col)))
+    bins = np.searchsorted(breaks, col.values, side="left")
+    counts = np.bincount(bins, minlength=len(breaks) + 1)
+    kept = np.flatnonzero(counts)
+    recode = np.zeros(len(breaks) + 1, dtype=np.int64)
+    recode[kept] = np.arange(kept.size)
+    return one_hot(recode[bins], kept.size), tuple(f"bin{i + 1}" for i in range(kept.size))
+
+
+tied_values = st.lists(st.integers(-2, 2).map(float), min_size=4, max_size=60)
+constant_values = st.builds(lambda v, n: [v] * n, st.floats(-1e3, 1e3), st.integers(4, 40))
+spread_values = st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=60)
+numeric_columns = st.one_of(tied_values, constant_values, spread_values).map(ncol)
+# up to six levels, some of them unobserved
+categorical_columns = st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.integers(0, m - 1), min_size=1, max_size=40).map(
+        lambda codes: cat_col(codes, tuple("abcdef"[:m]))
+    )
 )
-@settings(max_examples=100, deadline=None)
-def test_max_mode_segments_are_admissible(seed, n, ms):
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=n)
-    col = ncol(values)
-    try:
-        t = make_split_transform(col, MODE_MAX, min_segment=ms)
-    except NoAdmissibleSplitError:
-        return
-    for j, c in enumerate(t.candidate_splits):
-        left = np.sum(values <= c)
-        right = n - left
-        assert left >= ms and right >= ms
-        assert np.array_equal(t.design[:, j], (values > c).astype(float))
+
+
+@given(col=st.one_of(numeric_columns, categorical_columns))
+@settings(max_examples=300, deadline=None)
+def test_one_hot_design_matches_former_builder(col):
+    t = make_split_transform(col, MODE_CAT)
+    design, labels = _former_one_hot(col)
+    assert t.mode == MODE_CAT
+    assert np.array_equal(t.design, design)
+    assert t.labels == labels
