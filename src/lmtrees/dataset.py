@@ -179,11 +179,11 @@ def _parse_float(token: str, column: str, row: int) -> float:
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Read an RFC-4180 CSV file with a header row into a :class:`Dataset`.
 
-    Numeric fields use a dot decimal separator.  Empty cells in any
-    declared column are rejected; the error names the offending row and
-    column.
+    Numeric fields use a dot decimal separator.  A leading UTF-8
+    byte-order mark is skipped.  Empty cells in any declared column are
+    rejected; the error names the offending row and column.
     """
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

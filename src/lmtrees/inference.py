@@ -378,12 +378,16 @@ class _NullTableCache:
         t = np.arange(1, grid) / grid
         weight = 1.0 / (t * (1.0 - t))
         done = 0
-        batch = 2500
+        batch = 500
         while done < NULL_TABLE_REPLICATES:
             b = min(batch, NULL_TABLE_REPLICATES - done)
-            steps = rng.standard_normal((b, grid, k)) / math.sqrt(grid)
-            walk = np.cumsum(steps, axis=1)
-            bridge = walk[:, : grid - 1, :] - t[None, :, None] * walk[:, -1:, :]
+            # steps, walk and bridge share one array per batch to keep the
+            # resident peak low
+            walk = rng.standard_normal((b, grid, k))
+            walk /= math.sqrt(grid)
+            np.cumsum(walk, axis=1, out=walk)
+            bridge = walk[:, : grid - 1, :]
+            bridge -= t[None, :, None] * walk[:, -1:, :]
             w = np.einsum("igk,igk->ig", bridge, bridge) * weight[None, :]
             m = out[done : done + b]
             # fold boundary g onto grid - 2 - g, then take running maxima

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -120,104 +120,82 @@ def tree_depth(node: TreeNode) -> int:
     return max(n.depth for n in iter_nodes(node))
 
 
-def _prefix_rss(yc: np.ndarray, xc: np.ndarray, sxx_tol: float):
-    # residual sums of squares of all prefixes and suffixes, via
-    # cumulative first and second moments of the (already centered) data
-    n = yc.shape[0]
-    cx = np.cumsum(xc)
-    cy = np.cumsum(yc)
-    cxx = np.cumsum(xc * xc)
-    cyy = np.cumsum(yc * yc)
-    cxy = np.cumsum(xc * yc)
-    m = np.arange(1, n + 1, dtype=float)
-
-    def segment(sx, sy, sxx, syy, sxy, size):
-        # the zero-size tail entry is never an admissible cut; mask it out
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vxx = sxx - sx * sx / size
-            vyy = syy - sy * sy / size
-            vxy = sxy - sx * sy / size
-            ok = vxx > sxx_tol
-            rss = np.where(
-                ok, vyy - np.divide(vxy * vxy, vxx, out=np.zeros_like(vxx), where=ok), np.inf
-            )
-        return np.maximum(rss, 0.0), ok
-
-    left_rss, left_ok = segment(cx, cy, cxx, cyy, cxy, m)
-    right_rss, right_ok = segment(cx[-1] - cx, cy[-1] - cy, cxx[-1] - cxx,
-                                  cyy[-1] - cyy, cxy[-1] - cxy, m[-1] - m)
-    return left_rss, left_ok, right_rss, right_ok
+def _segment_rss(sums: np.ndarray, sxx_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # least-squares RSS of every segment from its moment sums (size, sx,
+    # sy, sxx, syy, sxy of the node-centred data); a segment whose
+    # regressor spread is at or below sxx_tol (empty ones too) admits no
+    # slope fit and is masked out
+    size, sx, sy, sxx, syy, sxy = sums
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vxx = sxx - sx * sx / size
+        vyy = syy - sy * sy / size
+        vxy = sxy - sx * sy / size
+        ok = vxx > sxx_tol
+        rss = np.where(
+            ok, vyy - np.divide(vxy * vxy, vxx, out=np.zeros_like(vxx), where=ok), np.inf
+        )
+    return np.maximum(rss, 0.0), ok
 
 
-def _best_numeric_split(
-    y: np.ndarray, x: np.ndarray, col: SplitColumn, min_node_size: int
-) -> Split | None:
-    n = y.shape[0]
+def _best_cut(yc: np.ndarray, xc: np.ndarray, left_sums: Callable[[np.ndarray], np.ndarray],
+              admissible: np.ndarray | bool, min_node_size: int) -> int | None:
+    # left_sums maps the 6 x n per-row moments to the left sums of every
+    # candidate; the last candidate holds all rows, so each right side is
+    # that total minus the left
+    moments = np.stack((np.ones_like(xc), xc, yc, xc * xc, yc * yc, xc * yc))
+    left = left_sums(moments)
+    right = left[:, -1:] - left
+    sxx_tol = max(float(xc @ xc), 1.0) * 1e-12
+    lower = max(min_node_size, 3)
+    left_rss, left_ok = _segment_rss(left, sxx_tol)
+    right_rss, right_ok = _segment_rss(right, sxx_tol)
+    ok = admissible & left_ok & right_ok & (left[0] >= lower) & (right[0] >= lower)
+    if not ok.any():
+        return None
+    # argmin keeps the first minimum: ties go to the earliest candidate
+    return int(np.argmin(np.where(ok, left_rss + right_rss, np.inf)))
+
+
+def _best_numeric_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn,
+                        min_node_size: int) -> Split | None:
+    # candidate i puts the first i + 1 sorted rows on the left
     order = order_permutation(col)
     vs = col.values[order]
-    yc = y[order] - y.mean()
-    xc = x[order] - x.mean()
-    total_sxx = float(xc @ xc)
-    sxx_tol = max(total_sxx, 1.0) * 1e-12
-    left_rss, left_ok, right_rss, right_ok = _prefix_rss(yc, xc, sxx_tol)
-    lower = max(min_node_size, 3)
-    cuts = np.arange(lower, n - lower + 1)
-    admissible = (vs[cuts - 1] != vs[cuts]) & left_ok[cuts - 1] & right_ok[cuts - 1]
-    if not admissible.any():
+    admissible = np.append(vs[:-1] != vs[1:], False)
+    best = _best_cut(yc[order], xc[order], lambda m: np.cumsum(m, axis=1), admissible,
+                     min_node_size)
+    if best is None:
         return None
-    # argmin keeps the first minimum: ties go to the smallest point
-    total = np.where(admissible, left_rss[cuts - 1] + right_rss[cuts - 1], np.inf)
-    best_cut = int(cuts[np.argmin(total)])
-    point = 0.5 * (vs[best_cut - 1] + vs[best_cut])
-    if not (vs[best_cut - 1] < point < vs[best_cut]):
-        point = float(vs[best_cut - 1])
+    point = 0.5 * (vs[best] + vs[best + 1])
+    if not (vs[best] < point < vs[best + 1]):
+        point = float(vs[best])
     return Split(variable=col.name, point=float(point))
 
 
-def _segment_rss(y: np.ndarray, x: np.ndarray, sxx_tol: float) -> float | None:
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx <= sxx_tol:
+def _best_categorical_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn,
+                            min_node_size: int) -> Split | None:
+    observed = np.flatnonzero(np.bincount(col.values))
+    if observed.size < 2:
         return None
-    yc = y - y.mean()
-    return max(float(yc @ yc) - float(xc @ yc) ** 2 / sxx, 0.0)
-
-
-def _best_categorical_split(
-    y: np.ndarray, x: np.ndarray, col: SplitColumn, min_node_size: int
-) -> Split | None:
-    observed = np.unique(col.values).tolist()
-    if len(observed) < 2:
-        return None
-    if len(observed) > 16:
+    if observed.size > 16:
         raise DataError(f"column {col.name!r} has too many levels for exhaustive search")
-    xc = x - x.mean()
-    sxx_tol = max(float(xc @ xc), 1.0) * 1e-12
-    lower = max(min_node_size, 3)
-    rest = observed[1:]
-    best = None
-    best_total = np.inf
-    for bits in range(2 ** len(rest)):
-        left_set = {observed[0]} | {rest[i] for i in range(len(rest)) if bits >> i & 1}
-        mask = np.isin(col.values, sorted(left_set))
-        n_left = int(mask.sum())
-        if n_left < lower or y.shape[0] - n_left < lower:
-            continue
-        rss_left = _segment_rss(y[mask], x[mask], sxx_tol)
-        rss_right = _segment_rss(y[~mask], x[~mask], sxx_tol)
-        if rss_left is None or rss_right is None:
-            continue
-        total = rss_left + rss_right
-        if total < best_total:
-            best_total = total
-            left_codes = sorted(left_set)
-            right_codes = sorted(set(observed) - left_set)
-            best = Split(
-                variable=col.name,
-                left_levels=col.labels(left_codes),
-                right_levels=col.labels(right_codes),
-            )
-    return best
+    # candidate b holds the first observed level plus rest level j when
+    # bit j of b is set; the last candidate holds every level
+    bits = np.arange(2 ** (observed.size - 1))
+    member = np.vstack((np.ones_like(bits), bits >> np.arange(observed.size - 1)[:, None] & 1))
+
+    def left_sums(moments: np.ndarray) -> np.ndarray:
+        by_level = np.stack([np.bincount(col.values, weights=m) for m in moments])
+        return by_level[:, observed] @ member
+
+    best = _best_cut(yc, xc, left_sums, True, min_node_size)
+    if best is None:
+        return None
+    return Split(
+        variable=col.name,
+        left_levels=col.labels(observed[member[:, best] == 1]),
+        right_levels=col.labels(observed[member[:, best] == 0]),
+    )
 
 
 def best_split_point(
@@ -225,18 +203,24 @@ def best_split_point(
 ) -> Split | None:
     """Exhaustive least-squares search for the best cut on one column.
 
-    Numeric: candidate cuts sit halfway between consecutive distinct
-    sorted values; both children must hold ``min_node_size`` rows and
-    admit a slope fit; the total child residual sum of squares is
-    minimized, ties going to the smallest point.  Categorical: the best
-    binary partition of the observed levels under the same constraints.
-    Returns ``None`` when no admissible cut exists.
+    Both column kinds run one search over candidate left sets: each
+    candidate is scored from the moment sums of the node-centred data,
+    both children must hold ``min_node_size`` rows and admit a slope
+    fit, and the total child residual sum of squares is minimized, ties
+    going to the first candidate.  Numeric: the candidates are the
+    sorted prefixes, cut halfway between consecutive distinct values, so
+    ties go to the smallest point.  Categorical: the candidates are the
+    binary partitions of the observed levels, as the subsets that hold
+    the first observed level.  Returns ``None`` when no admissible cut
+    exists.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    yc = y - y.mean()
+    xc = x - x.mean()
     if col.kind == NUMERIC:
-        return _best_numeric_split(y, x, col, min_node_size)
-    return _best_categorical_split(y, x, col, min_node_size)
+        return _best_numeric_split(yc, xc, col, min_node_size)
+    return _best_categorical_split(yc, xc, col, min_node_size)
 
 
 def _goes_left(split: Split, col: SplitColumn, values: np.ndarray, unseen_left: bool) -> np.ndarray:
@@ -403,17 +387,6 @@ def _schema_from_dict(payload: dict) -> CsvSchema:
     )
 
 
-def _strategy_to_dict(strategy: StrategyConfig) -> dict:
-    return {
-        "use_scores": strategy.use_scores,
-        "dichotomize": strategy.dichotomize,
-        "split_mode": strategy.split_mode,
-        "alpha": strategy.alpha,
-        "min_segment": strategy.min_segment,
-        "multiplicity": strategy.multiplicity,
-    }
-
-
 def _strategy_from_dict(payload: dict) -> StrategyConfig:
     return StrategyConfig(
         use_scores=bool(payload["use_scores"]),
@@ -423,16 +396,6 @@ def _strategy_from_dict(payload: dict) -> StrategyConfig:
         min_segment=payload["min_segment"],
         multiplicity=payload.get("multiplicity", "bonferroni"),
     )
-
-
-def _control_to_dict(control: GrowControl) -> dict:
-    return {
-        "alpha": control.alpha,
-        "min_node_size": control.min_node_size,
-        "min_segment": control.min_segment,
-        "max_depth": control.max_depth,
-        "prepruning": control.prepruning,
-    }
 
 
 def _control_from_dict(payload: dict) -> GrowControl:
@@ -451,8 +414,8 @@ def tree_to_dict(
     return {
         "format": TREE_FORMAT,
         "schema": _schema_to_dict(schema),
-        "strategy": _strategy_to_dict(strategy),
-        "control": _control_to_dict(control),
+        "strategy": asdict(strategy),
+        "control": asdict(control),
         "root": _node_to_dict(tree),
     }
 

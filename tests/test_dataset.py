@@ -187,6 +187,22 @@ def test_csv_round_trip_survives_awkward_floats(tmp_path):
     assert np.array_equal(back.column("z1").values, data.column("z1").values)
 
 
+def test_load_csv_skips_utf8_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with a byte-order mark
+    data = make_dataset()
+    schema = schema_for(data)
+    plain = tmp_path / "plain.csv"
+    write_csv(data, str(plain), schema)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = load_csv(str(plain), schema), load_csv(str(marked), schema)
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.x, want.x)
+    for w, g in zip(want.z, got.z):
+        assert (g.name, g.kind, g.levels) == (w.name, w.kind, w.levels)
+        assert np.array_equal(g.values, w.values)
+
+
 def test_load_csv_reports_row_and_column_of_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,x,z1\n1.0,2.0,3.0\n1.5,oops,0.5\n")

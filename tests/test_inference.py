@@ -377,12 +377,15 @@ def _former_trim_max(k):
     return out
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_null_table_fold_matches_former_loop(monkeypatch, k):
-    monkeypatch.setattr(inference, "NULL_TABLE_REPLICATES", 300)
+@pytest.mark.parametrize(
+    "k,reps", [(1, 300), (2, 300), (1, 1200), (2, 1200)], ids=["1", "2", "1-1200", "2-1200"]
+)
+def test_null_table_fold_matches_former_loop(monkeypatch, k, reps):
+    # 1 200 replicates span several build batches but one former batch
+    monkeypatch.setattr(inference, "NULL_TABLE_REPLICATES", reps)
     built = inference._NullTableCache()._build_trim_max(k)
     former = _former_trim_max(k)
-    assert built.dtype == np.float32 and built.shape == (300, inference.NULL_TABLE_GRID // 2)
+    assert built.dtype == np.float32 and built.shape == (reps, inference.NULL_TABLE_GRID // 2)
     assert np.array_equal(built, former)
 
 

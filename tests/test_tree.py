@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn
 from lmtrees.inference import parse_strategy
@@ -180,6 +182,158 @@ def test_categorical_split_single_level_and_level_cap():
     wide = SplitColumn("g", CATEGORICAL, np.arange(n, dtype=float) % 17, levels=many_levels)
     with pytest.raises(DataError):
         best_split_point(y, x, wide, 1)
+
+
+# The former split search, kept as an oracle for the shared candidate-set
+# search: prefix moments for numeric cuts, one refit per level subset for
+# categorical ones.
+
+
+def _former_prefix_rss(yc, xc, sxx_tol):
+    n = yc.shape[0]
+    cx = np.cumsum(xc)
+    cy = np.cumsum(yc)
+    cxx = np.cumsum(xc * xc)
+    cyy = np.cumsum(yc * yc)
+    cxy = np.cumsum(xc * yc)
+    m = np.arange(1, n + 1, dtype=float)
+
+    def segment(sx, sy, sxx, syy, sxy, size):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vxx = sxx - sx * sx / size
+            vyy = syy - sy * sy / size
+            vxy = sxy - sx * sy / size
+            ok = vxx > sxx_tol
+            rss = np.where(
+                ok, vyy - np.divide(vxy * vxy, vxx, out=np.zeros_like(vxx), where=ok), np.inf
+            )
+        return np.maximum(rss, 0.0), ok
+
+    left_rss, left_ok = segment(cx, cy, cxx, cyy, cxy, m)
+    right_rss, right_ok = segment(cx[-1] - cx, cy[-1] - cy, cxx[-1] - cxx,
+                                  cyy[-1] - cyy, cxy[-1] - cxy, m[-1] - m)
+    return left_rss, left_ok, right_rss, right_ok
+
+
+def former_numeric_split(y, x, col, min_node_size):
+    n = y.shape[0]
+    order = np.argsort(col.values, kind="stable")
+    vs = col.values[order]
+    yc = y[order] - y.mean()
+    xc = x[order] - x.mean()
+    sxx_tol = max(float(xc @ xc), 1.0) * 1e-12
+    left_rss, left_ok, right_rss, right_ok = _former_prefix_rss(yc, xc, sxx_tol)
+    lower = max(min_node_size, 3)
+    cuts = np.arange(lower, n - lower + 1)
+    admissible = (vs[cuts - 1] != vs[cuts]) & left_ok[cuts - 1] & right_ok[cuts - 1]
+    if not admissible.any():
+        return None
+    total = np.where(admissible, left_rss[cuts - 1] + right_rss[cuts - 1], np.inf)
+    best_cut = int(cuts[np.argmin(total)])
+    point = 0.5 * (vs[best_cut - 1] + vs[best_cut])
+    if not (vs[best_cut - 1] < point < vs[best_cut]):
+        point = float(vs[best_cut - 1])
+    return Split(variable=col.name, point=float(point))
+
+
+def _former_segment_rss(y, x, sxx_tol):
+    xc = x - x.mean()
+    sxx = float(xc @ xc)
+    if sxx <= sxx_tol:
+        return None
+    yc = y - y.mean()
+    return max(float(yc @ yc) - float(xc @ yc) ** 2 / sxx, 0.0)
+
+
+def former_categorical_split(y, x, col, min_node_size):
+    """The former subset loop; also returns every admissible subset's total."""
+    observed = np.unique(col.values).tolist()
+    if len(observed) < 2:
+        return None, {}
+    xc = x - x.mean()
+    sxx_tol = max(float(xc @ xc), 1.0) * 1e-12
+    lower = max(min_node_size, 3)
+    rest = observed[1:]
+    best, best_total, totals = None, np.inf, {}
+    for bits in range(2 ** len(rest)):
+        left_set = {observed[0]} | {rest[i] for i in range(len(rest)) if bits >> i & 1}
+        mask = np.isin(col.values, sorted(left_set))
+        n_left = int(mask.sum())
+        if n_left < lower or y.shape[0] - n_left < lower:
+            continue
+        rss_left = _former_segment_rss(y[mask], x[mask], sxx_tol)
+        rss_right = _former_segment_rss(y[~mask], x[~mask], sxx_tol)
+        if rss_left is None or rss_right is None:
+            continue
+        total = rss_left + rss_right
+        left_levels = col.labels(sorted(left_set))
+        totals[left_levels] = total
+        if total < best_total:
+            best_total = total
+            best = Split(
+                variable=col.name,
+                left_levels=left_levels,
+                right_levels=col.labels(sorted(set(observed) - left_set)),
+            )
+    return best, totals
+
+
+@st.composite
+def split_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from(["spread", "ties", "constant"]))
+        if shape == "spread":
+            z = rng.normal(size=n)
+        elif shape == "ties":
+            z = rng.integers(0, draw(st.integers(min_value=2, max_value=4)), n).astype(float)
+        else:
+            z = np.full(n, 1.5)
+        col = ncol(z)
+        x = rng.uniform(-1, 1, n)
+    else:
+        observed = draw(st.integers(min_value=1, max_value=min(6, n)))
+        unobserved = draw(st.integers(min_value=0, max_value=3))
+        # unobserved levels sit between, before and after the observed codes
+        codes_used = np.sort(rng.choice(observed + unobserved, observed, replace=False))
+        codes = codes_used[np.concatenate([np.arange(observed),
+                                           rng.integers(0, observed, n - observed)])]
+        rng.shuffle(codes)
+        levels = tuple(f"l{i}" for i in range(observed + unobserved))
+        col = SplitColumn("g", CATEGORICAL, codes, levels=levels)
+        if draw(st.booleans()):
+            x = 0.7 * codes + 1.0  # constant within each level
+        else:
+            x = rng.uniform(-1, 1, n)
+    y = rng.normal(size=n) + 0.5 * x
+    if draw(st.booleans()):
+        y = np.round(y, 1)
+    return y, x, col, draw(st.integers(min_value=1, max_value=8))
+
+
+@given(case=split_cases())
+@settings(max_examples=400, deadline=None)
+def test_split_search_matches_former_search(case):
+    y, x, col, min_node_size = case
+    got = best_split_point(y, x, col, min_node_size)
+    if col.kind == NUMERIC:
+        assert got == former_numeric_split(y, x, col, min_node_size)
+        return
+    want, totals = former_categorical_split(y, x, col, min_node_size)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and got.point is None
+    assert set(got.left_levels) | set(got.right_levels) == set(want.left_levels) | set(
+        want.right_levels
+    )
+    if got.left_levels != want.left_levels:
+        # only a tie within rounding may move the choice
+        ranked = sorted(totals.values())
+        assert ranked[1] - ranked[0] <= 1e-12 * ranked[1]
+        assert totals[got.left_levels] - ranked[0] <= 1e-12 * totals[got.left_levels]
 
 
 # ----------------------------------------------------------------- tree growth
