@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -179,9 +180,11 @@ def _parse_float(token: str, column: str, row: int) -> float:
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Read an RFC-4180 CSV file with a header row into a :class:`Dataset`.
 
-    Numeric fields use a dot decimal separator.  A leading UTF-8
-    byte-order mark is skipped.  Empty cells in any declared column are
-    rejected; the error names the offending row and column.
+    One pass parses each row into one typed column per declared role,
+    keeping no list of rows.  Numeric fields use a dot decimal separator;
+    a leading UTF-8 byte-order mark is skipped.  Empty cells in declared
+    columns (named by row and column) and repeated declared names in the
+    header are rejected.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -190,44 +193,37 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
-        index = {name: i for i, name in enumerate(header)}
-        wanted = [schema.response, schema.regressor] + [n for n, _ in schema.splits]
-        for name in wanted:
-            if name not in index:
+        roles = [(schema.response, NUMERIC), (schema.regressor, NUMERIC), *schema.splits]
+        for name, _ in roles:
+            if name not in header:
                 raise DataError(f"{path}: column {name!r} not found in header {header}")
-        rows = list(reader)
-    y = np.empty(len(rows))
-    x = np.empty(len(rows))
-    numeric_buffers: dict[str, np.ndarray] = {
-        name: np.empty(len(rows)) for name, kind in schema.splits if kind == NUMERIC
-    }
-    cat_buffers: dict[str, list[str]] = {
-        name: [] for name, kind in schema.splits if kind == CATEGORICAL
-    }
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: data row {r} has {len(row)} fields, expected {len(header)}")
-        y[r - 1] = _parse_float(row[index[schema.response]], schema.response, r)
-        x[r - 1] = _parse_float(row[index[schema.regressor]], schema.regressor, r)
-        for name, kind in schema.splits:
-            token = row[index[name]]
-            if kind == NUMERIC:
-                numeric_buffers[name][r - 1] = _parse_float(token, name, r)
-            else:
-                label = token.strip()
+            if header.count(name) > 1:
+                raise DataError(f"{path}: column {name!r} repeats in header {header}")
+        # categorical codes count labels in order of first appearance
+        columns = [(name, kind, header.index(name), array("d" if kind == NUMERIC else "q"), {})
+                   for name, kind in roles]
+        for r, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise DataError(f"{path}: data row {r} has {len(row)} fields, expected {len(header)}")
+            for name, kind, i, values, seen in columns:
+                if kind == NUMERIC:
+                    values.append(_parse_float(row[i], name, r))
+                    continue
+                label = row[i].strip()
                 if not label:
                     raise DataError(f"missing value in column {name!r} at data row {r}")
-                cat_buffers[name].append(label)
-    columns = []
-    for name, kind in schema.splits:
+                values.append(seen.setdefault(label, len(seen)))
+    splits = []
+    for name, kind, _, values, seen in columns[2:]:
         if kind == NUMERIC:
-            columns.append(SplitColumn(name, NUMERIC, numeric_buffers[name]))
-        else:
-            levels = tuple(sorted(set(cat_buffers[name])))
-            code = {label: i for i, label in enumerate(levels)}
-            values = np.array([code[label] for label in cat_buffers[name]], dtype=np.int64)
-            columns.append(SplitColumn(name, CATEGORICAL, values, levels))
-    return Dataset(y, x, tuple(columns))
+            splits.append(SplitColumn(name, NUMERIC, np.frombuffer(values)))
+            continue
+        levels = tuple(sorted(seen))
+        code = {label: i for i, label in enumerate(levels)}
+        recode = np.array([code[label] for label in seen], dtype=np.int64)
+        codes = recode[np.frombuffer(values, np.int64)]
+        splits.append(SplitColumn(name, CATEGORICAL, codes, levels))
+    return Dataset(np.frombuffer(columns[0][3]), np.frombuffer(columns[1][3]), tuple(splits))
 
 
 def _format_value(value: float) -> str:

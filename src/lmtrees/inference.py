@@ -9,8 +9,9 @@ split-column transform).  Dispatch on the transform picks the engine:
   scalar against the normal when the statistic is one-dimensional.
 * ``max``  - maximally-selected score fluctuation: the column orders the
   rows, partial sums of the decorrelated gof columns form a bridge, and
-  the largest variance-weighted squared norm over the admissible range
-  is referred to a simulated null table.
+  the largest variance-weighted squared norm over the tie-block ends
+  (the cut points a split could use) in the admissible range is
+  referred to a simulated null table.
 * ``cat``  - with dichotomized gof, summed Pearson chi-square tests of
   the sign-by-bin contingency tables, one table per gof column;
   without dichotomization, the quadratic form above with one-hot bins
@@ -291,11 +292,12 @@ class FluctuationProcess:
     ``cumulative`` holds n+1 rows; row i is the scaled partial sum of
     the first i sorted rows, so the first and last rows are zero (gof
     columns are centered before decorrelation, which for score columns
-    changes nothing because they already sum to zero).
+    changes nothing because they already sum to zero).  ``tie_ends``
+    marks the n+1 boundaries that end a block of tied column values.
     """
 
     cumulative: np.ndarray
-    vhat_root_inv: np.ndarray
+    tie_ends: np.ndarray
     k_eff: int
 
     @property
@@ -308,7 +310,8 @@ def fluctuation_process(gof: GofMatrix, col: SplitColumn) -> FluctuationProcess:
 
     The gof columns are centered, decorrelated by the inverse symmetric
     square root of their average outer product, scaled by ``n**-0.5``,
-    and cumulated in the column's stable sort order.
+    and cumulated in the column's stable sort order.  Only the
+    boundaries in ``tie_ends`` are cut points a split could use.
     """
     order = order_permutation(col)
     s = gof.values - gof.values.mean(axis=0)
@@ -321,7 +324,9 @@ def fluctuation_process(gof: GofMatrix, col: SplitColumn) -> FluctuationProcess:
     walk = (s[order] @ root_inv) / math.sqrt(n)
     cumulative = np.zeros((n + 1, gof.k))
     np.cumsum(walk, axis=0, out=cumulative[1:])
-    return FluctuationProcess(cumulative=cumulative, vhat_root_inv=root_inv, k_eff=rank)
+    vs = col.values[order]
+    tie_ends = np.concatenate(([True], vs[:-1] != vs[1:], [True]))
+    return FluctuationProcess(cumulative=cumulative, tie_ends=tie_ends, k_eff=rank)
 
 
 def _suplm_from_process(proc: FluctuationProcess, min_segment: int) -> tuple[float, int]:
@@ -329,23 +334,24 @@ def _suplm_from_process(proc: FluctuationProcess, min_segment: int) -> tuple[flo
     if min_segment < 1:
         raise UnsupportedConfigurationError("min_segment must be at least 1")
     lo, hi = min_segment, n - min_segment
-    if lo > hi:
+    ends = proc.tie_ends[lo : hi + 1]
+    if not ends.any():
         raise NoAdmissibleSplitError(
             f"segments of {min_segment} leave no admissible boundary in {n} rows"
         )
-    idx = np.arange(lo, hi + 1)
-    frac = idx / n
-    weights = 1.0 / (frac * (1.0 - frac))
-    norms = np.einsum("ij,ij->i", proc.cumulative[lo : hi + 1], proc.cumulative[lo : hi + 1])
-    values = weights * norms
+    frac = np.arange(lo, hi + 1) / n
+    path = proc.cumulative[lo : hi + 1]
+    values = 1.0 / (frac * (1.0 - frac)) * np.einsum("ij,ij->i", path, path)
+    values[~ends] = -np.inf
     peak = int(np.argmax(values))
-    return float(values[peak]), int(idx[peak])
+    return float(values[peak]), lo + peak
 
 
 def suplm_statistic(gof: GofMatrix, col: SplitColumn, min_segment: int) -> tuple[float, int]:
     """Largest variance-weighted squared bridge norm over admissible cuts.
 
-    Candidate boundaries are the row counts ``i`` with at least
+    Candidate boundaries are the tie-block ends: row counts ``i`` after
+    which the sorted column value changes, with at least
     ``min_segment`` rows on each side; the weight at boundary ``i`` is
     ``((i/n) * (1 - i/n))**-1``.  Returns the statistic and the
     boundary where the maximum is attained (ties keep the smallest).
@@ -478,12 +484,6 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
 # strategy dispatch and variable selection
 
 
-def _outcome_from_quad(variable: str, stat: float, df: int, p: float) -> TestOutcome:
-    if df == 0:
-        return _degenerate(variable)
-    return TestOutcome(variable=variable, statistic=stat, p_value=p, law=LAW_CHI2, df=df)
-
-
 def run_strategy(config: StrategyConfig, fit: LinearFit, col: SplitColumn) -> TestOutcome:
     """Test one split column for parameter instability under ``config``.
 
@@ -518,7 +518,9 @@ def run_strategy(config: StrategyConfig, fit: LinearFit, col: SplitColumn) -> Te
                 return _degenerate(col.name)
             return TestOutcome(variable=col.name, statistic=stat, p_value=p, law=LAW_NORMAL, df=1)
         stat, df, p = quad_form_test(t, moments)
-        return _outcome_from_quad(col.name, stat, df, p)
+        if df == 0:
+            return _degenerate(col.name)
+        return TestOutcome(variable=col.name, statistic=stat, p_value=p, law=LAW_CHI2, df=df)
     except (NoAdmissibleSplitError, DegenerateTestError):
         return _degenerate(col.name)
 

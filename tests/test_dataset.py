@@ -1,5 +1,9 @@
 """Data model, CSV round trips, ordering/quantile utilities, seeded streams."""
 
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from lmtrees.dataset import (
     Dataset,
     RngStream,
     SplitColumn,
+    _parse_float,
     derive_stream_id,
     empirical_quartiles,
     load_csv,
@@ -249,6 +254,151 @@ def test_csv_categorical_levels_are_sorted_unique(tmp_path):
     g = data.column("g")
     assert g.levels == ("amber", "blue")
     assert list(g.labels(g.values)) == ["blue", "amber", "blue"]
+
+
+def test_load_csv_rejects_a_repeated_declared_column(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("y,x,z,z\n1.0,2.0,3.0,4.0\n")
+    with pytest.raises(DataError, match="'z' repeats in header"):
+        load_csv(str(path), CsvSchema("y", "x", (("z", NUMERIC),)))
+    # an undeclared column may repeat
+    path.write_text("y,x,w,w\n1.0,2.0,3.0,4.0\n")
+    assert load_csv(str(path), CsvSchema("y", "x", ())).y.tolist() == [1.0]
+
+
+def reference_load_csv(path, schema):
+    """The loader that read every row into a list before parsing any,
+    kept as a differential oracle for :func:`load_csv`."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip() for h in header]
+        index = {name: i for i, name in enumerate(header)}
+        wanted = [schema.response, schema.regressor] + [n for n, _ in schema.splits]
+        for name in wanted:
+            if name not in index:
+                raise DataError(f"{path}: column {name!r} not found in header {header}")
+        rows = list(reader)
+    y = np.empty(len(rows))
+    x = np.empty(len(rows))
+    numeric_buffers = {name: np.empty(len(rows)) for name, kind in schema.splits if kind == NUMERIC}
+    cat_buffers = {name: [] for name, kind in schema.splits if kind == CATEGORICAL}
+    for r, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: data row {r} has {len(row)} fields, expected {len(header)}")
+        y[r - 1] = _parse_float(row[index[schema.response]], schema.response, r)
+        x[r - 1] = _parse_float(row[index[schema.regressor]], schema.regressor, r)
+        for name, kind in schema.splits:
+            token = row[index[name]]
+            if kind == NUMERIC:
+                numeric_buffers[name][r - 1] = _parse_float(token, name, r)
+            else:
+                label = token.strip()
+                if not label:
+                    raise DataError(f"missing value in column {name!r} at data row {r}")
+                cat_buffers[name].append(label)
+    columns = []
+    for name, kind in schema.splits:
+        if kind == NUMERIC:
+            columns.append(SplitColumn(name, NUMERIC, numeric_buffers[name]))
+        else:
+            levels = tuple(sorted(set(cat_buffers[name])))
+            code = {label: i for i, label in enumerate(levels)}
+            values = np.array([code[label] for label in cat_buffers[name]], dtype=np.int64)
+            columns.append(SplitColumn(name, CATEGORICAL, values, levels))
+    return Dataset(y, x, tuple(columns))
+
+
+PADDING = st.sampled_from(["", " ", "  "])
+GOOD_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1e3", "+.5", "-0", "1_000", "0.1"]),
+)
+BAD_NUMBERS = st.sampled_from(["", "  ", "nan", "inf", "-inf", "1e400", "abc", "1,5", "0x10"])
+GOOD_LABELS = st.sampled_from(["a", "b", "b c", "x,y", 'say "hi"', "line\nbreak", "é"])
+BAD_LABELS = st.sampled_from(["", "   "])
+
+
+@st.composite
+def csv_cases(draw):
+    """CSV text for a random schema: valid files, or files with a few bad
+    cells and short or long rows."""
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, CATEGORICAL]), max_size=3))
+    splits = tuple((f"z{i}", kind) for i, kind in enumerate(kinds))
+    extras = [f"extra {i}" for i in range(draw(st.integers(0, 2)))]
+    names = draw(st.permutations(["y", "x", *(name for name, _ in splits), *extras]))
+    kind_of = {"y": NUMERIC, "x": NUMERIC, **dict(splits)}
+    clean = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = []
+        for name in names:
+            if kind_of.get(name, CATEGORICAL) == NUMERIC:
+                token = draw(GOOD_NUMBERS if clean else st.one_of(GOOD_NUMBERS, BAD_NUMBERS))
+            else:
+                token = draw(GOOD_LABELS if clean else st.one_of(GOOD_LABELS, BAD_LABELS))
+            row.append(draw(PADDING) + token + draw(PADDING))
+        if not clean:
+            # drop the last cell or append one now and then
+            row = row[: draw(st.integers(len(row) - 1, len(row)))]
+            row += draw(st.lists(PADDING, max_size=1))
+        rows.append(row)
+    buffer = io.StringIO()
+    writer = csv.writer(
+        buffer,
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+    )
+    writer.writerow([draw(PADDING) + name for name in names])
+    writer.writerows(rows)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + buffer.getvalue(), CsvSchema("y", "x", splits)
+
+
+def loaded_or_error(loader, path, schema):
+    try:
+        data = loader(path, schema)
+    except DataError as err:
+        return str(err)
+    columns = [("y", NUMERIC, None, data.y), ("x", NUMERIC, None, data.x)]
+    columns += [(c.name, c.kind, c.levels, c.values) for c in data.z]
+    return [(name, kind, levels, a.dtype.str, a.tobytes()) for name, kind, levels, a in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_cases())
+def test_load_csv_matches_the_row_list_loader(tmp_path_factory, case):
+    text, schema = case
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = loaded_or_error(reference_load_csv, str(path), schema)
+    assert loaded_or_error(load_csv, str(path), schema) == want
+
+
+def test_load_csv_peak_memory_is_a_small_multiple_of_its_arrays(tmp_path):
+    # 20 000 rows of y, x, ten numeric columns and a five-level label
+    n = 20000
+    rng = np.random.default_rng(17)
+    z = [SplitColumn(f"z{j}", NUMERIC, rng.normal(size=n)) for j in range(1, 11)]
+    levels = ("central", "east", "north", "south", "west")
+    z.append(SplitColumn("region", CATEGORICAL, rng.integers(0, 5, n), levels=levels))
+    data = Dataset(rng.normal(size=n), rng.uniform(-1, 1, n), tuple(z))
+    schema = schema_for(data)
+    path = str(tmp_path / "wide.csv")
+    write_csv(data, path, schema)
+    tracemalloc.start()
+    try:
+        back = load_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (back.y, back.x, *(c.values for c in back.z)))
+    assert held == 13 * 8 * n
+    assert peak < 5 * held, f"peak {peak} bytes for {held} bytes of arrays"
 
 
 # ------------------------------------------------------------------ streams

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmtrees import inference
 from lmtrees.dataset import CATEGORICAL, NUMERIC, Dataset, RngStream, SplitColumn
@@ -503,13 +505,73 @@ def test_constant_column_degeneracy_per_engine():
         out = run_strategy(parse_strategy("guide"), fit, col)
         assert out.law == "degenerate" and out.p_value == 1.0
 
-    # order-statistic engine: constant columns induce a (stable) identity
-    # ordering, so the trimmed maximum is still a valid exchangeable-null
-    # statistic; the outcome is real, not degenerate
+    # order-statistic engine: a constant column is one tie block, so no
+    # boundary inside the trimming range is a cut point
     for col in (zeros, ones):
         out = run_strategy(parse_strategy("mob"), fit, col)
-        assert out.law == "suplm"
-        assert 0.0 <= out.p_value <= 1.0
+        assert out.law == "degenerate" and out.p_value == 1.0
+
+
+def test_suplm_scans_only_tie_block_ends():
+    # rows 3..5 share one value: boundaries 3 and 4 fall inside the block
+    gof = GofMatrix(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None], dichotomized=False)
+    col = ncol([1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
+    proc = fluctuation_process(gof, col)
+    assert proc.tie_ends.tolist() == [True, True, True, False, False, True, True]
+    # boundary values are 1.2, 3, 6, 3, 1.2; the peak 6 at boundary 3 lies
+    # inside the block, so the largest value at a block end is 3 at 2
+    stat, peak = suplm_statistic(gof, col, min_segment=1)
+    assert stat == pytest.approx(3.0, abs=1e-12)
+    assert peak == 2
+    from lmtrees.transform import NoAdmissibleSplitError
+
+    with pytest.raises(NoAdmissibleSplitError):
+        suplm_statistic(gof, col, min_segment=3)
+
+
+def tied_study(seed, n, distinct):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n)
+    z = rng.integers(0, distinct, n).astype(float)
+    y = 0.3 * np.where(z >= distinct / 2, 1.0, -1.0) + x + rng.normal(size=n)
+    return y, x, z
+
+
+def permuted_outcomes(name, y, x, z, perm):
+    config = parse_strategy(name)
+    return (
+        run_strategy(config, fit_ols(y, x), ncol(z)),
+        run_strategy(config, fit_ols(y[perm], x[perm]), ncol(z[perm])),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(24, 160),
+    distinct=st.integers(2, 5),
+)
+def test_every_strategy_is_invariant_to_row_order_on_tied_columns(seed, n, distinct):
+    y, x, z = tied_study(seed, n, distinct)
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    for name in STRATEGIES:
+        before, after = permuted_outcomes(name, y, x, z, perm)
+        assert after.law == before.law, name
+        assert after.statistic == pytest.approx(before.statistic, rel=1e-12), name
+        assert after.p_value == pytest.approx(before.p_value, rel=1e-12), name
+
+
+@pytest.mark.parametrize("name", ["mob", "mob+dich"])
+def test_max_route_pvalue_ignores_the_order_of_tied_rows(name):
+    # a four-valued column: scanning boundaries inside tie blocks let the
+    # stable-sort order of the tied rows move these p-values several-fold
+    y, x, z = tied_study(5, 200, 4)
+    config = parse_strategy(name)
+    p_values = set()
+    for k in range(6):
+        perm = np.random.default_rng(k).permutation(200)
+        p_values.add(run_strategy(config, fit_ols(y[perm], x[perm]), ncol(z[perm])).p_value)
+    assert len(p_values) == 1
 
 
 @pytest.mark.parametrize("name", ["guide", "ctree+cat"])
