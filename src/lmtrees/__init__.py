@@ -43,7 +43,6 @@ from .linmod import (
     LinearFit,
     fit_ols,
     predict,
-    score_row,
 )
 from .prune import PruneResult, cost_complexity_path, cv_prune, ic_prune, prune_at
 from .sim import (
@@ -60,7 +59,6 @@ from .sim import (
 from .transform import (
     GofMatrix,
     NoAdmissibleSplitError,
-    SplitTransform,
     make_gof,
     make_split_transform,
 )

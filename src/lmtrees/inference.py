@@ -1,24 +1,26 @@
 """Split-variable tests: one unified interface over three engines.
 
 A strategy is the triple (residuals or scores, dichotomize or not,
-split-column transform).  Dispatch on the transform picks the engine:
+split mode).  Dispatch on the split mode picks the engine:
 
 * ``lin``  - linear cross-statistic between the gof matrix and the raw
   column, standardized by its exact permutation mean and covariance;
   quadratic form against chi-square, or the absolute standardized
   scalar against the normal when the statistic is one-dimensional.
 * ``max``  - maximally-selected score fluctuation: the column orders the
-  rows, partial sums of the decorrelated gof columns form a bridge, and
+  rows and partial sums of the decorrelated gof columns form a bridge
+  (``fluctuation_process``); ``suplm_statistic``, the one scan, takes
   the largest variance-weighted squared norm over the tie-block ends
-  (the cut points a split could use) in the admissible range is
-  referred to a simulated null table.
+  (the cut points a split could use) in the admissible range, and it
+  is referred to a simulated null table.
 * ``cat``  - with dichotomized gof, summed Pearson chi-square tests of
   the sign-by-bin contingency tables, one table per gof column;
   without dichotomization, the quadratic form above with one-hot bins
-  (a one-way analysis-of-variance flavour).
+  (a one-way analysis-of-variance flavour).  ``make_split_transform``
+  builds the one-hot design.
 
 Categorical split columns always enter through their natural one-hot
-design, whatever the configured transform.
+design, whatever the configured split mode.
 
 Every engine is invariant to rescaling the gof columns by a nonzero
 constant, so the constant factor in the score definition never matters.
@@ -38,16 +40,7 @@ import numpy as np
 from .dataset import CATEGORICAL, Dataset, SplitColumn, order_permutation
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
-from .transform import (
-    MODE_CAT,
-    MODE_LIN,
-    MODE_MAX,
-    MODES,
-    GofMatrix,
-    NoAdmissibleSplitError,
-    make_gof,
-    make_split_transform,
-)
+from .transform import GofMatrix, NoAdmissibleSplitError, make_gof, make_split_transform
 
 __all__ = [
     "UnsupportedConfigurationError",
@@ -71,6 +64,11 @@ __all__ = [
     "select_variable",
     "argmin_outcome",
 ]
+
+MODE_LIN = "lin"
+MODE_CAT = "cat"
+MODE_MAX = "max"
+MODES = (MODE_LIN, MODE_CAT, MODE_MAX)
 
 LAW_CHI2 = "chi2"
 LAW_NORMAL = "normal"
@@ -329,7 +327,15 @@ def fluctuation_process(gof: GofMatrix, col: SplitColumn) -> FluctuationProcess:
     return FluctuationProcess(cumulative=cumulative, tie_ends=tie_ends, k_eff=rank)
 
 
-def _suplm_from_process(proc: FluctuationProcess, min_segment: int) -> tuple[float, int]:
+def suplm_statistic(proc: FluctuationProcess, min_segment: int) -> tuple[float, int]:
+    """Largest variance-weighted squared bridge norm over admissible cuts.
+
+    Candidate boundaries are the tie-block ends: row counts ``i`` after
+    which the sorted column value changes, with at least
+    ``min_segment`` rows on each side; the weight at boundary ``i`` is
+    ``((i/n) * (1 - i/n))**-1``.  Returns the statistic and the
+    boundary where the maximum is attained (ties keep the smallest).
+    """
     n = proc.n
     if min_segment < 1:
         raise UnsupportedConfigurationError("min_segment must be at least 1")
@@ -345,18 +351,6 @@ def _suplm_from_process(proc: FluctuationProcess, min_segment: int) -> tuple[flo
     values[~ends] = -np.inf
     peak = int(np.argmax(values))
     return float(values[peak]), lo + peak
-
-
-def suplm_statistic(gof: GofMatrix, col: SplitColumn, min_segment: int) -> tuple[float, int]:
-    """Largest variance-weighted squared bridge norm over admissible cuts.
-
-    Candidate boundaries are the tie-block ends: row counts ``i`` after
-    which the sorted column value changes, with at least
-    ``min_segment`` rows on each side; the weight at boundary ``i`` is
-    ``((i/n) * (1 - i/n))**-1``.  Returns the statistic and the
-    boundary where the maximum is attained (ties keep the smallest).
-    """
-    return _suplm_from_process(fluctuation_process(gof, col), min_segment)
 
 
 class _NullTableCache:
@@ -497,21 +491,21 @@ def run_strategy(config: StrategyConfig, fit: LinearFit, col: SplitColumn) -> Te
         if mode == MODE_MAX:
             ms = resolve_min_segment(gof.n, config.min_segment)
             proc = fluctuation_process(gof, col)
-            stat, _ = _suplm_from_process(proc, ms)
+            stat, _ = suplm_statistic(proc, ms)
             p = suplm_pvalue(stat, proc.k_eff, ms, gof.n)
             return TestOutcome(
                 variable=col.name, statistic=stat, p_value=p, law=LAW_SUPLM, df=proc.k_eff
             )
-        transform = make_split_transform(col, mode)
+        design = col.values[:, None] if mode == MODE_LIN else make_split_transform(col)
         if mode == MODE_CAT and config.dichotomize:
-            stat, df = chisq_statistic(gof, transform.design)
+            stat, df = chisq_statistic(gof, design)
             if df == 0:
                 return _degenerate(col.name)
             return TestOutcome(
                 variable=col.name, statistic=stat, p_value=chi2_sf(stat, df), law=LAW_CHI2, df=df
             )
-        t = linear_statistic(gof, transform.design)
-        moments = conditional_moments(gof, transform.design)
+        t = linear_statistic(gof, design)
+        moments = conditional_moments(gof, design)
         if mode == MODE_LIN and t.shape[0] == 1:
             stat, p = max_abs_test(t, moments)
             if p >= 1.0 and stat == 0.0:

@@ -22,7 +22,6 @@ __all__ = [
     "DegenerateRegressorError",
     "LinearFit",
     "fit_ols",
-    "score_row",
     "predict",
 ]
 
@@ -78,13 +77,6 @@ def fit_ols(y: np.ndarray, x: np.ndarray) -> LinearFit:
     rss = float(residuals @ residuals)
     scores = np.column_stack((-2.0 * residuals, -2.0 * residuals * x))
     return LinearFit(beta0=beta0, beta1=beta1, n=n, rss=rss, residuals=residuals, scores=scores)
-
-
-def score_row(fit: LinearFit, i: int) -> np.ndarray:
-    """Score contribution of row ``i``: the pair ``-2 r_i * (1, x_i)``."""
-    if fit.scores is None:
-        raise ValueError("fit carries no per-row scores")
-    return fit.scores[i]
 
 
 def predict(fit: LinearFit, x: np.ndarray) -> np.ndarray:

@@ -184,6 +184,8 @@ def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> flo
     n = a.shape[0]
     if n == 0:
         raise ValueError("label vectors are empty")
+    if n == 1:
+        return 1.0  # one row has no pairs; both partitions are trivial
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     r = ai.max() + 1

@@ -3,10 +3,11 @@
 ``make_gof`` turns a node fit into the row-wise matrix a split test
 consumes: raw residuals, the two score columns, or their elementwise
 sign indicators.  ``make_split_transform`` turns a split column into the
-design the test statistic pairs with it: the identity for the linear
-route and quartile-bin or level one-hot columns for the categorized
-route.  The maximally-selected route needs no design: its fluctuation
-test orders the rows of the column directly.
+one-hot design the binned route pairs with it: quartile-bin columns for
+a numeric column, level columns for a categorical one.  The linear
+route pairs the gof matrix with the raw column, and the
+maximally-selected route orders the rows by the column, so neither
+needs a design built here.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ __all__ = [
     "TransformError",
     "NoAdmissibleSplitError",
     "GofMatrix",
-    "SplitTransform",
     "make_gof",
     "make_split_transform",
 ]
-
-MODE_LIN = "lin"
-MODE_CAT = "cat"
-MODE_MAX = "max"
-MODES = (MODE_LIN, MODE_CAT, MODE_MAX)
 
 
 class TransformError(ValueError):
@@ -68,21 +63,6 @@ class GofMatrix:
         return int(self.values.shape[0])
 
 
-@dataclass(frozen=True)
-class SplitTransform:
-    """Design matrix a split column contributes to a test statistic.
-
-    ``labels`` names the design columns for reporting: the observed
-    levels of a categorical column, ``bin1``, ``bin2``, ... for the
-    nonempty quartile bins of a numeric one, or the column name for the
-    linear route.
-    """
-
-    mode: str
-    design: np.ndarray
-    labels: tuple[str, ...]
-
-
 def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
     """Build the per-row test input from a node fit.
 
@@ -103,29 +83,17 @@ def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
     return GofMatrix(values=values, dichotomized=dichotomize)
 
 
-def make_split_transform(col: SplitColumn, mode: str) -> SplitTransform:
-    """Build the design matrix for one split column.
+def make_split_transform(col: SplitColumn) -> np.ndarray:
+    """One-hot design of a split column for the binned route.
 
-    ``"lin"`` (numeric columns only) is the raw column.  ``"cat"`` is a
-    one-hot design over integer codes: the level codes of a categorical
-    column, or the right-closed quartile bin of each value of a numeric
-    one; codes that no row takes are dropped.  A numeric column of fewer
-    than four rows has no quartiles and raises ``NoAdmissibleSplitError``.
-    The ``"max"`` route scans the ordered column directly and has no
-    design, so it is rejected here.
+    The design's columns indicate integer codes: the level codes of a
+    categorical column, or the right-closed quartile bin of each value
+    of a numeric one; codes that no row takes are dropped.  A numeric
+    column of fewer than four rows has no quartiles and raises
+    ``NoAdmissibleSplitError``.
     """
-    if mode == MODE_MAX:
-        raise TransformError("the max route has no design: its test scans the ordered column")
-    if mode not in MODES:
-        raise TransformError(f"unknown transform mode {mode!r}")
     if col.kind == CATEGORICAL:
-        if mode != MODE_CAT:
-            raise TransformError(
-                f"mode {mode!r} needs a numeric column, {col.name!r} is categorical"
-            )
         codes = col.values
-    elif mode == MODE_LIN:
-        return SplitTransform(mode=MODE_LIN, design=col.values[:, None], labels=(col.name,))
     elif col.n < 4:
         raise NoAdmissibleSplitError(f"column {col.name!r} has too few rows for quartile bins")
     else:
@@ -135,9 +103,4 @@ def make_split_transform(col: SplitColumn, mode: str) -> SplitTransform:
     kept = np.flatnonzero(np.bincount(codes))
     if kept.size == 0:
         raise TransformError(f"column {col.name!r} is empty")
-    design = (codes[:, None] == kept).astype(float)
-    if col.kind == CATEGORICAL:
-        labels = tuple(col.levels[i] for i in kept)
-    else:
-        labels = tuple(f"bin{i + 1}" for i in range(kept.size))
-    return SplitTransform(mode=MODE_CAT, design=design, labels=labels)
+    return (codes[:, None] == kept).astype(float)

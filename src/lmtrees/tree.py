@@ -421,14 +421,23 @@ def tree_to_dict(
 
 
 def tree_from_dict(payload: dict) -> tuple[TreeNode, CsvSchema, StrategyConfig, GrowControl]:
+    """Rebuild a tree and its settings; a payload that is not a
+    well-formed ``lmtrees-tree/1`` document raises ``DataError``."""
+    if not isinstance(payload, dict):
+        raise DataError(f"a tree file holds a JSON object, not {type(payload).__name__}")
     if payload.get("format") != TREE_FORMAT:
         raise DataError(f"unsupported tree format {payload.get('format')!r}")
-    return (
-        _node_from_dict(payload["root"]),
-        _schema_from_dict(payload["schema"]),
-        _strategy_from_dict(payload["strategy"]),
-        _control_from_dict(payload["control"]),
-    )
+    try:
+        return (
+            _node_from_dict(payload["root"]),
+            _schema_from_dict(payload["schema"]),
+            _strategy_from_dict(payload["strategy"]),
+            _control_from_dict(payload["control"]),
+        )
+    except KeyError as exc:
+        raise DataError(f"malformed tree file: missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise DataError(f"malformed tree file: wrong type ({exc})") from None
 
 
 def tree_to_json(

@@ -31,7 +31,7 @@ from lmtrees.sim import (
     run_study,
 )
 from lmtrees.special import chi2_sf
-from lmtrees.transform import GofMatrix, make_gof, make_split_transform, MODE_CAT
+from lmtrees.transform import GofMatrix, make_gof, make_split_transform
 from lmtrees.tree import (
     GrowControl,
     Split,
@@ -140,7 +140,7 @@ def test_late_split_ordering():
         z1 = data.column("z1")
         by_guide = run_strategy(guide_config, fit, z1)
         by_gs = run_strategy(gs_config, fit, z1)
-        design = make_split_transform(z1, MODE_CAT).design
+        design = make_split_transform(z1)
         signs = make_gof(fit, use_scores=True, dichotomize=True).values
         first, first_df = chisq_statistic(GofMatrix(signs[:, :1], True), design)
         slope, slope_df = chisq_statistic(GofMatrix(signs[:, 1:], True), design)
@@ -321,7 +321,7 @@ def test_exact_oracle_permutation_moments_and_tail():
 
 
 def test_exact_oracle_score_fluctuation_scan():
-    from lmtrees.inference import suplm_statistic
+    from lmtrees.inference import fluctuation_process, suplm_statistic
 
     rng = np.random.default_rng(7)
     n = 60
@@ -331,7 +331,7 @@ def test_exact_oracle_score_fluctuation_scan():
     gof = make_gof(fit, use_scores=True, dichotomize=False)
     col = SplitColumn("z", NUMERIC, rng.normal(size=n))
     ms = 9
-    stat, peak = suplm_statistic(gof, col, ms)
+    stat, peak = suplm_statistic(fluctuation_process(gof, col), ms)
 
     # termwise recomputation straight from the displayed definition
     order = np.argsort(col.values, kind="stable")

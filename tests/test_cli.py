@@ -8,7 +8,7 @@ import pytest
 
 from lmtrees.cli import main
 from lmtrees.dataset import NUMERIC, CsvSchema, Dataset, SplitColumn, write_csv
-from lmtrees.tree import tree_depth, tree_from_json
+from lmtrees.tree import tree_depth, tree_from_json, tree_to_json
 
 
 def stump_csv(path, seed=0, n=200, delta=2.0):
@@ -293,9 +293,23 @@ def test_prune_detects_wrong_dataset(tmp_path, capsys):
 
 
 def test_prune_rejects_malformed_tree_file(tmp_path, capsys):
-    data_path, _ = fitted_tree_file(tmp_path)
+    data_path, tree_path = fitted_tree_file(tmp_path)
+    text = tree_path.read_text()
+    # a well-formed file loads and writes back the same bytes
+    assert tree_to_json(*tree_from_json(text)) == text
+    valid = json.loads(text)
+    cases = [
+        ("{not json", "error:"),
+        (json.dumps({"format": "lmtrees-tree/1"}), "missing key 'root'"),
+        (json.dumps({**valid, "root": {}}), "missing key 'children'"),
+        (json.dumps({**valid, "root": []}), "wrong type"),
+        (json.dumps({**valid, "schema": {**valid["schema"], "splits": 3}}), "wrong type"),
+        (json.dumps([valid]), "JSON object"),
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = main(["prune", "--tree", str(bad), "--data", str(data_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for content, message in cases:
+        bad.write_text(content)
+        code = main(["prune", "--method", "bic", "--tree", str(bad), "--data", str(data_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err

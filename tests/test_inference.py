@@ -27,18 +27,14 @@ from lmtrees.inference import (
     select_variable,
     suplm_pvalue,
     suplm_statistic,
+    MODE_CAT,
+    MODE_LIN,
+    MODE_MAX,
     STRATEGIES,
 )
 from lmtrees.inference import ConditionalMoments
 from lmtrees.linmod import fit_ols
-from lmtrees.transform import (
-    MODE_CAT,
-    MODE_LIN,
-    MODE_MAX,
-    GofMatrix,
-    make_gof,
-    make_split_transform,
-)
+from lmtrees.transform import GofMatrix, make_gof
 
 
 def ncol(values, name="z1"):
@@ -275,18 +271,18 @@ def test_fluctuation_process_rejects_constant_gof():
 def test_suplm_hand_oracle():
     gof = GofMatrix(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None], dichotomized=False)
     col = ncol([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    stat, peak = suplm_statistic(gof, col, min_segment=1)
+    stat, peak = suplm_statistic(fluctuation_process(gof, col), min_segment=1)
     assert stat == pytest.approx(6.0, abs=1e-12)
     assert peak == 3
     # the boundary values are 1.2, 3, 6, 3, 1.2; trimming to [2, 4] keeps 6
-    stat2, peak2 = suplm_statistic(gof, col, min_segment=2)
+    stat2, peak2 = suplm_statistic(fluctuation_process(gof, col), min_segment=2)
     assert stat2 == pytest.approx(6.0, abs=1e-12)
     assert peak2 == 3
     # trimming away everything raises through the degenerate path downstream
     from lmtrees.transform import NoAdmissibleSplitError
 
     with pytest.raises(NoAdmissibleSplitError):
-        suplm_statistic(gof, col, min_segment=4)
+        suplm_statistic(fluctuation_process(gof, col), min_segment=4)
 
 
 def test_suplm_matches_termwise_recomputation():
@@ -294,7 +290,7 @@ def test_suplm_matches_termwise_recomputation():
     gof = make_gof(fit, use_scores=True, dichotomize=False)
     col = ncol(rng.normal(size=60))
     ms = 9
-    stat, peak = suplm_statistic(gof, col, ms)
+    stat, peak = suplm_statistic(fluctuation_process(gof, col), ms)
 
     # independent recomputation straight from the definition
     s = gof.values - gof.values.mean(axis=0)
@@ -520,13 +516,13 @@ def test_suplm_scans_only_tie_block_ends():
     assert proc.tie_ends.tolist() == [True, True, True, False, False, True, True]
     # boundary values are 1.2, 3, 6, 3, 1.2; the peak 6 at boundary 3 lies
     # inside the block, so the largest value at a block end is 3 at 2
-    stat, peak = suplm_statistic(gof, col, min_segment=1)
+    stat, peak = suplm_statistic(proc, min_segment=1)
     assert stat == pytest.approx(3.0, abs=1e-12)
     assert peak == 2
     from lmtrees.transform import NoAdmissibleSplitError
 
     with pytest.raises(NoAdmissibleSplitError):
-        suplm_statistic(gof, col, min_segment=3)
+        suplm_statistic(proc, min_segment=3)
 
 
 def tied_study(seed, n, distinct):

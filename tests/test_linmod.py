@@ -11,7 +11,6 @@ from lmtrees.linmod import (
     LinearFit,
     fit_ols,
     predict,
-    score_row,
 )
 
 
@@ -44,7 +43,7 @@ def test_scores_are_minus_two_residual_times_design():
     fit = fit_ols(y, x)
     expected = np.column_stack((-2.0 * fit.residuals, -2.0 * fit.residuals * x))
     assert np.allclose(fit.scores, expected, atol=1e-12)
-    assert np.allclose(score_row(fit, 3), expected[3], atol=1e-12)
+    assert np.allclose(fit.scores[3], expected[3], atol=1e-12)
 
 
 def test_score_columns_sum_to_zero_at_the_fit():

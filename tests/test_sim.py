@@ -199,6 +199,7 @@ def test_ari_hand_values():
     assert adjusted_rand_index([0, 0, 1, 1], [5, 5, 2, 2]) == 1.0  # relabeling
     assert adjusted_rand_index([0, 0, 1, 1], [0, 1, 1, 1]) == pytest.approx(0.0)
     assert adjusted_rand_index([0, 0, 0, 0], [1, 1, 1, 1]) == 1.0  # both trivial
+    assert adjusted_rand_index([0], [0]) == 1.0  # both trivial, no pairs
     assert adjusted_rand_index([0, 1, 2, 3], [0, 0, 0, 0]) == pytest.approx(0.0)
 
 

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmtrees.dataset import CATEGORICAL, NUMERIC, SplitColumn, empirical_quartiles
-from lmtrees.linmod import fit_ols
-from lmtrees.transform import (
-    MODE_CAT,
-    MODE_LIN,
-    MODE_MAX,
-    GofMatrix,
-    TransformError,
-    make_gof,
-    make_split_transform,
+from lmtrees.inference import (
+    conditional_moments,
+    linear_statistic,
+    parse_strategy,
+    quad_form_test,
+    run_strategy,
 )
+from lmtrees.linmod import fit_ols
+from lmtrees.transform import GofMatrix, TransformError, make_gof, make_split_transform
 
 
 def ncol(values, name="z1"):
@@ -67,49 +66,44 @@ def test_gof_matrix_validation():
 
 
 def test_linear_mode_uses_raw_values():
-    t = make_split_transform(ncol([3.0, 1.0, 2.0]), MODE_LIN)
-    assert t.mode == MODE_LIN
-    assert t.design.shape == (3, 1)
-    assert t.design[:, 0].tolist() == [3.0, 1.0, 2.0]
+    # the linear route pairs the gof matrix with the raw column itself
+    rng = np.random.default_rng(4)
+    fit = fit_ols(rng.normal(size=40), rng.normal(size=40))
+    col = ncol(rng.uniform(-1, 1, 40))
+    gof = make_gof(fit, use_scores=True, dichotomize=False)
+    design = col.values.reshape(-1, 1)
+    expected = quad_form_test(linear_statistic(gof, design), conditional_moments(gof, design))
+    outcome = run_strategy(parse_strategy("ctree"), fit, col)
+    assert (outcome.statistic, outcome.df, outcome.p_value) == expected
 
 
 def test_quartile_bins_of_one_to_eight():
-    t = make_split_transform(ncol(range(1, 9)), MODE_CAT)
-    assert t.mode == MODE_CAT
-    assert t.design.shape == (8, 4)
+    design = make_split_transform(ncol(range(1, 9)))
+    assert design.shape == (8, 4)
     # right-closed intervals at breaks (2.75, 4.5, 6.25)
     expected_bins = [0, 0, 1, 1, 2, 2, 3, 3]
-    assert np.argmax(t.design, axis=1).tolist() == expected_bins
-    assert np.all(t.design.sum(axis=1) == 1.0)
+    assert np.argmax(design, axis=1).tolist() == expected_bins
+    assert np.all(design.sum(axis=1) == 1.0)
 
 
 def test_bin_boundary_values_go_left():
     # a value exactly on a break belongs to the lower bin
     values = [0.0, 1.0, 2.0, 3.0, 4.0]  # quartiles (1, 2, 3)
-    t = make_split_transform(ncol(values), MODE_CAT)
-    labels = np.argmax(t.design, axis=1)
-    assert labels.tolist() == [0, 0, 1, 2, 3]
+    design = make_split_transform(ncol(values))
+    assert np.argmax(design, axis=1).tolist() == [0, 0, 1, 2, 3]
 
 
 def test_constant_column_collapses_to_single_bin():
-    t = make_split_transform(ncol([5.0] * 6), MODE_CAT)
-    assert t.design.shape == (6, 1)
-    assert np.all(t.design == 1.0)
+    design = make_split_transform(ncol([5.0] * 6))
+    assert design.shape == (6, 1)
+    assert np.all(design == 1.0)
 
 
 def test_duplicate_quartiles_merge_bins():
     # heavy ties: quartiles of [0,0,0,0,1,1,9,9] are (0, 0.5, 3.0)
-    t = make_split_transform(ncol([0, 0, 0, 0, 1, 1, 9, 9]), MODE_CAT)
-    assert t.design.shape[1] == 3
-    labels = np.argmax(t.design, axis=1)
-    assert labels.tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
-
-
-def test_unknown_mode_rejected():
-    # the max route scans the ordered column and builds no design
-    for mode, message in (("spline", "unknown"), (MODE_MAX, "no design")):
-        with pytest.raises(TransformError, match=message):
-            make_split_transform(ncol([1, 2, 3, 4]), mode)
+    design = make_split_transform(ncol([0, 0, 0, 0, 1, 1, 9, 9]))
+    assert design.shape[1] == 3
+    assert np.argmax(design, axis=1).tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
 
 
 # ---------------------------------------------------------------- categorical
@@ -121,24 +115,16 @@ def cat_col(codes, levels):
 
 def test_categorical_one_hot_in_level_order():
     col = cat_col([2, 0, 1, 2], ("a", "b", "c"))
-    t = make_split_transform(col, MODE_CAT)
-    assert t.design.shape == (4, 3)
-    assert np.argmax(t.design, axis=1).tolist() == [2, 0, 1, 2]
-    assert t.labels is not None
+    design = make_split_transform(col)
+    assert design.shape == (4, 3)
+    assert np.argmax(design, axis=1).tolist() == [2, 0, 1, 2]
 
 
 def test_categorical_drops_unobserved_levels():
     col = cat_col([0, 2, 2], ("a", "b", "c"))
-    t = make_split_transform(col, MODE_CAT)
-    assert t.design.shape == (3, 2)
-    assert np.all(t.design.sum(axis=1) == 1.0)
-
-
-def test_categorical_requires_category_mode():
-    col = cat_col([0, 1], ("a", "b"))
-    for mode in (MODE_LIN, MODE_MAX):
-        with pytest.raises(TransformError):
-            make_split_transform(col, mode)
+    design = make_split_transform(col)
+    assert design.shape == (3, 2)
+    assert np.all(design.sum(axis=1) == 1.0)
 
 
 # ------------------------------------------------------------------ properties
@@ -152,10 +138,10 @@ def test_categorical_requires_category_mode():
 def test_bin_design_is_a_partition(seed, n):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=n)
-    t = make_split_transform(ncol(values), MODE_CAT)
-    assert 1 <= t.design.shape[1] <= 4
-    assert np.all(t.design.sum(axis=1) == 1.0)
-    assert set(np.unique(t.design)) <= {0.0, 1.0}
+    design = make_split_transform(ncol(values))
+    assert 1 <= design.shape[1] <= 4
+    assert np.all(design.sum(axis=1) == 1.0)
+    assert set(np.unique(design)) <= {0.0, 1.0}
 
 
 # ------------------------------------------- differential: former builder
@@ -174,14 +160,14 @@ def _former_one_hot(col):
         kept = np.flatnonzero(counts)
         recode = np.zeros(len(col.levels), dtype=np.int64)
         recode[kept] = np.arange(kept.size)
-        return one_hot(recode[col.values], kept.size), tuple(col.levels[i] for i in kept)
+        return one_hot(recode[col.values], kept.size)
     breaks = np.unique(np.asarray(empirical_quartiles(col)))
     bins = np.searchsorted(breaks, col.values, side="left")
     counts = np.bincount(bins, minlength=len(breaks) + 1)
     kept = np.flatnonzero(counts)
     recode = np.zeros(len(breaks) + 1, dtype=np.int64)
     recode[kept] = np.arange(kept.size)
-    return one_hot(recode[bins], kept.size), tuple(f"bin{i + 1}" for i in range(kept.size))
+    return one_hot(recode[bins], kept.size)
 
 
 tied_values = st.lists(st.integers(-2, 2).map(float), min_size=4, max_size=60)
@@ -199,8 +185,4 @@ categorical_columns = st.integers(1, 6).flatmap(
 @given(col=st.one_of(numeric_columns, categorical_columns))
 @settings(max_examples=300, deadline=None)
 def test_one_hot_design_matches_former_builder(col):
-    t = make_split_transform(col, MODE_CAT)
-    design, labels = _former_one_hot(col)
-    assert t.mode == MODE_CAT
-    assert np.array_equal(t.design, design)
-    assert t.labels == labels
+    assert np.array_equal(make_split_transform(col), _former_one_hot(col))

@@ -1,6 +1,9 @@
 """Tree growth: split-point search, structure invariants, routing, JSON."""
 
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn
+from lmtrees import inference
+from lmtrees import tree as tree_module
 from lmtrees.inference import parse_strategy
-from lmtrees.linmod import LinearFit, predict
+from lmtrees.linmod import LinearFit, fit_ols, predict
 from lmtrees.tree import (
     TREE_FORMAT,
     GrowControl,
@@ -404,6 +409,54 @@ def test_grow_structural_invariants():
             assert node.n >= control.min_node_size
         for outcome in node.outcomes:
             assert node.p_values[outcome.variable] == outcome.p_value
+
+
+def _traced_functions():
+    """The ``FUNCTIONS`` table of ``perfbench/layers.py``, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["FUNCTIONS"]:
+            return ast.literal_eval(stmt.value)
+    raise AssertionError(f"no FUNCTIONS table in {path}")
+
+
+def test_traced_benchmark_contract(monkeypatch):
+    # every function the traced benchmark wraps still exists
+    functions = _traced_functions()
+    assert functions
+    for module_name, attr in functions:
+        owner = importlib.import_module(f"lmtrees.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"lmtrees.{module_name}.{attr}"
+
+    # its completeness check counts one run_strategy call per split column
+    # per select_variable call, and one select_variable call per tested node
+    calls = {"run_strategy": 0, "select_variable": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(inference, "run_strategy", counting("run_strategy", inference.run_strategy))
+    monkeypatch.setattr(
+        tree_module, "select_variable", counting("select_variable", tree_module.select_variable)
+    )
+    data = stump_data(seed=5, n=600, delta=3.0)
+    fit = fit_ols(data.y, data.x)
+    inference.select_variable(parse_strategy("mob"), fit, data)
+    assert calls["run_strategy"] == len(data.z)
+
+    calls.update(run_strategy=0, select_variable=0)
+    # at depth 2 the leaves are not tested
+    tree = grow(data, "mob", GrowControl(alpha=0.5, min_node_size=25, max_depth=2))
+    tested = sum(1 for node in iter_nodes(tree) if node.outcomes)
+    assert sum(1 for _ in iter_nodes(tree)) > tested > 1
+    assert calls["select_variable"] == tested
+    assert calls["run_strategy"] == len(data.z) * tested
 
 
 def test_grow_depth_and_size_stopping():
