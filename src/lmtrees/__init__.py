@@ -22,7 +22,6 @@ from .dataset import (
 )
 from .inference import (
     STRATEGIES,
-    ConditionalMoments,
     FluctuationProcess,
     StrategyConfig,
     TestOutcome,
@@ -57,8 +56,8 @@ from .sim import (
     true_partition,
 )
 from .transform import (
+    DegenerateTestError,
     GofMatrix,
-    NoAdmissibleSplitError,
     make_gof,
     make_split_transform,
 )

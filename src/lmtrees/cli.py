@@ -8,12 +8,11 @@ default seed; explicit ``--seed`` wins.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .dataset import CATEGORICAL, NUMERIC, CsvSchema, load_csv
-from .inference import STRATEGIES, parse_strategy
+from .inference import parse_strategy
 from .prune import cv_prune, ic_prune
 from .sim import (
     ScenarioConfig,
@@ -227,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"fit": _cmd_fit, "simulate": _cmd_simulate, "prune": _cmd_prune}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -183,36 +183,38 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     One pass parses each row into one typed column per declared role,
     keeping no list of rows.  Numeric fields use a dot decimal separator;
     a leading UTF-8 byte-order mark is skipped.  Empty cells in declared
-    columns (named by row and column) and repeated declared names in the
-    header are rejected.
+    columns (named by row and column), repeated declared names in the
+    header and malformed CSV (named by line) are rejected.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
+            roles = [(schema.response, NUMERIC), (schema.regressor, NUMERIC), *schema.splits]
+            for name, _ in roles:
+                if name not in header:
+                    raise DataError(f"{path}: column {name!r} not found in header {header}")
+                if header.count(name) > 1:
+                    raise DataError(f"{path}: column {name!r} repeats in header {header}")
+            # categorical codes count labels in order of first appearance
+            columns = [(name, kind, header.index(name), array("d" if kind == NUMERIC else "q"), {})
+                       for name, kind in roles]
+            for r, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: data row {r} has {len(row)} fields, expected {len(header)}")
+                for name, kind, i, values, seen in columns:
+                    if kind == NUMERIC:
+                        values.append(_parse_float(row[i], name, r))
+                        continue
+                    label = row[i].strip()
+                    if not label:
+                        raise DataError(f"missing value in column {name!r} at data row {r}")
+                    values.append(seen.setdefault(label, len(seen)))
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        roles = [(schema.response, NUMERIC), (schema.regressor, NUMERIC), *schema.splits]
-        for name, _ in roles:
-            if name not in header:
-                raise DataError(f"{path}: column {name!r} not found in header {header}")
-            if header.count(name) > 1:
-                raise DataError(f"{path}: column {name!r} repeats in header {header}")
-        # categorical codes count labels in order of first appearance
-        columns = [(name, kind, header.index(name), array("d" if kind == NUMERIC else "q"), {})
-                   for name, kind in roles]
-        for r, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(f"{path}: data row {r} has {len(row)} fields, expected {len(header)}")
-            for name, kind, i, values, seen in columns:
-                if kind == NUMERIC:
-                    values.append(_parse_float(row[i], name, r))
-                    continue
-                label = row[i].strip()
-                if not label:
-                    raise DataError(f"missing value in column {name!r} at data row {r}")
-                values.append(seen.setdefault(label, len(seen)))
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     splits = []
     for name, kind, _, values, seen in columns[2:]:
         if kind == NUMERIC:

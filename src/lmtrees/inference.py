@@ -22,6 +22,9 @@ split mode).  Dispatch on the split mode picks the engine:
 Categorical split columns always enter through their natural one-hot
 design, whatever the configured split mode.
 
+An engine that can discriminate nothing on its input raises
+``DegenerateTestError``; ``run_strategy`` reports that as p = 1.
+
 Every engine is invariant to rescaling the gof columns by a nonzero
 constant, so the constant factor in the score definition never matters.
 All p-values are reported raw; the variable-selection gate optionally
@@ -40,14 +43,13 @@ import numpy as np
 from .dataset import CATEGORICAL, Dataset, SplitColumn, order_permutation
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
-from .transform import GofMatrix, NoAdmissibleSplitError, make_gof, make_split_transform
+from .transform import DegenerateTestError, GofMatrix, make_gof, make_split_transform
 
 __all__ = [
     "UnsupportedConfigurationError",
     "DegenerateTestError",
     "StrategyConfig",
     "TestOutcome",
-    "ConditionalMoments",
     "FluctuationProcess",
     "STRATEGIES",
     "parse_strategy",
@@ -86,10 +88,6 @@ NULL_TABLE_SEED = 987153522
 
 class UnsupportedConfigurationError(ValueError):
     """A test was asked for outside its supported shape."""
-
-
-class DegenerateTestError(ValueError):
-    """The test cannot discriminate anything on this input (p = 1)."""
 
 
 @dataclass(frozen=True)
@@ -175,10 +173,6 @@ class TestOutcome:
             raise ValueError("p-value outside [0, 1]")
 
 
-def _degenerate(variable: str) -> TestOutcome:
-    return TestOutcome(variable=variable, statistic=0.0, p_value=1.0, law=LAW_DEGENERATE, df=0)
-
-
 def resolve_min_segment(n: int, override: int | None = None) -> int:
     """Per-node minimum segment size: ``max(10, ceil(0.1 n))`` by default."""
     if override is not None:
@@ -201,16 +195,9 @@ def linear_statistic(gof: GofMatrix, design: np.ndarray) -> np.ndarray:
     return (design.T @ gof.values).flatten(order="F")
 
 
-@dataclass(frozen=True)
-class ConditionalMoments:
-    """Exact permutation mean and covariance of a linear statistic."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-
-def conditional_moments(gof: GofMatrix, design: np.ndarray) -> ConditionalMoments:
-    """Moments of the linear statistic under random row permutations.
+def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``(mean, covariance)`` of the linear statistic under random
+    row permutations; fewer than two rows raise ``DegenerateTestError``.
 
     For unit weights the permutation distribution of the statistic has
 
@@ -233,7 +220,7 @@ def conditional_moments(gof: GofMatrix, design: np.ndarray) -> ConditionalMoment
     s = design.T @ design
     mean = np.outer(csum, hbar).flatten(order="F")
     cov = (n / (n - 1)) * np.kron(v_h, s) - (1.0 / (n - 1)) * np.kron(v_h, np.outer(csum, csum))
-    return ConditionalMoments(mean=mean, covariance=cov)
+    return mean, cov
 
 
 def _eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -246,36 +233,41 @@ def _eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return eigval[keep], eigvec[:, keep], int(keep.sum())
 
 
-def quad_form_test(statistic: np.ndarray, moments: ConditionalMoments) -> tuple[float, int, float]:
+def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
+                   covariance: np.ndarray) -> tuple[float, int, float]:
     """Quadratic form of the centered statistic in the pseudo-inverted
     covariance, referred to chi-square with the numerical rank as
-    degrees of freedom.  Returns ``(statistic, df, p)``; rank zero means
-    a degenerate test with p = 1.
+    degrees of freedom.  Returns ``(statistic, df, p)``; a covariance of
+    rank zero raises ``DegenerateTestError``.
     """
-    d = np.asarray(statistic, dtype=float) - moments.mean
-    eigval, eigvec, rank = _eig_pinv_parts(moments.covariance)
+    d = np.asarray(statistic, dtype=float) - mean
+    eigval, eigvec, rank = _eig_pinv_parts(covariance)
     if rank == 0:
-        return 0.0, 0, 1.0
+        raise DegenerateTestError("covariance of the linear statistic has rank zero")
     proj = eigvec.T @ d
     stat = float(proj @ (proj / eigval))
     return stat, rank, chi2_sf(stat, rank)
 
 
-def max_abs_test(statistic: np.ndarray, moments: ConditionalMoments) -> tuple[float, float]:
+def max_abs_test(statistic: np.ndarray, mean: np.ndarray,
+                 covariance: np.ndarray) -> tuple[float, float]:
     """Two-sided normal test of a one-dimensional linear statistic.
 
     Only defined when the statistic has a single component; the
-    quadratic form covers every higher-dimensional case.
+    quadratic form covers every higher-dimensional case.  A zero or
+    non-finite variance, or a zero statistic, raises ``DegenerateTestError``.
     """
-    d = np.atleast_1d(np.asarray(statistic, dtype=float)) - moments.mean
+    d = np.atleast_1d(np.asarray(statistic, dtype=float)) - mean
     if d.shape[0] != 1:
         raise UnsupportedConfigurationError(
             f"max-abs test requires a one-dimensional statistic, got {d.shape[0]}"
         )
-    var = float(np.asarray(moments.covariance).reshape(-1)[0])
+    var = float(np.asarray(covariance).reshape(-1)[0])
     if var <= 0.0 or not math.isfinite(var):
-        return 0.0, 1.0
+        raise DegenerateTestError("variance of the linear statistic is not positive")
     stat = abs(float(d[0])) / math.sqrt(var)
+    if stat == 0.0:
+        raise DegenerateTestError("linear statistic equals its permutation mean")
     return stat, 2.0 * normal_sf(stat)
 
 
@@ -334,7 +326,8 @@ def suplm_statistic(proc: FluctuationProcess, min_segment: int) -> tuple[float, 
     which the sorted column value changes, with at least
     ``min_segment`` rows on each side; the weight at boundary ``i`` is
     ``((i/n) * (1 - i/n))**-1``.  Returns the statistic and the
-    boundary where the maximum is attained (ties keep the smallest).
+    boundary where the maximum is attained (ties keep the smallest);
+    no admissible boundary raises ``DegenerateTestError``.
     """
     n = proc.n
     if min_segment < 1:
@@ -342,9 +335,7 @@ def suplm_statistic(proc: FluctuationProcess, min_segment: int) -> tuple[float, 
     lo, hi = min_segment, n - min_segment
     ends = proc.tie_ends[lo : hi + 1]
     if not ends.any():
-        raise NoAdmissibleSplitError(
-            f"segments of {min_segment} leave no admissible boundary in {n} rows"
-        )
+        raise DegenerateTestError(f"segments of {min_segment} leave no cut in {n} rows")
     frac = np.arange(lo, hi + 1) / n
     path = proc.cumulative[lo : hi + 1]
     values = 1.0 / (frac * (1.0 - frac)) * np.einsum("ij,ij->i", path, path)
@@ -446,9 +437,9 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
 
     One 2-by-P table per gof column: row 0 counts zeros, row 1 counts
     ones, columns follow the design.  Empty design columns are dropped;
-    a column of constant sign contributes nothing with zero degrees of
-    freedom.  Statistics and degrees of freedom add across gof columns.
-    Returns ``(statistic, df)``; ``df == 0`` means a degenerate test.
+    a column of constant sign contributes nothing.  Statistics and
+    degrees of freedom add across gof columns; fewer than two non-empty
+    bins or zero summed df raise ``DegenerateTestError``.
     """
     if not gof.dichotomized:
         raise UnsupportedConfigurationError("contingency test requires a dichotomized gof")
@@ -459,7 +450,7 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
     design = design[:, keep]
     col_totals = col_totals[keep]
     if design.shape[1] < 2:
-        return 0.0, 0
+        raise DegenerateTestError("fewer than two non-empty bins")
     total_stat = 0.0
     total_df = 0
     for q in range(gof.k):
@@ -471,6 +462,8 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
         expected = np.outer(row_totals, col_totals) / n
         total_stat += float(((observed - expected) ** 2 / expected).sum())
         total_df += design.shape[1] - 1
+    if total_df == 0:
+        raise DegenerateTestError("every gof column has a constant sign")
     return total_stat, total_df
 
 
@@ -481,9 +474,9 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
 def run_strategy(config: StrategyConfig, fit: LinearFit, col: SplitColumn) -> TestOutcome:
     """Test one split column for parameter instability under ``config``.
 
-    Structural degeneracies (constant columns, empty trimming ranges,
-    vanishing covariances) yield a degenerate outcome with p = 1 rather
-    than an error, so callers can rank columns uniformly.
+    An engine's ``DegenerateTestError`` (constant columns, empty trimming
+    ranges, vanishing covariances) yields a degenerate outcome with p = 1
+    rather than an error, so callers can rank columns uniformly.
     """
     gof = make_gof(fit, config.use_scores, config.dichotomize)
     mode = MODE_CAT if col.kind == CATEGORICAL else config.split_mode
@@ -492,31 +485,21 @@ def run_strategy(config: StrategyConfig, fit: LinearFit, col: SplitColumn) -> Te
             ms = resolve_min_segment(gof.n, config.min_segment)
             proc = fluctuation_process(gof, col)
             stat, _ = suplm_statistic(proc, ms)
-            p = suplm_pvalue(stat, proc.k_eff, ms, gof.n)
-            return TestOutcome(
-                variable=col.name, statistic=stat, p_value=p, law=LAW_SUPLM, df=proc.k_eff
-            )
-        design = col.values[:, None] if mode == MODE_LIN else make_split_transform(col)
-        if mode == MODE_CAT and config.dichotomize:
-            stat, df = chisq_statistic(gof, design)
-            if df == 0:
-                return _degenerate(col.name)
-            return TestOutcome(
-                variable=col.name, statistic=stat, p_value=chi2_sf(stat, df), law=LAW_CHI2, df=df
-            )
-        t = linear_statistic(gof, design)
-        moments = conditional_moments(gof, design)
-        if mode == MODE_LIN and t.shape[0] == 1:
-            stat, p = max_abs_test(t, moments)
-            if p >= 1.0 and stat == 0.0:
-                return _degenerate(col.name)
-            return TestOutcome(variable=col.name, statistic=stat, p_value=p, law=LAW_NORMAL, df=1)
-        stat, df, p = quad_form_test(t, moments)
-        if df == 0:
-            return _degenerate(col.name)
-        return TestOutcome(variable=col.name, statistic=stat, p_value=p, law=LAW_CHI2, df=df)
-    except (NoAdmissibleSplitError, DegenerateTestError):
-        return _degenerate(col.name)
+            law, df, p = LAW_SUPLM, proc.k_eff, suplm_pvalue(stat, proc.k_eff, ms, gof.n)
+        elif mode == MODE_CAT and config.dichotomize:
+            stat, df = chisq_statistic(gof, make_split_transform(col))
+            law, p = LAW_CHI2, chi2_sf(stat, df)
+        else:
+            design = col.values[:, None] if mode == MODE_LIN else make_split_transform(col)
+            t = linear_statistic(gof, design)
+            mean, cov = conditional_moments(gof, design)
+            if mode == MODE_LIN and t.shape[0] == 1:
+                (stat, p), df, law = max_abs_test(t, mean, cov), 1, LAW_NORMAL
+            else:
+                (stat, df, p), law = quad_form_test(t, mean, cov), LAW_CHI2
+    except DegenerateTestError:
+        stat, p, law, df = 0.0, 1.0, LAW_DEGENERATE, 0
+    return TestOutcome(variable=col.name, statistic=stat, p_value=p, law=law, df=df)
 
 
 def argmin_outcome(outcomes: list[TestOutcome]) -> TestOutcome | None:

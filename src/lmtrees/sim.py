@@ -251,7 +251,8 @@ def _run_replication(
             ari = float(adjusted_rand_index(truth, partition_labels(tree, data)))
             leaf_count = len(leaves(tree))
         else:
-            outcomes, chosen = select_variable(strat, fit, data)
+            gated = replace(strat, alpha=control.alpha, min_segment=control.min_segment)
+            outcomes, chosen = select_variable(gated, fit, data)
             p_values = {o.variable: o.p_value for o in outcomes}
             ari = leaf_count = None
         records.append(

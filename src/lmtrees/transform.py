@@ -8,6 +8,9 @@ a numeric column, level columns for a categorical one.  The linear
 route pairs the gof matrix with the raw column, and the
 maximally-selected route orders the rows by the column, so neither
 needs a design built here.
+
+``DegenerateTestError`` is the one signal by which every split test, and
+the design builder here, says that its input can discriminate nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .linmod import LinearFit
 
 __all__ = [
     "TransformError",
-    "NoAdmissibleSplitError",
+    "DegenerateTestError",
     "GofMatrix",
     "make_gof",
     "make_split_transform",
@@ -32,9 +35,8 @@ class TransformError(ValueError):
     """Raised when a transform cannot be built for a column."""
 
 
-class NoAdmissibleSplitError(TransformError):
-    """The column admits no split: too few rows, or no boundary that
-    satisfies the minimum-segment constraint."""
+class DegenerateTestError(ValueError):
+    """The test cannot discriminate anything on this input (p = 1)."""
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,12 @@ def make_split_transform(col: SplitColumn) -> np.ndarray:
     categorical column, or the right-closed quartile bin of each value
     of a numeric one; codes that no row takes are dropped.  A numeric
     column of fewer than four rows has no quartiles and raises
-    ``NoAdmissibleSplitError``.
+    ``DegenerateTestError``.
     """
     if col.kind == CATEGORICAL:
         codes = col.values
     elif col.n < 4:
-        raise NoAdmissibleSplitError(f"column {col.name!r} has too few rows for quartile bins")
+        raise DegenerateTestError(f"column {col.name!r} has too few rows for quartile bins")
     else:
         breaks = np.unique(np.asarray(empirical_quartiles(col)))
         # right-closed intervals (-inf, b1], (b1, b2], ..., (bk, +inf)

@@ -17,8 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dataset import (CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn,
-                      order_permutation)
+from .dataset import NUMERIC, CsvSchema, DataError, Dataset, SplitColumn, order_permutation
 from .inference import (
     StrategyConfig,
     TestOutcome,

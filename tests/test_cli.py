@@ -69,6 +69,16 @@ def test_missing_file_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_csv_is_domain_error(tmp_path, capsys):
+    data, _ = stump_csv(tmp_path / "d.csv")
+    with open(tmp_path / "d.csv", "a", encoding="utf-8") as handle:
+        handle.write("0.5,0.5," + "7" * 200_000 + ",0.1\n")
+    code = main(FIT_ARGS + ["--data", str(tmp_path / "d.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"line {data.n + 2}" in err
+
+
 def test_categorical_outside_split_is_domain_error(tmp_path, capsys):
     stump_csv(tmp_path / "d.csv")
     code = main(

@@ -247,6 +247,14 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
         load_csv(str(path), CsvSchema("y", "x", (("z1", NUMERIC),)))
 
 
+def test_load_csv_turns_a_csv_parser_error_into_a_data_error(tmp_path):
+    # a cell beyond the csv module's field size limit names the file and line
+    path = tmp_path / "huge.csv"
+    path.write_text("y,x,z\n1.0,2.0,3.0\n1.0,2.0," + "9" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(DataError, match=r"huge\.csv: line 3: field larger than field limit"):
+        load_csv(str(path), CsvSchema("y", "x", (("z", NUMERIC),)))
+
+
 def test_csv_categorical_levels_are_sorted_unique(tmp_path):
     path = tmp_path / "cat.csv"
     path.write_text("y,x,g\n1.0,0.0,blue\n2.0,1.0,amber\n3.0,2.0,blue\n")

@@ -32,9 +32,8 @@ from lmtrees.inference import (
     MODE_MAX,
     STRATEGIES,
 )
-from lmtrees.inference import ConditionalMoments
 from lmtrees.linmod import fit_ols
-from lmtrees.transform import GofMatrix, make_gof
+from lmtrees.transform import GofMatrix, make_gof, make_split_transform
 
 
 def ncol(values, name="z1"):
@@ -102,43 +101,39 @@ def test_conditional_moments_match_exhaustive_enumeration(seed, n, k, onehot):
     else:
         design = rng.normal(size=(n, 1))
     gof = GofMatrix(gof_values, dichotomized=False)
-    mom = conditional_moments(gof, design)
+    mom_mean, mom_cov = conditional_moments(gof, design)
     mean, cov = enumeration_moments(gof_values, design)
-    assert np.allclose(mom.mean, mean, atol=1e-10)
-    assert np.allclose(mom.covariance, cov, atol=1e-10)
+    assert np.allclose(mom_mean, mean, atol=1e-10)
+    assert np.allclose(mom_cov, cov, atol=1e-10)
 
 
 def test_conditional_moments_of_constant_gof_are_degenerate():
     gof = GofMatrix(np.full((5, 1), 2.0), dichotomized=False)
     design = np.arange(5.0)[:, None]
-    mom = conditional_moments(gof, design)
-    assert np.allclose(mom.covariance, 0.0, atol=1e-12)
+    _, cov = conditional_moments(gof, design)
+    assert np.allclose(cov, 0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------ quadratic form
 
 
 def test_quad_form_scalar_example():
-    mom = ConditionalMoments(mean=np.array([1.0]), covariance=np.array([[4.0]]))
-    stat, df, p = quad_form_test(np.array([3.0]), mom)
+    stat, df, p = quad_form_test(np.array([3.0]), np.array([1.0]), np.array([[4.0]]))
     assert stat == pytest.approx(1.0, abs=1e-12)
     assert df == 1
     assert p == pytest.approx(0.3173105078629141, abs=1e-10)
 
 
 def test_quad_form_zero_covariance_is_degenerate():
-    mom = ConditionalMoments(mean=np.array([1.0]), covariance=np.array([[0.0]]))
-    stat, df, p = quad_form_test(np.array([1.0]), mom)
-    assert (stat, df, p) == (0.0, 0, 1.0)
+    with pytest.raises(DegenerateTestError):
+        quad_form_test(np.array([1.0]), np.array([1.0]), np.array([[0.0]]))
 
 
 def test_quad_form_uses_rank_of_singular_covariance():
     # duplicated coordinate: covariance rank 1, the duplicate adds nothing
-    mom1 = ConditionalMoments(mean=np.array([0.0]), covariance=np.array([[2.0]]))
-    stat1, df1, _ = quad_form_test(np.array([1.5]), mom1)
+    stat1, df1, _ = quad_form_test(np.array([1.5]), np.array([0.0]), np.array([[2.0]]))
     cov2 = np.array([[2.0, 2.0], [2.0, 2.0]])
-    mom2 = ConditionalMoments(mean=np.zeros(2), covariance=cov2)
-    stat2, df2, _ = quad_form_test(np.array([1.5, 1.5]), mom2)
+    stat2, df2, _ = quad_form_test(np.array([1.5, 1.5]), np.zeros(2), cov2)
     assert df1 == df2 == 1
     assert stat2 == pytest.approx(stat1, rel=1e-10)
 
@@ -149,11 +144,9 @@ def test_quad_form_is_invariant_to_coordinate_scaling():
     cov = a @ a.T
     mean = rng.normal(size=3)
     t = rng.normal(size=3)
-    stat, df, p = quad_form_test(t, ConditionalMoments(mean=mean, covariance=cov))
+    stat, df, p = quad_form_test(t, mean, cov)
     scale = np.diag([2.0, 0.5, 7.0])
-    stat2, df2, p2 = quad_form_test(
-        scale @ t, ConditionalMoments(mean=scale @ mean, covariance=scale @ cov @ scale)
-    )
+    stat2, df2, p2 = quad_form_test(scale @ t, scale @ mean, scale @ cov @ scale)
     assert df2 == df
     assert stat2 == pytest.approx(stat, rel=1e-9)
     assert p2 == pytest.approx(p, rel=1e-9)
@@ -163,22 +156,19 @@ def test_quad_form_is_invariant_to_coordinate_scaling():
 
 
 def test_max_abs_two_sided_normal_tail():
-    mom = ConditionalMoments(mean=np.array([0.5]), covariance=np.array([[4.0]]))
-    stat, p = max_abs_test(np.array([0.5 + 2.0 * 1.959964]), mom)
+    stat, p = max_abs_test(np.array([0.5 + 2.0 * 1.959964]), np.array([0.5]), np.array([[4.0]]))
     assert stat == pytest.approx(1.959964, abs=1e-12)
     assert p == pytest.approx(2 * 0.024999999096442402, abs=1e-10)
 
 
 def test_max_abs_requires_scalar_statistic():
-    mom = ConditionalMoments(mean=np.zeros(2), covariance=np.eye(2))
     with pytest.raises(UnsupportedConfigurationError):
-        max_abs_test(np.zeros(2), mom)
+        max_abs_test(np.zeros(2), np.zeros(2), np.eye(2))
 
 
 def test_max_abs_degenerate_variance():
-    mom = ConditionalMoments(mean=np.array([1.0]), covariance=np.array([[0.0]]))
-    stat, p = max_abs_test(np.array([1.0]), mom)
-    assert (stat, p) == (0.0, 1.0)
+    with pytest.raises(DegenerateTestError):
+        max_abs_test(np.array([1.0]), np.array([1.0]), np.array([[0.0]]))
 
 
 # ------------------------------------------------------------------ contingency
@@ -224,8 +214,8 @@ def test_contingency_adds_across_gof_columns():
 
 def test_contingency_constant_sign_column_contributes_nothing():
     gof, design = dich_gof([15, 15], [0, 0])  # all zeros: one empty sign row
-    stat, df = chisq_statistic(gof, design)
-    assert (stat, df) == (0.0, 0)
+    with pytest.raises(DegenerateTestError):
+        chisq_statistic(gof, design)
 
 
 def test_contingency_drops_empty_bins():
@@ -279,9 +269,7 @@ def test_suplm_hand_oracle():
     assert stat2 == pytest.approx(6.0, abs=1e-12)
     assert peak2 == 3
     # trimming away everything raises through the degenerate path downstream
-    from lmtrees.transform import NoAdmissibleSplitError
-
-    with pytest.raises(NoAdmissibleSplitError):
+    with pytest.raises(DegenerateTestError):
         suplm_statistic(fluctuation_process(gof, col), min_segment=4)
 
 
@@ -519,9 +507,7 @@ def test_suplm_scans_only_tie_block_ends():
     stat, peak = suplm_statistic(proc, min_segment=1)
     assert stat == pytest.approx(3.0, abs=1e-12)
     assert peak == 2
-    from lmtrees.transform import NoAdmissibleSplitError
-
-    with pytest.raises(NoAdmissibleSplitError):
+    with pytest.raises(DegenerateTestError):
         suplm_statistic(proc, min_segment=3)
 
 
@@ -576,6 +562,62 @@ def test_tiny_numeric_column_is_degenerate_for_binned_engines(name):
     fit = fit_ols(np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
     out = run_strategy(parse_strategy(name), fit, ncol([1.0, 2.0, 5.0]))
     assert out.law == "degenerate" and out.p_value == 1.0
+
+
+def perfect_fit(n):
+    # y = 1 + 2x exactly: every residual and score is exactly zero
+    x = np.arange(float(n))
+    return fit_ols(1.0 + 2.0 * x, x)
+
+
+def linear_route(engine):
+    def call(gof, col):
+        design = col.values[:, None]
+        return engine(linear_statistic(gof, design), *conditional_moments(gof, design))
+
+    return call
+
+
+def contingency(gof, col):
+    return chisq_statistic(gof, make_split_transform(col))
+
+
+def max_route(gof, col):
+    return suplm_statistic(fluctuation_process(gof, col), resolve_min_segment(gof.n))
+
+
+ALTERNATING = fit_ols(np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+
+DEGENERATE_INPUTS = [
+    # strategy, fit, column, and the engine call that must raise on its gof
+    pytest.param("ctree", perfect_fit(8), ncol(np.arange(8.0)), linear_route(quad_form_test),
+                 id="quad_form_rank_zero"),
+    pytest.param("residuals,nodich,lin", perfect_fit(8), ncol(np.arange(8.0)),
+                 linear_route(max_abs_test), id="max_abs_zero_variance"),
+    # variance 4/3, but the statistic equals its permutation mean exactly
+    pytest.param("residuals,nodich,lin", ALTERNATING, ncol([1.0, 1.0, 2.0, 2.0]),
+                 linear_route(max_abs_test), id="max_abs_zero_statistic"),
+    pytest.param("guide", random_fit(73, 30)[0], ncol(np.zeros(30)), contingency,
+                 id="chisq_one_bin"),
+    pytest.param("guide", perfect_fit(8), ncol(np.arange(8.0)), contingency,
+                 id="chisq_constant_sign"),
+    pytest.param("ctree+cat", fit_ols(np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0])),
+                 ncol([1.0, 2.0, 5.0]), lambda gof, col: make_split_transform(col),
+                 id="bins_of_three_rows"),
+    pytest.param("mob", random_fit(74, 40)[0], ncol([0.0] * 39 + [1.0]), max_route,
+                 id="suplm_no_tie_end"),
+    pytest.param("mob", perfect_fit(30), ncol(np.arange(30.0)), fluctuation_process,
+                 id="fluctuation_zero_gof"),
+]
+
+
+@pytest.mark.parametrize("name,fit,col,engine", DEGENERATE_INPUTS)
+def test_degenerate_input_raises_in_its_engine_and_ends_at_p_one(name, fit, col, engine):
+    config = parse_strategy(name)
+    with pytest.raises(DegenerateTestError):
+        engine(make_gof(fit, config.use_scores, config.dichotomize), col)
+    out = run_strategy(config, fit, col)
+    assert (out.law, out.statistic, out.p_value, out.df) == ("degenerate", 0.0, 1.0, 0)
 
 
 def test_min_segment_default_resolution():

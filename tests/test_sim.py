@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lmtrees.dataset import Dataset, RngStream, SplitColumn
+from lmtrees.dataset import RngStream
 from lmtrees.inference import parse_strategy
 from lmtrees.sim import (
     AGG_COLUMNS,
@@ -260,6 +260,22 @@ def test_run_study_threads_do_not_change_output():
     serial = run_study([config], strat_list("ctree", "mob"), seed=2, threads=1)
     parallel = run_study([config], strat_list("ctree", "mob"), seed=2, threads=2)
     assert serial == parallel
+
+
+def test_run_study_stump_gate_follows_the_grow_control():
+    # stump records gate with control.alpha and test with control.min_segment,
+    # as grown trees do, whatever the strategy carries
+    config = cell(variation="both", delta=0.3, n=250, replications=8)
+    loose = run_study([config], strat_list("ctree"), control=GrowControl(alpha=0.05), seed=0)
+    strict = run_study([config], strat_list("ctree"), control=GrowControl(alpha=1e-12), seed=0)
+    assert [r.p_values for r in strict] == [r.p_values for r in loose]
+    assert loose[0].chosen == "z1" and min(loose[0].p_values.values()) > 1e-12
+    assert all(r.chosen is None for r in strict)
+    wide = GrowControl(min_segment=100)
+    carried = [("mob", parse_strategy("mob", min_segment=100))]
+    from_control = run_study([config], strat_list("mob"), control=wide, seed=0)
+    assert from_control == run_study([config], carried, control=wide, seed=0)
+    assert from_control != run_study([config], strat_list("mob"), seed=0)
 
 
 def test_run_study_null_cell_calibration():

@@ -72,7 +72,7 @@ def test_linear_mode_uses_raw_values():
     col = ncol(rng.uniform(-1, 1, 40))
     gof = make_gof(fit, use_scores=True, dichotomize=False)
     design = col.values.reshape(-1, 1)
-    expected = quad_form_test(linear_statistic(gof, design), conditional_moments(gof, design))
+    expected = quad_form_test(linear_statistic(gof, design), *conditional_moments(gof, design))
     outcome = run_strategy(parse_strategy("ctree"), fit, col)
     assert (outcome.statistic, outcome.df, outcome.p_value) == expected
 
