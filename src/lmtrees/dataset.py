@@ -15,7 +15,7 @@ import csv
 import hashlib
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "load_csv",
     "write_csv",
     "order_permutation",
+    "subset_order",
     "empirical_quartiles",
 ]
 
@@ -76,9 +77,12 @@ class SplitColumn:
         else:
             if self.levels is None:
                 raise DataError(f"categorical column {self.name!r} needs levels")
-            values = values.astype(np.int64)
-            if values.size and (values.min() < 0 or values.max() >= len(self.levels)):
+            codes = values.astype(np.int64)
+            if not np.array_equal(codes, values):
+                raise DataError(f"column {self.name!r} has non-integer level codes")
+            if codes.size and (codes.min() < 0 or codes.max() >= len(self.levels)):
                 raise DataError(f"column {self.name!r} has out-of-range level codes")
+            values = codes
         object.__setattr__(self, "values", values)
 
     @property
@@ -86,8 +90,11 @@ class SplitColumn:
         return int(self.values.shape[0])
 
     def take(self, rows: np.ndarray) -> "SplitColumn":
-        """Return a copy restricted to ``rows`` (levels are preserved)."""
-        return replace(self, values=self.values[rows])
+        """Return a copy restricted to ``rows`` (levels are preserved); a
+        row subset of valid values is valid, so it is not checked again."""
+        sub = object.__new__(SplitColumn)
+        sub.__dict__.update(self.__dict__, values=self.values[rows])
+        return sub
 
     def labels(self, codes: Iterable[int]) -> tuple[str, ...]:
         if self.levels is None:
@@ -260,6 +267,17 @@ def order_permutation(col: SplitColumn) -> np.ndarray:
     if col.kind != NUMERIC:
         raise DataError(f"column {col.name!r} is not numeric, cannot order")
     return np.argsort(col.values, kind="stable")
+
+
+def subset_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``order_permutation`` of a column's increasing ``rows``, read off
+    the whole column's ``order``: its entries in ``rows``, renumbered by
+    position there, are sorted by value and then by row, as a stable
+    sort of the subset is."""
+    position = np.full(order.shape[0], -1, dtype=np.intp)
+    position[rows] = np.arange(rows.shape[0])
+    kept = position[order]
+    return kept[kept >= 0]
 
 
 def empirical_quartiles(col: SplitColumn) -> tuple[float, float, float]:

@@ -22,6 +22,11 @@ split mode).  Dispatch on the split mode picks the engine:
 Categorical split columns always enter through their natural one-hot
 design, whatever the configured split mode.
 
+``select_variable`` builds what a node's column tests share once: the
+gof matrix (which keeps its covariance and decorrelation), one quartile
+pass over the numeric columns and the column orders from the root
+presort; ``run_strategy`` does only the column-specific work.
+
 An engine that can discriminate nothing on its input raises
 ``DegenerateTestError``; ``run_strategy`` reports that as p = 1.
 
@@ -35,15 +40,15 @@ family-level decision holds its nominal size.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, SplitColumn, order_permutation
+from .dataset import CATEGORICAL, Dataset, SplitColumn, order_permutation, subset_order
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
-from .transform import DegenerateTestError, GofMatrix, make_gof, make_split_transform
+from .transform import (DegenerateTestError, GofMatrix, eig_pinv_parts, make_gof,
+                        make_split_transform, quartile_breaks)
 
 __all__ = [
     "UnsupportedConfigurationError",
@@ -76,8 +81,6 @@ LAW_CHI2 = "chi2"
 LAW_NORMAL = "normal"
 LAW_SUPLM = "suplm"
 LAW_DEGENERATE = "degenerate"
-
-_EIG_RTOL = 1e-12
 
 # Null-table simulation contract: 20000 replicates of the weighted
 # squared Brownian-bridge functional on a 1000-step grid, fixed seed.
@@ -212,25 +215,18 @@ def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray,
     n = design.shape[0]
     if n < 2:
         raise DegenerateTestError("permutation moments need at least two rows")
-    h = gof.values
-    hbar = h.mean(axis=0)
-    hc = h - hbar
-    v_h = (hc.T @ hc) / n
+    v_h = gof.covariance
     csum = design.sum(axis=0)
     s = design.T @ design
-    mean = np.outer(csum, hbar).flatten(order="F")
-    cov = (n / (n - 1)) * np.kron(v_h, s) - (1.0 / (n - 1)) * np.kron(v_h, np.outer(csum, csum))
+    mean = np.outer(csum, gof.values.mean(axis=0)).flatten(order="F")
+    q, p = v_h.shape[0], s.shape[0]
+
+    def kron(m: np.ndarray) -> np.ndarray:
+        # entry (a p + i, b p + j) is v_h[a, b] * m[i, j], one product each
+        return (v_h[:, None, :, None] * m[None, :, None, :]).reshape(q * p, q * p)
+
+    cov = (n / (n - 1)) * kron(s) - (1.0 / (n - 1)) * kron(np.outer(csum, csum))
     return mean, cov
-
-
-def _eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    sym = 0.5 * (sym + sym.T)
-    eigval, eigvec = np.linalg.eigh(sym)
-    dim = sym.shape[0]
-    lam_max = float(eigval.max(initial=0.0))
-    tol = dim * lam_max * _EIG_RTOL
-    keep = eigval > tol
-    return eigval[keep], eigvec[:, keep], int(keep.sum())
 
 
 def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
@@ -241,7 +237,7 @@ def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
     rank zero raises ``DegenerateTestError``.
     """
     d = np.asarray(statistic, dtype=float) - mean
-    eigval, eigvec, rank = _eig_pinv_parts(covariance)
+    eigval, eigvec, rank = eig_pinv_parts(covariance)
     if rank == 0:
         raise DegenerateTestError("covariance of the linear statistic has rank zero")
     proj = eigvec.T @ d
@@ -295,23 +291,23 @@ class FluctuationProcess:
         return int(self.cumulative.shape[0] - 1)
 
 
-def fluctuation_process(gof: GofMatrix, col: SplitColumn) -> FluctuationProcess:
+def fluctuation_process(gof: GofMatrix, col: SplitColumn,
+                        order: np.ndarray | None = None) -> FluctuationProcess:
     """Build the cumulative-score process along a numeric column's order.
 
     The gof columns are centered, decorrelated by the inverse symmetric
     square root of their average outer product, scaled by ``n**-0.5``,
-    and cumulated in the column's stable sort order.  Only the
-    boundaries in ``tie_ends`` are cut points a split could use.
+    and cumulated in the column's stable sort order (``order`` when
+    already known).  Only the boundaries in ``tie_ends`` are cut points
+    a split could use.
     """
-    order = order_permutation(col)
-    s = gof.values - gof.values.mean(axis=0)
-    n = s.shape[0]
-    vhat = (s.T @ s) / n
-    eigval, eigvec, rank = _eig_pinv_parts(vhat)
+    if order is None:
+        order = order_permutation(col)
+    n = gof.n
+    root_inv, rank = gof.inverse_root
     if rank == 0:
         raise DegenerateTestError("gof covariance is numerically zero")
-    root_inv = eigvec @ np.diag(1.0 / np.sqrt(eigval)) @ eigvec.T
-    walk = (s[order] @ root_inv) / math.sqrt(n)
+    walk = (gof.centred[order] @ root_inv) / math.sqrt(n)
     cumulative = np.zeros((n + 1, gof.k))
     np.cumsum(walk, axis=0, out=cumulative[1:])
     vs = col.values[order]
@@ -350,12 +346,10 @@ class _NullTableCache:
     One set of bridge paths is simulated per dimension ``k`` with a
     fixed seed; each trimming then reads its sup distribution from the
     per-path running maxima, so every (k, trim) table is reproducible
-    regardless of request order.  A lock serializes builds; lookups of
-    built tables are lock-free.
+    regardless of request order.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._trim_max: dict[int, np.ndarray] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
@@ -390,20 +384,11 @@ class _NullTableCache:
 
     def table(self, k: int, trim_index: int) -> np.ndarray:
         key = (k, trim_index)
-        found = self._tables.get(key)
-        if found is not None:
-            return found
-        with self._lock:
-            found = self._tables.get(key)
-            if found is not None:
-                return found
-            curves = self._trim_max.get(k)
-            if curves is None:
-                curves = self._build_trim_max(k)
-                self._trim_max[k] = curves
-            table = np.sort(curves[:, trim_index - 1].astype(float))
-            self._tables[key] = table
-            return table
+        if key not in self._tables:
+            if k not in self._trim_max:
+                self._trim_max[k] = self._build_trim_max(k)
+            self._tables[key] = np.sort(self._trim_max[k][:, trim_index - 1].astype(float))
+        return self._tables[key]
 
 
 _NULL_TABLES = _NullTableCache()
@@ -471,26 +456,29 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
 # strategy dispatch and variable selection
 
 
-def run_strategy(config: StrategyConfig, fit: LinearFit, col: SplitColumn) -> TestOutcome:
-    """Test one split column for parameter instability under ``config``.
+def run_strategy(config: StrategyConfig, gof: GofMatrix, col: SplitColumn,
+                 order: np.ndarray | None = None, breaks: np.ndarray | None = None) -> TestOutcome:
+    """Test one split column against a node's gof matrix under ``config``.
 
-    An engine's ``DegenerateTestError`` (constant columns, empty trimming
-    ranges, vanishing covariances) yields a degenerate outcome with p = 1
-    rather than an error, so callers can rank columns uniformly.
+    ``gof`` is ``make_gof(fit, config.use_scores, config.dichotomize)``;
+    the column's stable sort ``order`` (max route) and distinct quartile
+    ``breaks`` (binned route) are computed when not given.  An engine's
+    ``DegenerateTestError`` (constant columns, empty trimming ranges,
+    vanishing covariances) yields a degenerate outcome with p = 1 rather
+    than an error, so callers can rank columns uniformly.
     """
-    gof = make_gof(fit, config.use_scores, config.dichotomize)
     mode = MODE_CAT if col.kind == CATEGORICAL else config.split_mode
     try:
         if mode == MODE_MAX:
             ms = resolve_min_segment(gof.n, config.min_segment)
-            proc = fluctuation_process(gof, col)
+            proc = fluctuation_process(gof, col, order)
             stat, _ = suplm_statistic(proc, ms)
             law, df, p = LAW_SUPLM, proc.k_eff, suplm_pvalue(stat, proc.k_eff, ms, gof.n)
         elif mode == MODE_CAT and config.dichotomize:
-            stat, df = chisq_statistic(gof, make_split_transform(col))
+            stat, df = chisq_statistic(gof, make_split_transform(col, breaks))
             law, p = LAW_CHI2, chi2_sf(stat, df)
         else:
-            design = col.values[:, None] if mode == MODE_LIN else make_split_transform(col)
+            design = col.values[:, None] if mode == MODE_LIN else make_split_transform(col, breaks)
             t = linear_statistic(gof, design)
             mean, cov = conditional_moments(gof, design)
             if mode == MODE_LIN and t.shape[0] == 1:
@@ -517,15 +505,27 @@ def argmin_outcome(outcomes: list[TestOutcome]) -> TestOutcome | None:
 
 
 def select_variable(
-    config: StrategyConfig, fit: LinearFit, data: Dataset
+    config: StrategyConfig, fit: LinearFit, data: Dataset,
+    rows: np.ndarray | None = None, orders: dict[str, np.ndarray] | None = None,
 ) -> tuple[list[TestOutcome], str | None]:
     """Test every split column and apply the selection gate.
 
-    Returns all outcomes in column order plus the chosen variable name,
-    or ``None`` when the (possibly multiplicity-adjusted) minimum
-    p-value does not clear ``alpha``.
+    The node is ``rows`` (increasing) of ``data``, all of it by default;
+    ``fit`` is its fit.  ``orders`` may map numeric column names to their
+    stable sort orders over all of ``data``, which the max route filters
+    to the node.  Returns all outcomes in column order plus the chosen
+    variable name, or ``None`` when the (possibly multiplicity-adjusted)
+    minimum p-value does not clear ``alpha``.
     """
-    outcomes = [run_strategy(config, fit, col) for col in data.z]
+    gof = make_gof(fit, config.use_scores, config.dichotomize)
+    cols = data.z if rows is None else [col.take(rows) for col in data.z]
+    breaks = quartile_breaks(cols) if config.split_mode == MODE_CAT else {}
+    if config.split_mode != MODE_MAX or not orders:
+        orders = {}
+    elif rows is not None:
+        orders = {name: subset_order(order, rows) for name, order in orders.items()}
+    outcomes = [run_strategy(config, gof, col, orders.get(col.name), breaks.get(col.name))
+                for col in cols]
     best = argmin_outcome(outcomes)
     if best is None:
         return outcomes, None

@@ -76,6 +76,8 @@ class ScenarioConfig:
             raise ValueError("the tree scenario varies both coefficients")
         if self.n < 20:
             raise ValueError("scenario needs at least 20 observations")
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
         if self.j_noise < 1:
             raise ValueError("need at least one extra split variable")
         if self.scenario == "tree" and self.j_noise < 2:

@@ -9,6 +9,10 @@ route pairs the gof matrix with the raw column, and the
 maximally-selected route orders the rows by the column, so neither
 needs a design built here.
 
+A node builds one gof matrix for all its split columns, which keeps
+what the column tests derive from it; ``quartile_breaks`` takes the
+quartiles of all numeric columns of a node in one pass.
+
 ``DegenerateTestError`` is the one signal by which every split test, and
 the design builder here, says that its input can discriminate nothing.
 """
@@ -16,10 +20,12 @@ the design builder here, says that its input can discriminate nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import CATEGORICAL, SplitColumn, empirical_quartiles
+from .dataset import CATEGORICAL, NUMERIC, SplitColumn, empirical_quartiles
 from .linmod import LinearFit
 
 __all__ = [
@@ -27,8 +33,11 @@ __all__ = [
     "DegenerateTestError",
     "GofMatrix",
     "make_gof",
+    "quartile_breaks",
     "make_split_transform",
 ]
+
+_EIG_RTOL = 1e-12
 
 
 class TransformError(ValueError):
@@ -64,6 +73,32 @@ class GofMatrix:
     def n(self) -> int:
         return int(self.values.shape[0])
 
+    @cached_property
+    def centred(self) -> np.ndarray:
+        return self.values - self.values.mean(axis=0)
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Maximum-likelihood covariance of the gof rows."""
+        return (self.centred.T @ self.centred) / self.n
+
+    @cached_property
+    def inverse_root(self) -> tuple[np.ndarray, int]:
+        """Inverse symmetric square root of ``covariance`` on its numerical
+        range, and the dimension of that range."""
+        eigval, eigvec, rank = eig_pinv_parts(self.covariance)
+        return eigvec @ np.diag(1.0 / np.sqrt(eigval)) @ eigvec.T, rank
+
+
+def eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of a symmetric matrix above ``dim * max eigenvalue * 1e-12``
+    and their count, the numerical rank."""
+    sym = 0.5 * (sym + sym.T)
+    eigval, eigvec = np.linalg.eigh(sym)
+    lam_max = float(eigval.max(initial=0.0))
+    keep = eigval > sym.shape[0] * lam_max * _EIG_RTOL
+    return eigval[keep], eigvec[:, keep], int(keep.sum())
+
 
 def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
     """Build the per-row test input from a node fit.
@@ -85,21 +120,35 @@ def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
     return GofMatrix(values=values, dichotomized=dichotomize)
 
 
-def make_split_transform(col: SplitColumn) -> np.ndarray:
+def quartile_breaks(cols: Sequence[SplitColumn]) -> dict[str, np.ndarray]:
+    """Distinct quartiles of each numeric column of four or more rows, by
+    name, from one ``np.quantile`` call; each equals
+    ``np.unique(empirical_quartiles(col))`` bit for bit."""
+    numeric = [col for col in cols if col.kind == NUMERIC and col.n >= 4]
+    if not numeric:
+        return {}
+    stacked = np.stack([col.values for col in numeric], axis=1)
+    quartiles = np.quantile(stacked, (0.25, 0.5, 0.75), axis=0)
+    return {col.name: np.unique(quartiles[:, i]) for i, col in enumerate(numeric)}
+
+
+def make_split_transform(col: SplitColumn, breaks: np.ndarray | None = None) -> np.ndarray:
     """One-hot design of a split column for the binned route.
 
     The design's columns indicate integer codes: the level codes of a
     categorical column, or the right-closed quartile bin of each value
-    of a numeric one; codes that no row takes are dropped.  A numeric
-    column of fewer than four rows has no quartiles and raises
-    ``DegenerateTestError``.
+    of a numeric one; codes that no row takes are dropped.  ``breaks``
+    are the numeric column's distinct quartiles when already known
+    (``quartile_breaks``).  A numeric column of fewer than four rows has
+    no quartiles and raises ``DegenerateTestError``.
     """
     if col.kind == CATEGORICAL:
         codes = col.values
     elif col.n < 4:
         raise DegenerateTestError(f"column {col.name!r} has too few rows for quartile bins")
     else:
-        breaks = np.unique(np.asarray(empirical_quartiles(col)))
+        if breaks is None:
+            breaks = np.unique(np.asarray(empirical_quartiles(col)))
         # right-closed intervals (-inf, b1], (b1, b2], ..., (bk, +inf)
         codes = np.searchsorted(breaks, col.values, side="left")
     kept = np.flatnonzero(np.bincount(codes))

@@ -6,6 +6,10 @@ variable alone by exhaustive residual-sum-of-squares search.  Node ids
 are assigned in preorder.  Stopping is structural (depth, node size,
 no admissible point) or inferential (no significant variable while
 prepruning is on).
+
+A node is an increasing index set into the root arrays, validated once
+per tree; each numeric column is sorted once per tree (the CART presort)
+and a node reads its order off that (``subset_order``).
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dataset import NUMERIC, CsvSchema, DataError, Dataset, SplitColumn, order_permutation
+from .dataset import (NUMERIC, CsvSchema, DataError, Dataset, SplitColumn, order_permutation,
+                      subset_order)
 from .inference import (
     StrategyConfig,
     TestOutcome,
@@ -155,10 +160,9 @@ def _best_cut(yc: np.ndarray, xc: np.ndarray, left_sums: Callable[[np.ndarray], 
     return int(np.argmin(np.where(ok, left_rss + right_rss, np.inf)))
 
 
-def _best_numeric_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn,
+def _best_numeric_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn, order: np.ndarray,
                         min_node_size: int) -> Split | None:
     # candidate i puts the first i + 1 sorted rows on the left
-    order = order_permutation(col)
     vs = col.values[order]
     admissible = np.append(vs[:-1] != vs[1:], False)
     best = _best_cut(yc[order], xc[order], lambda m: np.cumsum(m, axis=1), admissible,
@@ -198,7 +202,8 @@ def _best_categorical_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn,
 
 
 def best_split_point(
-    y: np.ndarray, x: np.ndarray, col: SplitColumn, min_node_size: int
+    y: np.ndarray, x: np.ndarray, col: SplitColumn, min_node_size: int,
+    order: np.ndarray | None = None,
 ) -> Split | None:
     """Exhaustive least-squares search for the best cut on one column.
 
@@ -210,15 +215,17 @@ def best_split_point(
     sorted prefixes, cut halfway between consecutive distinct values, so
     ties go to the smallest point.  Categorical: the candidates are the
     binary partitions of the observed levels, as the subsets that hold
-    the first observed level.  Returns ``None`` when no admissible cut
-    exists.
+    the first observed level.  ``order`` is a numeric column's stable
+    sort order when already known.  Returns ``None`` when no admissible
+    cut exists.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     yc = y - y.mean()
     xc = x - x.mean()
     if col.kind == NUMERIC:
-        return _best_numeric_split(yc, xc, col, min_node_size)
+        order = order_permutation(col) if order is None else order
+        return _best_numeric_split(yc, xc, col, order, min_node_size)
     return _best_categorical_split(yc, xc, col, min_node_size)
 
 
@@ -246,23 +253,25 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) ->
         strategy = parse_strategy(strategy)
     strategy = replace(strategy, alpha=control.alpha, min_segment=control.min_segment)
     counter = itertools.count()
+    orders = {col.name: order_permutation(col) for col in data.z if col.kind == NUMERIC}
 
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         node_id = next(counter)
-        sub = data.take(rows)
-        fit = fit_ols(sub.y, sub.x)
+        y, x = data.y[rows], data.x[rows]
+        fit = fit_ols(y, x)
         outcomes: tuple[TestOutcome, ...] = ()
         split = None
         children: tuple[TreeNode, ...] = ()
         if depth < control.max_depth and rows.shape[0] >= 2 * control.min_node_size:
-            outcome_list, chosen = select_variable(strategy, fit, sub)
+            outcome_list, chosen = select_variable(strategy, fit, data, rows, orders)
             outcomes = tuple(outcome_list)
             if not control.prepruning:
                 best = argmin_outcome(outcome_list)
                 chosen = best.variable if best is not None else None
             if chosen is not None:
-                col = sub.column(chosen)
-                candidate = best_split_point(sub.y, sub.x, col, control.min_node_size)
+                col = data.column(chosen).take(rows)
+                order = subset_order(orders[chosen], rows) if chosen in orders else None
+                candidate = best_split_point(y, x, col, control.min_node_size, order)
                 if candidate is not None:
                     # growth sees every level of the split, so none is unseen
                     mask = _goes_left(candidate, col, col.values, unseen_left=False)
@@ -280,7 +289,9 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) ->
             rows=np.asarray(rows),
         )
 
-    return build(np.arange(data.n), 0)
+    tree = build(np.arange(data.n), 0)
+    del build  # a reference cycle that would hold the presort until the next gc
+    return tree
 
 
 def _route_rows(node: TreeNode, data: Dataset, idx: np.ndarray, out: np.ndarray) -> None:

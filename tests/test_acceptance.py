@@ -46,6 +46,11 @@ from lmtrees.linmod import LinearFit
 HEADLINE = ("ctree", "mob", "guide", "guide+scores")
 
 
+def run_alone(config, fit, col):
+    # one column tested against a gof matrix of its own
+    return run_strategy(config, make_gof(fit, config.use_scores, config.dichotomize), col)
+
+
 def strat_list(*names):
     return [(name, parse_strategy(name)) for name in names]
 
@@ -137,8 +142,8 @@ def test_late_split_ordering():
         )
         fit = fit_ols(data.y, data.x)
         z1 = data.column("z1")
-        by_guide = run_strategy(guide_config, fit, z1)
-        by_gs = run_strategy(gs_config, fit, z1)
+        by_guide = run_alone(guide_config, fit, z1)
+        by_gs = run_alone(gs_config, fit, z1)
         design = make_split_transform(z1)
         signs = make_gof(fit, use_scores=True, dichotomize=True).values
         first, first_df = chisq_statistic(GofMatrix(signs[:, :1], True), design)
@@ -526,9 +531,9 @@ def test_invariant_response_scale_free_pvalues():
 
     for name in sorted(STRATEGIES):
         cfg = parse_strategy(name)
-        base = run_strategy(cfg, fit_ols(y, x), col)
+        base = run_alone(cfg, fit_ols(y, x), col)
         for factor in (1e-8, 1e8):
-            scaled = run_strategy(cfg, fit_ols(y * factor, x), col)
+            scaled = run_alone(cfg, fit_ols(y * factor, x), col)
             denom = max(base.p_value, 1e-12)
             worst = max(worst, abs(scaled.p_value - base.p_value) / denom)
     ok = worst <= 1e-8

@@ -198,6 +198,16 @@ def test_simulate_rejects_bad_seed_env(monkeypatch, capsys):
     assert "LMTREES_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_simulate_rejects_no_replications(tmp_path, capsys, reps):
+    out = tmp_path / "long.csv"
+    args = list(SIM_ARGS)
+    args[args.index("--reps") + 1] = reps
+    assert main(args + ["--seed", "1", "--out-long", str(out)]) == 1
+    assert "replications" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_threads_do_not_change_files(tmp_path):
     one = tmp_path / "t1.csv"
     two = tmp_path / "t2.csv"

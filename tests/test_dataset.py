@@ -117,6 +117,15 @@ def test_categorical_column_validates_codes_and_levels():
         SplitColumn("g", "ordinal", np.array([0.0]))
 
 
+@pytest.mark.parametrize("codes", [[0.7, 1.9, 0.2], [0.5, -0.5], [1.0, 0.25]])
+def test_categorical_column_rejects_non_integer_codes(codes):
+    # the codes are not truncated to levels: [0.5, -0.5] would pass the range check as [0, 0]
+    with pytest.raises(DataError, match="non-integer"):
+        SplitColumn("c", CATEGORICAL, codes, levels=("a", "b"))
+    # integral floats are codes
+    assert SplitColumn("c", CATEGORICAL, [1.0, 0.0], levels=("a", "b")).values.tolist() == [1, 0]
+
+
 def test_numeric_take_subsets_rows():
     c = col([5.0, 6.0, 7.0])
     assert c.take(np.array([2, 0])).values.tolist() == [7.0, 5.0]

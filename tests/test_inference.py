@@ -36,6 +36,11 @@ from lmtrees.linmod import fit_ols
 from lmtrees.transform import GofMatrix, make_gof, make_split_transform
 
 
+def run_alone(config, fit, col):
+    # one column tested against a gof matrix of its own
+    return run_strategy(config, make_gof(fit, config.use_scores, config.dichotomize), col)
+
+
 def ncol(values, name="z1"):
     return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
 
@@ -410,7 +415,7 @@ def test_every_strategy_combination_dispatches(use_scores, dichotomize, mode):
     data = make_data()
     fit = fit_ols(data.y, data.x)
     config = StrategyConfig(use_scores=use_scores, dichotomize=dichotomize, split_mode=mode)
-    out = run_strategy(config, fit, data.column("z1"))
+    out = run_alone(config, fit, data.column("z1"))
     assert out.variable == "z1"
     assert 0.0 <= out.p_value <= 1.0
     if mode == MODE_MAX:
@@ -429,9 +434,9 @@ def test_categorical_column_always_uses_level_design():
     fit = fit_ols(data.y, data.x)
     col = data.column("g")
     for mode in (MODE_LIN, MODE_MAX, MODE_CAT):
-        out = run_strategy(StrategyConfig(False, False, mode), fit, col)
+        out = run_alone(StrategyConfig(False, False, mode), fit, col)
         assert out.law == "chi2"  # quadratic form over one-hot levels
-    dich = run_strategy(StrategyConfig(False, True, MODE_LIN), fit, col)
+    dich = run_alone(StrategyConfig(False, True, MODE_LIN), fit, col)
     assert dich.law == "chi2"
 
 
@@ -454,7 +459,7 @@ def test_named_strategies_resolve_to_expected_engines():
     }
     assert set(expected_laws) == set(STRATEGIES)
     for name, law in expected_laws.items():
-        out = run_strategy(parse_strategy(name), fit, col)
+        out = run_alone(parse_strategy(name), fit, col)
         assert out.law == law, name
 
 
@@ -477,22 +482,22 @@ def test_constant_column_degeneracy_per_engine():
     ones = ncol(np.ones(data.n), name="flat")
 
     # quadratic form: an all-zero column zeroes the covariance exactly
-    out = run_strategy(parse_strategy("ctree"), fit, zeros)
+    out = run_alone(parse_strategy("ctree"), fit, zeros)
     assert out.law == "degenerate" and out.p_value == 1.0
     # a constant nonzero column leaves float noise in the covariance; the
     # rank procedure keeps one dimension but the p-value is still ~1
-    out = run_strategy(parse_strategy("ctree"), fit, ones)
+    out = run_alone(parse_strategy("ctree"), fit, ones)
     assert out.p_value > 0.999
 
     # binned contingency engine: one bin means zero contrast dimensions
     for col in (zeros, ones):
-        out = run_strategy(parse_strategy("guide"), fit, col)
+        out = run_alone(parse_strategy("guide"), fit, col)
         assert out.law == "degenerate" and out.p_value == 1.0
 
     # order-statistic engine: a constant column is one tie block, so no
     # boundary inside the trimming range is a cut point
     for col in (zeros, ones):
-        out = run_strategy(parse_strategy("mob"), fit, col)
+        out = run_alone(parse_strategy("mob"), fit, col)
         assert out.law == "degenerate" and out.p_value == 1.0
 
 
@@ -522,8 +527,8 @@ def tied_study(seed, n, distinct):
 def permuted_outcomes(name, y, x, z, perm):
     config = parse_strategy(name)
     return (
-        run_strategy(config, fit_ols(y, x), ncol(z)),
-        run_strategy(config, fit_ols(y[perm], x[perm]), ncol(z[perm])),
+        run_alone(config, fit_ols(y, x), ncol(z)),
+        run_alone(config, fit_ols(y[perm], x[perm]), ncol(z[perm])),
     )
 
 
@@ -552,7 +557,7 @@ def test_max_route_pvalue_ignores_the_order_of_tied_rows(name):
     p_values = set()
     for k in range(6):
         perm = np.random.default_rng(k).permutation(200)
-        p_values.add(run_strategy(config, fit_ols(y[perm], x[perm]), ncol(z[perm])).p_value)
+        p_values.add(run_alone(config, fit_ols(y[perm], x[perm]), ncol(z[perm])).p_value)
     assert len(p_values) == 1
 
 
@@ -560,7 +565,7 @@ def test_max_route_pvalue_ignores_the_order_of_tied_rows(name):
 def test_tiny_numeric_column_is_degenerate_for_binned_engines(name):
     # three rows have no quartiles: the binned engines end the test at p = 1
     fit = fit_ols(np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
-    out = run_strategy(parse_strategy(name), fit, ncol([1.0, 2.0, 5.0]))
+    out = run_alone(parse_strategy(name), fit, ncol([1.0, 2.0, 5.0]))
     assert out.law == "degenerate" and out.p_value == 1.0
 
 
@@ -616,7 +621,7 @@ def test_degenerate_input_raises_in_its_engine_and_ends_at_p_one(name, fit, col,
     config = parse_strategy(name)
     with pytest.raises(DegenerateTestError):
         engine(make_gof(fit, config.use_scores, config.dichotomize), col)
-    out = run_strategy(config, fit, col)
+    out = run_alone(config, fit, col)
     assert (out.law, out.statistic, out.p_value, out.df) == ("degenerate", 0.0, 1.0, 0)
 
 
@@ -710,10 +715,10 @@ def test_argmin_outcome_skips_degenerate_and_returns_none_when_all_are():
     a = parse_strategy("ctree")
     data = make_data()
     fit = fit_ols(data.y, data.x)
-    flat1 = run_strategy(a, fit, ncol(np.zeros(data.n), name="f1"))
-    flat2 = run_strategy(a, fit, ncol(np.zeros(data.n), name="f2"))
+    flat1 = run_alone(a, fit, ncol(np.zeros(data.n), name="f1"))
+    flat2 = run_alone(a, fit, ncol(np.zeros(data.n), name="f2"))
     assert argmin_outcome([flat1, flat2]) is None
-    live = run_strategy(a, fit, data.column("z1"))
+    live = run_alone(a, fit, data.column("z1"))
     assert argmin_outcome([flat1, live, flat2]) is live
 
 
@@ -729,9 +734,9 @@ def test_statistics_ignore_response_scale(name):
     zvals = rng.normal(size=n)
     col = ncol(zvals)
     cfg = parse_strategy(name)
-    base = run_strategy(cfg, fit_ols(y, x), col)
+    base = run_alone(cfg, fit_ols(y, x), col)
     for factor in (1e-8, 1e8):
-        scaled = run_strategy(cfg, fit_ols(y * factor, x), col)
+        scaled = run_alone(cfg, fit_ols(y * factor, x), col)
         assert scaled.law == base.law
         assert scaled.p_value == pytest.approx(base.p_value, rel=1e-8, abs=1e-12)
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-7, abs=1e-9)
@@ -751,7 +756,7 @@ def test_engines_hold_their_size_under_the_null():
         data = Dataset(y, x, (SplitColumn("z1", NUMERIC, z1),))
         fit = fit_ols(data.y, data.x)
         for name, cfg in configs.items():
-            out = run_strategy(cfg, fit, data.column("z1"))
+            out = run_alone(cfg, fit, data.column("z1"))
             hits[name] += out.p_value < 0.05
     for name, count in hits.items():
         rate = count / reps
@@ -763,8 +768,8 @@ def test_outcomes_are_deterministic():
     fit = fit_ols(data.y, data.x)
     for name in sorted(STRATEGIES):
         cfg = parse_strategy(name)
-        a = run_strategy(cfg, fit, data.column("z1"))
-        b = run_strategy(cfg, fit, data.column("z1"))
+        a = run_alone(cfg, fit, data.column("z1"))
+        b = run_alone(cfg, fit, data.column("z1"))
         assert (a.statistic, a.p_value, a.law, a.df) == (b.statistic, b.p_value, b.law, b.df)
 
 

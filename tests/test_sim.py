@@ -167,6 +167,9 @@ def test_scenario_config_validation():
         cell(j_noise=0)
     with pytest.raises(ValueError):
         cell(scenario="tree", variation="both", j_noise=1)
+    for reps in (0, -2):
+        with pytest.raises(ValueError, match="replications"):
+            cell(replications=reps)
 
 
 # ------------------------------------------------------------------------- ARI

@@ -14,7 +14,18 @@ from lmtrees.inference import (
     run_strategy,
 )
 from lmtrees.linmod import fit_ols
-from lmtrees.transform import GofMatrix, TransformError, make_gof, make_split_transform
+from lmtrees.transform import (
+    GofMatrix,
+    TransformError,
+    make_gof,
+    make_split_transform,
+    quartile_breaks,
+)
+
+
+def run_alone(config, fit, col):
+    # one column tested against a gof matrix of its own
+    return run_strategy(config, make_gof(fit, config.use_scores, config.dichotomize), col)
 
 
 def ncol(values, name="z1"):
@@ -73,7 +84,7 @@ def test_linear_mode_uses_raw_values():
     gof = make_gof(fit, use_scores=True, dichotomize=False)
     design = col.values.reshape(-1, 1)
     expected = quad_form_test(linear_statistic(gof, design), *conditional_moments(gof, design))
-    outcome = run_strategy(parse_strategy("ctree"), fit, col)
+    outcome = run_alone(parse_strategy("ctree"), fit, col)
     assert (outcome.statistic, outcome.df, outcome.p_value) == expected
 
 
@@ -186,3 +197,24 @@ categorical_columns = st.integers(1, 6).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_one_hot_design_matches_former_builder(col):
     assert np.array_equal(make_split_transform(col), _former_one_hot(col))
+
+
+def test_quartile_breaks_equal_the_per_column_quartiles_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for trial in range(2000):
+        n, j = int(rng.integers(1, 120)), int(rng.integers(1, 8))
+        values = rng.normal(size=(n, j)) * 10.0 ** int(rng.integers(-3, 4))
+        if trial % 2:
+            values = np.round(values, int(rng.integers(0, 2)))
+        cols = [ncol(values[:, i], name=f"z{i}") for i in range(j)]
+        cols.append(cat_col(rng.integers(0, 3, n), ("a", "b", "c")))
+        got = quartile_breaks(cols)
+        if n < 4:
+            assert got == {}
+            continue
+        assert list(got) == [c.name for c in cols[:-1]]
+        for c in cols[:-1]:
+            want = np.unique(np.asarray(empirical_quartiles(c)))
+            assert got[c.name].tobytes() == want.tobytes()
+            # the binned design built from the shared breaks is the one built alone
+            assert np.array_equal(make_split_transform(c, got[c.name]), make_split_transform(c))
