@@ -16,6 +16,7 @@ import hashlib
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "DataError",
     "SplitColumn",
     "Dataset",
+    "ColumnMatrix",
     "CsvSchema",
     "RngStream",
     "derive_stream_id",
@@ -44,20 +46,9 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class SplitColumn:
-    """One candidate split variable.
-
-    Parameters
-    ----------
-    name : str
-        Column label, unique within a dataset.
-    kind : str
-        Either ``"numeric"`` or ``"categorical"``.
-    values : numpy.ndarray
-        Float values for numeric columns; integer level codes for
-        categorical columns.
-    levels : tuple of str, optional
-        Sorted level labels; required for categorical columns.
-    """
+    """One candidate split variable: a ``name`` unique within its dataset,
+    its ``kind`` (``"numeric"`` or ``"categorical"``) and its ``values``,
+    floats or integer codes into the sorted level labels ``levels``."""
 
     name: str
     kind: str
@@ -144,6 +135,19 @@ class Dataset:
         """Row-subset view used during recursive partitioning."""
         rows = np.asarray(rows)
         return Dataset(self.y[rows], self.x[rows], tuple(c.take(rows) for c in self.z))
+
+
+class ColumnMatrix:
+    """Split columns as the rows of one float matrix (categorical ones as
+    codes), with ``orders``, each row's stable sort; built once per tree."""
+
+    def __init__(self, cols: Sequence[SplitColumn]) -> None:
+        self.cols = tuple(cols)
+        self.values = np.array([col.values for col in self.cols], dtype=float)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        return np.argsort(self.values, axis=1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -259,11 +263,8 @@ def write_csv(data: Dataset, path: str, schema: CsvSchema | None = None) -> None
 
 
 def order_permutation(col: SplitColumn) -> np.ndarray:
-    """Stable permutation sorting a numeric column's values ascending.
-
-    Ties keep their original relative order, which pins down the
-    cumulative-sum path used by the fluctuation test.
-    """
+    """Stable permutation sorting a numeric column's values ascending: ties
+    keep their relative order, which pins down the fluctuation test's path."""
     if col.kind != NUMERIC:
         raise DataError(f"column {col.name!r} is not numeric, cannot order")
     return np.argsort(col.values, kind="stable")
@@ -271,23 +272,20 @@ def order_permutation(col: SplitColumn) -> np.ndarray:
 
 def subset_order(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``order_permutation`` of a column's increasing ``rows``, read off
-    the whole column's ``order``: its entries in ``rows``, renumbered by
-    position there, are sorted by value and then by row, as a stable
-    sort of the subset is."""
-    position = np.full(order.shape[0], -1, dtype=np.intp)
+    the whole column's ``order`` (or of each row of a matrix of orders):
+    its entries in ``rows``, renumbered by position there, are sorted by
+    value and then by row, as a stable sort of the subset is."""
+    position = np.full(order.shape[-1], -1, dtype=np.intp)
     position[rows] = np.arange(rows.shape[0])
     kept = position[order]
-    return kept[kept >= 0]
+    return kept[kept >= 0].reshape(*order.shape[:-1], rows.shape[0])
 
 
 def empirical_quartiles(col: SplitColumn) -> tuple[float, float, float]:
-    """Sample quartiles by linear interpolation of order statistics.
-
-    Uses the interpolation rule at positions ``(n - 1) * p`` (the common
-    "type 7" definition).  Requires at least four observations.
-    Duplicate values may produce coincident quartiles; downstream
-    binning merges the affected intervals.
-    """
+    """Sample quartiles by linear interpolation of order statistics at
+    positions ``(n - 1) * p`` (the common "type 7" definition), of four or
+    more observations; ties may make quartiles coincide, and the bins they
+    bound then merge."""
     if col.kind != NUMERIC:
         raise DataError(f"column {col.name!r} is not numeric, cannot take quartiles")
     if col.n < 4:

@@ -7,48 +7,36 @@ split mode).  Dispatch on the split mode picks the engine:
   column, standardized by its exact permutation mean and covariance;
   quadratic form against chi-square, or the absolute standardized
   scalar against the normal when the statistic is one-dimensional.
-* ``max``  - maximally-selected score fluctuation: the column orders the
-  rows and partial sums of the decorrelated gof columns form a bridge
-  (``fluctuation_process``); ``suplm_statistic``, the one scan, takes
-  the largest variance-weighted squared norm over the tie-block ends
-  (the cut points a split could use) in the admissible range, and it
-  is referred to a simulated null table.
+* ``max``  - maximally-selected score fluctuation: the bridge of partial
+  sums of decorrelated gof rows in column order, scanned at tie-block
+  ends (the cuts a split could use), against a simulated null table.
 * ``cat``  - with dichotomized gof, summed Pearson chi-square tests of
-  the sign-by-bin contingency tables, one table per gof column;
-  without dichotomization, the quadratic form above with one-hot bins
-  (a one-way analysis-of-variance flavour).  ``make_split_transform``
-  builds the one-hot design.
+  the sign-by-bin tables, one per gof column; without, the quadratic
+  form above with one-hot bins.  Categorical columns always take this
+  route, through their levels.
 
-Categorical split columns always enter through their natural one-hot
-design, whatever the configured split mode.
-
-``select_variable`` builds what a node's column tests share once: the
-gof matrix (which keeps its covariance and decorrelation), one quartile
-pass over the numeric columns and the column orders from the root
-presort; ``run_strategy`` does only the column-specific work.
-
-An engine that can discriminate nothing on its input raises
-``DegenerateTestError``; ``run_strategy`` reports that as p = 1.
-
-Every engine is invariant to rescaling the gof columns by a nonzero
-constant, so the constant factor in the score definition never matters.
-All p-values are reported raw; the variable-selection gate optionally
-applies a Bonferroni factor across the tested columns so that the
-family-level decision holds its nominal size.
+``column_entries`` tests a node's columns in blocks, one array pass per
+route: the engines take inputs stacked on leading axes and reproduce the
+one-column arithmetic bit for bit.  An engine that can discriminate
+nothing raises ``DegenerateTestError``, and the outcome is degenerate,
+with p = 1; a stack instead marks such entries (df 0, statistic 0, p 1,
+boundary -1) and raises only when all are.  Every engine is invariant to
+rescaling the gof columns; p-values are raw, and the selection gate
+optionally applies a Bonferroni factor across the tested columns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, SplitColumn, order_permutation, subset_order
+from .dataset import CATEGORICAL, ColumnMatrix, Dataset, SplitColumn, subset_order
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
-from .transform import (DegenerateTestError, GofMatrix, eig_pinv_parts, make_gof,
-                        make_split_transform, quartile_breaks)
+from .transform import DegenerateTestError, GofMatrix, design_groups, eig_pinv_parts, make_gof
 
 __all__ = [
     "UnsupportedConfigurationError",
@@ -67,6 +55,7 @@ __all__ = [
     "suplm_statistic",
     "suplm_pvalue",
     "chisq_statistic",
+    "column_entries",
     "run_strategy",
     "select_variable",
     "argmin_outcome",
@@ -88,6 +77,11 @@ NULL_TABLE_GRID = 1000
 NULL_TABLE_REPLICATES = 20000
 NULL_TABLE_SEED = 987153522
 
+# columns times rows in one block of a node's column tests: it bounds the
+# stacked and one-hot arrays of a large node (uncapped, a 100 000-row fit
+# peaked 34 MB higher); a small node fits one block
+COLUMN_BLOCK = 65536
+
 
 class UnsupportedConfigurationError(ValueError):
     """A test was asked for outside its supported shape."""
@@ -97,11 +91,10 @@ class UnsupportedConfigurationError(ValueError):
 class StrategyConfig:
     """Complete description of one split-selection strategy.
 
-    ``min_segment`` of ``None`` resolves per node to
-    ``max(10, ceil(0.1 * n))``.  ``multiplicity`` controls only the
-    selection gate, never the reported p-values: ``"bonferroni"``
-    compares ``min(1, J * p)`` against ``alpha`` across the J tested
-    columns, ``"none"`` compares the raw minimum.
+    ``min_segment`` of ``None`` resolves per node to ``max(10, ceil(0.1 n))``.
+    ``multiplicity`` controls only the selection gate, never the reported
+    p-values: ``"bonferroni"`` compares ``min(1, J * p)`` against
+    ``alpha`` across the J tested columns, ``"none"`` the raw minimum.
     """
 
     use_scores: bool
@@ -188,21 +181,18 @@ def resolve_min_segment(n: int, override: int | None = None) -> int:
 
 
 def linear_statistic(gof: GofMatrix, design: np.ndarray) -> np.ndarray:
-    """Column-major vectorization of ``design' * gof`` cross sums.
-
-    With design columns ``p = 1..P`` and gof columns ``q = 1..Q`` the
-    entry at position ``p + P * (q - 1)`` is ``sum_i design[i, p] *
-    gof[i, q]``.
-    """
+    """Column-major vectorization of ``design' * gof`` cross sums: entry
+    ``p + P * (q - 1)`` is ``sum_i design[i, p] * gof[i, q]`` (one row per
+    design of a stack)."""
     design = np.asarray(design, dtype=float)
-    return (design.T @ gof.values).flatten(order="F")
+    cross = np.swapaxes(design, -1, -2) @ gof.values
+    return np.swapaxes(cross, -1, -2).reshape(*design.shape[:-2], -1)
 
 
 def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``(mean, covariance)`` of the linear statistic under random
-    row permutations; fewer than two rows raise ``DegenerateTestError``.
-
-    For unit weights the permutation distribution of the statistic has
+    row permutations (stacked as the designs are); fewer than two rows
+    raise ``DegenerateTestError``.  For unit weights they are
 
         mean = vec(colsum(design) * rowmean(gof)')
         cov  = n/(n-1) * V ox S  -  1/(n-1) * V ox (c c')
@@ -212,59 +202,69 @@ def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray,
     Kronecker product arranged to match the column-major vectorization.
     """
     design = np.asarray(design, dtype=float)
-    n = design.shape[0]
+    n, lead = design.shape[-2], design.shape[:-2]
     if n < 2:
         raise DegenerateTestError("permutation moments need at least two rows")
     v_h = gof.covariance
-    csum = design.sum(axis=0)
-    s = design.T @ design
-    mean = np.outer(csum, gof.values.mean(axis=0)).flatten(order="F")
-    q, p = v_h.shape[0], s.shape[0]
+    csum = design.sum(axis=-2)
+    s = np.swapaxes(design, -1, -2) @ design
+    mean = (gof.values.mean(axis=0)[:, None] * csum[..., None, :]).reshape(*lead, -1)
+    q, p = v_h.shape[0], s.shape[-1]
 
     def kron(m: np.ndarray) -> np.ndarray:
         # entry (a p + i, b p + j) is v_h[a, b] * m[i, j], one product each
-        return (v_h[:, None, :, None] * m[None, :, None, :]).reshape(q * p, q * p)
+        return (v_h[:, None, :, None] * m[..., None, :, None, :]).reshape(*lead, q * p, q * p)
 
-    cov = (n / (n - 1)) * kron(s) - (1.0 / (n - 1)) * kron(np.outer(csum, csum))
+    outer = csum[..., :, None] * csum[..., None, :]
+    cov = (n / (n - 1)) * kron(s) - (1.0 / (n - 1)) * kron(outer)
     return mean, cov
+
+
+def _chi2_pvalues(stat: np.ndarray, df: np.ndarray) -> list[float]:
+    return [chi2_sf(s, d) if d else 1.0 for s, d in zip(stat.tolist(), df.tolist())]
 
 
 def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
                    covariance: np.ndarray) -> tuple[float, int, float]:
     """Quadratic form of the centered statistic in the pseudo-inverted
-    covariance, referred to chi-square with the numerical rank as
-    degrees of freedom.  Returns ``(statistic, df, p)``; a covariance of
-    rank zero raises ``DegenerateTestError``.
-    """
+    covariance against chi-square with the numerical rank as df, as
+    ``(statistic, df, p)``; rank zero raises ``DegenerateTestError``.  A
+    stack shares one ``eigh`` call; its projections and dots stay one BLAS
+    call each, as batched they change last bits."""
     d = np.asarray(statistic, dtype=float) - mean
-    eigval, eigvec, rank = eig_pinv_parts(covariance)
-    if rank == 0:
+    single = d.ndim == 1
+    d, cov = (d[None], np.asarray(covariance)[None]) if single else (d, covariance)
+    eigval, eigvec, keep = eig_pinv_parts(cov)
+    df = keep.sum(axis=-1)
+    if not df.any():
         raise DegenerateTestError("covariance of the linear statistic has rank zero")
-    proj = eigvec.T @ d
-    stat = float(proj @ (proj / eigval))
-    return stat, rank, chi2_sf(stat, rank)
+    stat = np.zeros(d.shape[0])
+    for j in np.flatnonzero(df):
+        proj = eigvec[j][:, keep[j]].T @ d[j]
+        stat[j] = proj @ (proj / eigval[j][keep[j]])
+    p = _chi2_pvalues(stat, df)
+    return (float(stat[0]), int(df[0]), p[0]) if single else (stat, df, p)
 
 
 def max_abs_test(statistic: np.ndarray, mean: np.ndarray,
                  covariance: np.ndarray) -> tuple[float, float]:
     """Two-sided normal test of a one-dimensional linear statistic.
 
-    Only defined when the statistic has a single component; the
-    quadratic form covers every higher-dimensional case.  A zero or
-    non-finite variance, or a zero statistic, raises ``DegenerateTestError``.
-    """
+    Only defined when the statistic has a single component; the quadratic
+    form covers every higher-dimensional case.  A zero or non-finite
+    variance, or a zero statistic, raises ``DegenerateTestError``."""
     d = np.atleast_1d(np.asarray(statistic, dtype=float)) - mean
-    if d.shape[0] != 1:
+    if d.shape[-1] != 1:
         raise UnsupportedConfigurationError(
-            f"max-abs test requires a one-dimensional statistic, got {d.shape[0]}"
+            f"max-abs test requires a one-dimensional statistic, got {d.shape[-1]}"
         )
-    var = float(np.asarray(covariance).reshape(-1)[0])
-    if var <= 0.0 or not math.isfinite(var):
-        raise DegenerateTestError("variance of the linear statistic is not positive")
-    stat = abs(float(d[0])) / math.sqrt(var)
-    if stat == 0.0:
-        raise DegenerateTestError("linear statistic equals its permutation mean")
-    return stat, 2.0 * normal_sf(stat)
+    var = np.asarray(covariance, dtype=float).reshape(*d.shape[:-1], -1)[..., 0]
+    spread = (var > 0.0) & np.isfinite(var)
+    stat = np.where(spread, np.abs(d[..., 0]) / np.sqrt(np.where(spread, var, 1.0)), 0.0)
+    if not stat.any():
+        raise DegenerateTestError("the linear statistic has no spread about its permutation mean")
+    p = [2.0 * normal_sf(s) if s else 1.0 for s in np.atleast_1d(stat).tolist()]
+    return (float(stat), p[0]) if d.ndim == 1 else (stat, p)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +276,8 @@ class FluctuationProcess:
     """Partial-sum process of decorrelated gof rows in column order.
 
     ``cumulative`` holds n+1 rows; row i is the scaled partial sum of
-    the first i sorted rows, so the first and last rows are zero (gof
-    columns are centered before decorrelation, which for score columns
-    changes nothing because they already sum to zero).  ``tie_ends``
-    marks the n+1 boundaries that end a block of tied column values.
+    the first i sorted rows, so the first and last rows are zero.
+    ``tie_ends`` marks the boundaries that end a block of tied values.
     """
 
     cumulative: np.ndarray
@@ -288,30 +286,28 @@ class FluctuationProcess:
 
     @property
     def n(self) -> int:
-        return int(self.cumulative.shape[0] - 1)
+        return int(self.cumulative.shape[-2] - 1)
 
 
-def fluctuation_process(gof: GofMatrix, col: SplitColumn,
-                        order: np.ndarray | None = None) -> FluctuationProcess:
+def fluctuation_process(gof: GofMatrix, values: np.ndarray,
+                        order: np.ndarray) -> FluctuationProcess:
     """Build the cumulative-score process along a numeric column's order.
 
     The gof columns are centered, decorrelated by the inverse symmetric
     square root of their average outer product, scaled by ``n**-0.5``,
-    and cumulated in the column's stable sort order (``order`` when
-    already known).  Only the boundaries in ``tie_ends`` are cut points
-    a split could use.
+    and cumulated in the stable sort ``order`` of the column ``values``
+    (columns stacked as rows give stacked processes).
     """
-    if order is None:
-        order = order_permutation(col)
     n = gof.n
     root_inv, rank = gof.inverse_root
     if rank == 0:
         raise DegenerateTestError("gof covariance is numerically zero")
     walk = (gof.centred[order] @ root_inv) / math.sqrt(n)
-    cumulative = np.zeros((n + 1, gof.k))
-    np.cumsum(walk, axis=0, out=cumulative[1:])
-    vs = col.values[order]
-    tie_ends = np.concatenate(([True], vs[:-1] != vs[1:], [True]))
+    cumulative = np.zeros((*order.shape[:-1], n + 1, gof.k))
+    np.cumsum(walk, axis=-2, out=cumulative[..., 1:, :])
+    vs = np.take_along_axis(values, order, axis=-1)
+    tie_ends = np.ones(cumulative.shape[:-1], dtype=bool)
+    tie_ends[..., 1:-1] = vs[..., :-1] != vs[..., 1:]
     return FluctuationProcess(cumulative=cumulative, tie_ends=tie_ends, k_eff=rank)
 
 
@@ -321,33 +317,32 @@ def suplm_statistic(proc: FluctuationProcess, min_segment: int) -> tuple[float, 
     Candidate boundaries are the tie-block ends: row counts ``i`` after
     which the sorted column value changes, with at least
     ``min_segment`` rows on each side; the weight at boundary ``i`` is
-    ``((i/n) * (1 - i/n))**-1``.  Returns the statistic and the
-    boundary where the maximum is attained (ties keep the smallest);
-    no admissible boundary raises ``DegenerateTestError``.
-    """
-    n = proc.n
+    ``((i/n) * (1 - i/n))**-1``.  Returns the statistic and the boundary
+    where the maximum is attained (ties keep the smallest); no admissible
+    boundary raises ``DegenerateTestError``."""
+    n, lead = proc.n, proc.tie_ends.shape[:-1]
     if min_segment < 1:
         raise UnsupportedConfigurationError("min_segment must be at least 1")
     lo, hi = min_segment, n - min_segment
-    ends = proc.tie_ends[lo : hi + 1]
+    ends = proc.tie_ends[..., lo : hi + 1]
     if not ends.any():
         raise DegenerateTestError(f"segments of {min_segment} leave no cut in {n} rows")
     frac = np.arange(lo, hi + 1) / n
-    path = proc.cumulative[lo : hi + 1]
-    values = 1.0 / (frac * (1.0 - frac)) * np.einsum("ij,ij->i", path, path)
+    path = proc.cumulative[..., lo : hi + 1, :]
+    values = 1.0 / (frac * (1.0 - frac)) * np.einsum("...ij,...ij->...i", path, path)
     values[~ends] = -np.inf
-    peak = int(np.argmax(values))
-    return float(values[peak]), lo + peak
+    peak, stat = np.argmax(values, axis=-1), values.max(axis=-1)
+    if not lead:
+        return float(stat), lo + int(peak)
+    found = ends.any(axis=-1)
+    return np.where(found, stat, 0.0), np.where(found, lo + peak, -1)
 
 
 class _NullTableCache:
-    """Sorted Monte-Carlo samples of the limiting sup functional.
-
-    One set of bridge paths is simulated per dimension ``k`` with a
-    fixed seed; each trimming then reads its sup distribution from the
-    per-path running maxima, so every (k, trim) table is reproducible
-    regardless of request order.
-    """
+    """Sorted Monte-Carlo samples of the limiting sup functional: one set
+    of bridge paths per dimension ``k``, fixed seed; each trimming reads
+    its sup law off the per-path running maxima, whatever the order of
+    requests."""
 
     def __init__(self) -> None:
         self._trim_max: dict[int, np.ndarray] = {}
@@ -394,13 +389,14 @@ class _NullTableCache:
 _NULL_TABLES = _NullTableCache()
 
 
-def suplm_pvalue(statistic: float, k: int, min_segment: int, n: int) -> float:
+def suplm_pvalue(statistic: float | np.ndarray, k: int, min_segment: int,
+                 n: int) -> float | np.ndarray:
     """Upper-tail probability of the sup functional's limit law.
 
     The law is the supremum over ``t`` in ``[ms/n, 1 - ms/n]`` of
-    ``||B(t)||^2 / (t (1 - t))`` for a k-dimensional Brownian bridge,
-    estimated as the fraction of the cached Monte-Carlo sample at or
-    above the statistic.
+    ``||B(t)||^2 / (t (1 - t))`` for a k-dimensional Brownian bridge; the
+    p-value is the fraction of the cached Monte-Carlo sample at or above
+    the statistic (or each of an array of them).
     """
     if k < 1:
         raise UnsupportedConfigurationError("dimension must be at least 1")
@@ -409,7 +405,7 @@ def suplm_pvalue(statistic: float, k: int, min_segment: int, n: int) -> float:
     trim_index = (NULL_TABLE_GRID * min_segment + n - 1) // n
     trim_index = min(max(trim_index, 1), NULL_TABLE_GRID // 2)
     table = _NULL_TABLES.table(k, trim_index)
-    count_ge = table.shape[0] - int(np.searchsorted(table, statistic, side="left"))
+    count_ge = table.shape[0] - np.searchsorted(table, statistic, side="left")
     return count_ge / table.shape[0]
 
 
@@ -424,108 +420,126 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
     ones, columns follow the design.  Empty design columns are dropped;
     a column of constant sign contributes nothing.  Statistics and
     degrees of freedom add across gof columns; fewer than two non-empty
-    bins or zero summed df raise ``DegenerateTestError``.
+    bins or zero summed df raise ``DegenerateTestError``.  Stacked designs
+    (J, n, P) have no empty column; each table sums in its flattened order.
     """
     if not gof.dichotomized:
         raise UnsupportedConfigurationError("contingency test requires a dichotomized gof")
     design = np.asarray(design, dtype=float)
-    n = design.shape[0]
-    col_totals = design.sum(axis=0)
-    keep = col_totals > 0
-    design = design[:, keep]
-    col_totals = col_totals[keep]
-    if design.shape[1] < 2:
-        raise DegenerateTestError("fewer than two non-empty bins")
-    total_stat = 0.0
-    total_df = 0
-    for q in range(gof.k):
-        ones = gof.values[:, q] @ design
-        observed = np.vstack((col_totals - ones, ones))
-        row_totals = observed.sum(axis=1)
-        if np.any(row_totals == 0.0):
-            continue
-        expected = np.outer(row_totals, col_totals) / n
-        total_stat += float(((observed - expected) ** 2 / expected).sum())
-        total_df += design.shape[1] - 1
-    if total_df == 0:
-        raise DegenerateTestError("every gof column has a constant sign")
-    return total_stat, total_df
+    single = design.ndim == 2
+    designs = design[None, :, design.sum(axis=0) > 0] if single else design
+    n, width = designs.shape[-2:]
+    totals = designs.sum(axis=-2)
+    ones = gof.values.T @ designs
+    observed = np.stack((totals[:, None, :] - ones, ones), axis=-2)
+    row_totals = observed.sum(axis=-1)
+    used = (row_totals > 0.0).all(axis=-1) & (width > 1)
+    if not used.any():
+        raise DegenerateTestError("fewer than two non-empty bins, or no gof column with both signs")
+    expected = row_totals[..., None] * totals[:, None, None, :] / n
+    # an unused table may expect zero counts; a used one never does
+    cells = (observed - expected) ** 2 / np.where(expected > 0.0, expected, 1.0)
+    stat = np.where(used, cells.reshape(*used.shape, 2 * width).sum(axis=-1), 0.0).sum(axis=-1)
+    df = used.sum(axis=-1) * (width - 1)
+    return (float(stat[0]), int(df[0])) if single else (stat, df)
 
 
 # ---------------------------------------------------------------------------
 # strategy dispatch and variable selection
 
 
+def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
+                 orders: np.ndarray | None, numeric: np.ndarray):
+    """``(columns, statistics, df, p-values, law)`` of one block's columns
+    (the rows of ``values``) per route and design width; df 0 marks a
+    degenerate test, and a stack degenerate throughout yields nothing."""
+    n, mode = gof.n, config.split_mode
+    direct = np.flatnonzero(numeric) if mode != MODE_CAT else np.arange(0)
+    with contextlib.suppress(DegenerateTestError):
+        if direct.size and mode == MODE_MAX:
+            proc = fluctuation_process(gof, values[direct], orders[direct])
+            ms = resolve_min_segment(n, config.min_segment)
+            stat, peak = suplm_statistic(proc, ms)
+            p = suplm_pvalue(stat, proc.k_eff, ms, n)
+            yield direct, stat, np.where(peak >= 0, proc.k_eff, 0), p, LAW_SUPLM
+        elif direct.size:
+            designs = values[direct][:, :, None]
+            t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs)
+            if gof.k == 1:
+                stat, p = max_abs_test(t, mean, cov)
+                yield direct, stat, (stat != 0.0).astype(int), p, LAW_NORMAL
+            else:
+                yield direct, *quad_form_test(t, mean, cov), LAW_CHI2
+    # a numeric column of fewer than four rows has no quartile bins
+    binned = np.flatnonzero(~numeric | ((mode == MODE_CAT) & (n >= 4)))
+    if binned.size == 0:
+        return
+    for group, designs in design_groups(values[binned], numeric[binned]):
+        with contextlib.suppress(DegenerateTestError):
+            if config.dichotomize:
+                stat, df = chisq_statistic(gof, designs)
+                yield binned[group], stat, df, _chi2_pvalues(stat, df), LAW_CHI2
+            else:
+                t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs)
+                yield binned[group], *quad_form_test(t, mean, cov), LAW_CHI2
+
+
+def column_entries(config: StrategyConfig, gof: GofMatrix, columns: ColumnMatrix,
+                   rows: np.ndarray | None = None) -> list[tuple]:
+    """Each column's ``(statistic, p, law, df)`` against a node's gof
+    matrix under ``config``: the node is ``rows`` (increasing) of
+    ``columns``, all of them by default, gathered and tested in blocks
+    of at most ``COLUMN_BLOCK`` values (columns times rows)."""
+    rows = np.arange(gof.n) if rows is None else rows
+    numeric = np.array([col.kind != CATEGORICAL for col in columns.cols], dtype=bool)
+    entries = [(0.0, 1.0, LAW_DEGENERATE, 0)] * numeric.size
+    step = max(1, COLUMN_BLOCK // gof.n)
+    for start in range(0, numeric.size, step):
+        span = slice(start, start + step)
+        values = columns.values[span, rows]
+        orders = subset_order(columns.orders[span], rows) if config.split_mode == MODE_MAX else None
+        for sel, stat, df, p, law in _route_tests(config, gof, values, orders, numeric[span]):
+            for j, s, d, pj in zip((sel + start).tolist(), stat.tolist(), df.tolist(), p):
+                if d > 0:
+                    entries[j] = (s, float(pj), law, d)
+    return entries
+
+
 def run_strategy(config: StrategyConfig, gof: GofMatrix, col: SplitColumn,
-                 order: np.ndarray | None = None, breaks: np.ndarray | None = None) -> TestOutcome:
+                 entry: tuple | None = None) -> TestOutcome:
     """Test one split column against a node's gof matrix under ``config``.
 
-    ``gof`` is ``make_gof(fit, config.use_scores, config.dichotomize)``;
-    the column's stable sort ``order`` (max route) and distinct quartile
-    ``breaks`` (binned route) are computed when not given.  An engine's
-    ``DegenerateTestError`` (constant columns, empty trimming ranges,
-    vanishing covariances) yields a degenerate outcome with p = 1 rather
-    than an error, so callers can rank columns uniformly.
+    ``gof`` is ``make_gof(fit, config.use_scores, config.dichotomize)``
+    and ``entry`` the column's from ``column_entries`` over the node, or
+    the column is tested alone, as a block of one.  A degenerate test is
+    an outcome with p = 1, not an error.
     """
-    mode = MODE_CAT if col.kind == CATEGORICAL else config.split_mode
-    try:
-        if mode == MODE_MAX:
-            ms = resolve_min_segment(gof.n, config.min_segment)
-            proc = fluctuation_process(gof, col, order)
-            stat, _ = suplm_statistic(proc, ms)
-            law, df, p = LAW_SUPLM, proc.k_eff, suplm_pvalue(stat, proc.k_eff, ms, gof.n)
-        elif mode == MODE_CAT and config.dichotomize:
-            stat, df = chisq_statistic(gof, make_split_transform(col, breaks))
-            law, p = LAW_CHI2, chi2_sf(stat, df)
-        else:
-            design = col.values[:, None] if mode == MODE_LIN else make_split_transform(col, breaks)
-            t = linear_statistic(gof, design)
-            mean, cov = conditional_moments(gof, design)
-            if mode == MODE_LIN and t.shape[0] == 1:
-                (stat, p), df, law = max_abs_test(t, mean, cov), 1, LAW_NORMAL
-            else:
-                (stat, df, p), law = quad_form_test(t, mean, cov), LAW_CHI2
-    except DegenerateTestError:
-        stat, p, law, df = 0.0, 1.0, LAW_DEGENERATE, 0
+    stat, p, law, df = entry or column_entries(config, gof, ColumnMatrix([col]))[0]
     return TestOutcome(variable=col.name, statistic=stat, p_value=p, law=law, df=df)
 
 
 def argmin_outcome(outcomes: list[TestOutcome]) -> TestOutcome | None:
     """Smallest p-value, ties broken by column position; ``None`` when
     every test is degenerate."""
-    best = None
-    best_p = math.inf
-    for outcome in outcomes:
-        if outcome.law == LAW_DEGENERATE:
-            continue
-        if outcome.p_value < best_p:
-            best = outcome
-            best_p = outcome.p_value
-    return best
+    tested = [outcome for outcome in outcomes if outcome.law != LAW_DEGENERATE]
+    return min(tested, key=lambda outcome: outcome.p_value, default=None)
 
 
 def select_variable(
     config: StrategyConfig, fit: LinearFit, data: Dataset,
-    rows: np.ndarray | None = None, orders: dict[str, np.ndarray] | None = None,
+    rows: np.ndarray | None = None, columns: ColumnMatrix | None = None,
 ) -> tuple[list[TestOutcome], str | None]:
     """Test every split column and apply the selection gate.
 
-    The node is ``rows`` (increasing) of ``data``, all of it by default;
-    ``fit`` is its fit.  ``orders`` may map numeric column names to their
-    stable sort orders over all of ``data``, which the max route filters
-    to the node.  Returns all outcomes in column order plus the chosen
-    variable name, or ``None`` when the (possibly multiplicity-adjusted)
-    minimum p-value does not clear ``alpha``.
+    The node is ``rows`` (increasing) of ``data``, all of it by default,
+    ``fit`` its fit, ``columns`` the column matrix of ``data`` if kept.
+    Returns all outcomes in column order and the chosen variable, or
+    ``None`` when the (possibly adjusted) minimum p-value misses ``alpha``.
     """
     gof = make_gof(fit, config.use_scores, config.dichotomize)
-    cols = data.z if rows is None else [col.take(rows) for col in data.z]
-    breaks = quartile_breaks(cols) if config.split_mode == MODE_CAT else {}
-    if config.split_mode != MODE_MAX or not orders:
-        orders = {}
-    elif rows is not None:
-        orders = {name: subset_order(order, rows) for name, order in orders.items()}
-    outcomes = [run_strategy(config, gof, col, orders.get(col.name), breaks.get(col.name))
-                for col in cols]
+    columns = ColumnMatrix(data.z) if columns is None else columns
+    entries = column_entries(config, gof, columns, rows)
+    outcomes = [run_strategy(config, gof, col, entry) for col, entry in zip(columns.cols, entries)]
     best = argmin_outcome(outcomes)
     if best is None:
         return outcomes, None

@@ -24,7 +24,6 @@ replication, so strategy comparisons are paired.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -211,16 +210,6 @@ def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> flo
     return top / bottom
 
 
-def _argmin_variable(p_values: dict[str, float]) -> str | None:
-    best = None
-    best_p = math.inf
-    for name, p in p_values.items():
-        if p < best_p:
-            best = name
-            best_p = p
-    return best
-
-
 def _run_replication(
     cell: ScenarioConfig,
     rep: int,
@@ -325,7 +314,8 @@ def aggregate_records(records: Sequence[ReplicationRecord]) -> list[dict]:
         group = groups[key]
         reps = len(group)
         chosen_hits = sum(1 for r in group if r.chosen == "z1")
-        argmin_hits = sum(1 for r in group if _argmin_variable(r.p_values) == "z1")
+        # the first smallest p-value, degenerate tests included
+        argmin_hits = sum(min(r.p_values, key=r.p_values.get, default=None) == "z1" for r in group)
         p_z1 = [r.p_values["z1"] for r in group if "z1" in r.p_values]
         aris = [r.ari for r in group if r.ari is not None]
         leaf_counts = [r.leaf_count for r in group if r.leaf_count is not None]

@@ -2,17 +2,11 @@
 
 ``make_gof`` turns a node fit into the row-wise matrix a split test
 consumes: raw residuals, the two score columns, or their elementwise
-sign indicators.  ``make_split_transform`` turns a split column into the
-one-hot design the binned route pairs with it: quartile-bin columns for
-a numeric column, level columns for a categorical one.  The linear
-route pairs the gof matrix with the raw column, and the
-maximally-selected route orders the rows by the column, so neither
-needs a design built here.
-
-A node builds one gof matrix for all its split columns, which keeps
-what the column tests derive from it; ``quartile_breaks`` takes the
-quartiles of all numeric columns of a node in one pass.
-
+sign indicators.  ``design_groups`` turns a block of split columns into
+the one-hot designs the binned route pairs with them (quartile bins or
+levels), stacked by width; ``make_split_transform`` is one column's.
+The linear route pairs the gof matrix with the raw column and the max
+route orders the rows by it, so neither needs a design built here.
 ``DegenerateTestError`` is the one signal by which every split test, and
 the design builder here, says that its input can discriminate nothing.
 """
@@ -21,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .dataset import CATEGORICAL, NUMERIC, SplitColumn, empirical_quartiles
+from .dataset import CATEGORICAL, SplitColumn
 from .linmod import LinearFit
 
 __all__ = [
@@ -34,6 +28,7 @@ __all__ = [
     "GofMatrix",
     "make_gof",
     "quartile_breaks",
+    "design_groups",
     "make_split_transform",
 ]
 
@@ -86,27 +81,25 @@ class GofMatrix:
     def inverse_root(self) -> tuple[np.ndarray, int]:
         """Inverse symmetric square root of ``covariance`` on its numerical
         range, and the dimension of that range."""
-        eigval, eigvec, rank = eig_pinv_parts(self.covariance)
-        return eigvec @ np.diag(1.0 / np.sqrt(eigval)) @ eigvec.T, rank
+        eigval, eigvec, keep = eig_pinv_parts(self.covariance)
+        eigval, eigvec = eigval[keep], eigvec[:, keep]
+        return eigvec @ np.diag(1.0 / np.sqrt(eigval)) @ eigvec.T, int(keep.sum())
 
 
-def eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenpairs of a symmetric matrix above ``dim * max eigenvalue * 1e-12``
-    and their count, the numerical rank."""
-    sym = 0.5 * (sym + sym.T)
+def eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of symmetric matrices (stacked on
+    leading axes, one LAPACK call each) and the mask of the eigenvalues
+    above ``dim * max eigenvalue * 1e-12``, the numerical range."""
+    sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
     eigval, eigvec = np.linalg.eigh(sym)
-    lam_max = float(eigval.max(initial=0.0))
-    keep = eigval > sym.shape[0] * lam_max * _EIG_RTOL
-    return eigval[keep], eigvec[:, keep], int(keep.sum())
+    lam_max = eigval.max(axis=-1, initial=0.0)
+    return eigval, eigvec, eigval > sym.shape[-1] * lam_max[..., None] * _EIG_RTOL
 
 
 def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
-    """Build the per-row test input from a node fit.
-
-    With ``use_scores`` the matrix has the two score columns, otherwise
-    the single residual column.  ``dichotomize`` replaces each entry by
-    the indicator of nonnegativity (zeros map to one).
-    """
+    """The per-row test input of a node fit: the two score columns with
+    ``use_scores``, else the residual column; ``dichotomize`` replaces each
+    entry by the indicator of nonnegativity (zeros map to one)."""
     if use_scores:
         if fit.scores is None:
             raise TransformError("fit carries no per-row scores")
@@ -120,38 +113,42 @@ def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
     return GofMatrix(values=values, dichotomized=dichotomize)
 
 
-def quartile_breaks(cols: Sequence[SplitColumn]) -> dict[str, np.ndarray]:
-    """Distinct quartiles of each numeric column of four or more rows, by
-    name, from one ``np.quantile`` call; each equals
-    ``np.unique(empirical_quartiles(col))`` bit for bit."""
-    numeric = [col for col in cols if col.kind == NUMERIC and col.n >= 4]
-    if not numeric:
-        return {}
-    stacked = np.stack([col.values for col in numeric], axis=1)
-    quartiles = np.quantile(stacked, (0.25, 0.5, 0.75), axis=0)
-    return {col.name: np.unique(quartiles[:, i]) for i, col in enumerate(numeric)}
+def quartile_breaks(values: np.ndarray) -> np.ndarray:
+    """The three sample quartiles (type 7, as ``empirical_quartiles``) of
+    each row of a matrix of four or more columns, in one call."""
+    return np.moveaxis(np.quantile(values, (0.25, 0.5, 0.75), axis=-1), 0, -1)
 
 
-def make_split_transform(col: SplitColumn, breaks: np.ndarray | None = None) -> np.ndarray:
-    """One-hot design of a split column for the binned route.
+def design_groups(values: np.ndarray, numeric: np.ndarray) -> Iterator[tuple]:
+    """One-hot designs of the split columns stacked as the rows of
+    ``values``, by width w: the rows of w codes and their (g, n, w)
+    designs, whose columns indicate the codes taken, in increasing order:
+    levels of a categorical row, right-closed quartile bins ``(-inf, q1],
+    (q1, q2], ...`` of a ``numeric`` one (coincident quartiles merge)."""
+    codes = np.zeros(values.shape, dtype=np.intp)
+    codes[~numeric] = values[~numeric]
+    if numeric.any():
+        # each value's bin is the number of quartiles below it
+        bins = values[numeric]
+        codes[numeric] = (quartile_breaks(bins)[:, None, :] < bins[:, :, None]).sum(axis=-1)
+    width = int(codes.max(initial=0)) + 1
+    offsets = codes + width * np.arange(codes.shape[0])[:, None]
+    taken = np.bincount(offsets.ravel(), minlength=codes.shape[0] * width).reshape(-1, width) > 0
+    widths = taken.sum(axis=1)
+    for w in np.unique(widths):
+        rows = np.flatnonzero(widths == w)
+        kept = np.nonzero(taken[rows])[1].reshape(rows.shape[0], w)
+        yield rows, (codes[rows][:, :, None] == kept[:, None, :]).astype(float)
 
-    The design's columns indicate integer codes: the level codes of a
-    categorical column, or the right-closed quartile bin of each value
-    of a numeric one; codes that no row takes are dropped.  ``breaks``
-    are the numeric column's distinct quartiles when already known
-    (``quartile_breaks``).  A numeric column of fewer than four rows has
-    no quartiles and raises ``DegenerateTestError``.
-    """
-    if col.kind == CATEGORICAL:
-        codes = col.values
-    elif col.n < 4:
+
+def make_split_transform(col: SplitColumn) -> np.ndarray:
+    """One-hot design of a split column for the binned route, as
+    ``design_groups`` builds it; a numeric column of fewer than four rows
+    has no quartiles and raises ``DegenerateTestError``."""
+    if col.kind != CATEGORICAL and col.n < 4:
         raise DegenerateTestError(f"column {col.name!r} has too few rows for quartile bins")
-    else:
-        if breaks is None:
-            breaks = np.unique(np.asarray(empirical_quartiles(col)))
-        # right-closed intervals (-inf, b1], (b1, b2], ..., (bk, +inf)
-        codes = np.searchsorted(breaks, col.values, side="left")
-    kept = np.flatnonzero(np.bincount(codes))
-    if kept.size == 0:
+    if col.n == 0:
         raise TransformError(f"column {col.name!r} is empty")
-    return (codes[:, None] == kept).astype(float)
+    numeric = np.array([col.kind != CATEGORICAL])
+    ((_, designs),) = design_groups(col.values[None].astype(float), numeric)
+    return designs[0]

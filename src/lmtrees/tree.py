@@ -8,8 +8,9 @@ no admissible point) or inferential (no significant variable while
 prepruning is on).
 
 A node is an increasing index set into the root arrays, validated once
-per tree; each numeric column is sorted once per tree (the CART presort)
-and a node reads its order off that (``subset_order``).
+per tree.  The split columns are stacked once per tree (``ColumnMatrix``)
+and sorted on first use (the CART presort); a node gathers its columns
+and reads their orders off that (``subset_order``).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dataset import (NUMERIC, CsvSchema, DataError, Dataset, SplitColumn, order_permutation,
-                      subset_order)
+from .dataset import (NUMERIC, ColumnMatrix, CsvSchema, DataError, Dataset, SplitColumn,
+                      order_permutation, subset_order)
 from .inference import (
     StrategyConfig,
     TestOutcome,
@@ -207,17 +208,14 @@ def best_split_point(
 ) -> Split | None:
     """Exhaustive least-squares search for the best cut on one column.
 
-    Both column kinds run one search over candidate left sets: each
-    candidate is scored from the moment sums of the node-centred data,
-    both children must hold ``min_node_size`` rows and admit a slope
-    fit, and the total child residual sum of squares is minimized, ties
-    going to the first candidate.  Numeric: the candidates are the
-    sorted prefixes, cut halfway between consecutive distinct values, so
-    ties go to the smallest point.  Categorical: the candidates are the
-    binary partitions of the observed levels, as the subsets that hold
-    the first observed level.  ``order`` is a numeric column's stable
-    sort order when already known.  Returns ``None`` when no admissible
-    cut exists.
+    Each candidate left set is scored from the moment sums of the
+    node-centred data; both children must hold ``min_node_size`` rows and
+    admit a slope fit, and the smallest total child residual sum of
+    squares wins, ties going to the first candidate.  Numeric: the sorted
+    prefixes (``order`` when known), cut halfway between consecutive
+    distinct values.  Categorical: the binary partitions of the observed
+    levels, as the subsets holding the first one.  ``None`` when no
+    admissible cut exists.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -253,7 +251,7 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) ->
         strategy = parse_strategy(strategy)
     strategy = replace(strategy, alpha=control.alpha, min_segment=control.min_segment)
     counter = itertools.count()
-    orders = {col.name: order_permutation(col) for col in data.z if col.kind == NUMERIC}
+    columns = ColumnMatrix(data.z)
 
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         node_id = next(counter)
@@ -263,14 +261,15 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) ->
         split = None
         children: tuple[TreeNode, ...] = ()
         if depth < control.max_depth and rows.shape[0] >= 2 * control.min_node_size:
-            outcome_list, chosen = select_variable(strategy, fit, data, rows, orders)
+            outcome_list, chosen = select_variable(strategy, fit, data, rows, columns)
             outcomes = tuple(outcome_list)
             if not control.prepruning:
                 best = argmin_outcome(outcome_list)
                 chosen = best.variable if best is not None else None
             if chosen is not None:
-                col = data.column(chosen).take(rows)
-                order = subset_order(orders[chosen], rows) if chosen in orders else None
+                j = [col.name for col in data.z].index(chosen)
+                col = data.z[j].take(rows)
+                order = subset_order(columns.orders[j], rows) if col.kind == NUMERIC else None
                 candidate = best_split_point(y, x, col, control.min_node_size, order)
                 if candidate is not None:
                     # growth sees every level of the split, so none is unseen

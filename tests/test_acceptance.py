@@ -325,6 +325,7 @@ def test_exact_oracle_permutation_moments_and_tail():
 
 
 def test_exact_oracle_score_fluctuation_scan():
+    from lmtrees.dataset import order_permutation
     from lmtrees.inference import fluctuation_process, suplm_statistic
 
     rng = np.random.default_rng(7)
@@ -335,7 +336,7 @@ def test_exact_oracle_score_fluctuation_scan():
     gof = make_gof(fit, use_scores=True, dichotomize=False)
     col = SplitColumn("z", NUMERIC, rng.normal(size=n))
     ms = 9
-    stat, peak = suplm_statistic(fluctuation_process(gof, col), ms)
+    stat, peak = suplm_statistic(fluctuation_process(gof, col.values, order_permutation(col)), ms)
 
     # termwise recomputation straight from the displayed definition
     order = np.argsort(col.values, kind="stable")

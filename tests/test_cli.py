@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, seeding, reproducibility."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -232,6 +233,38 @@ def test_simulate_grid_crosses_variations_and_deltas(tmp_path, capsys):
     assert code == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("stump/")]
     assert len(lines) == 4  # 2 variations x 2 deltas
+
+
+ALL_STRATEGIES = "ctree,mob,guide,guide+scores,ctree+max,ctree+cat,ctree+dich,mob+cat,mob+dich"
+
+# sha256 of the long and aggregate CSVs, recorded before the node's split
+# columns were tested in column blocks (numpy 2.4 with OpenBLAS 0.3 on
+# x86-64); a faster engine must write the same bytes
+GOLDEN_RUNS = {
+    "stump": (
+        ["--scenario", "stump", "--variation", "intercept,slope", "--xi", "0,0.8",
+         "--delta", "0,1", "--reps", "2", "--n", "120", "--seed", "11"],
+        "5b83a9a1990c951cb95121c6eae9dffab1593428a5548f80f51ff6209fc820ae",
+        "3e9a976b82ca620450882af341d13a2e67eb936cde4c6cc8e181e3fb23f96b5e",
+    ),
+    "tree_post": (
+        ["--scenario", "tree", "--variation", "both", "--xi", "0", "--delta", "1", "--reps", "1",
+         "--n", "200", "--pruning", "post", "--folds", "4", "--seed", "12"],
+        "37a278ce61d5c2890dad9c74daa26a5ff00a0e834c0e7854f3b8f1e89fcf5e90",
+        "f9d96fb1baefb165b4be52f6d41e7529bad3c2e9c89970ff336e2c552b004aad",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_simulate_outputs_keep_their_pinned_digests(tmp_path, run):
+    args, long_digest, agg_digest = GOLDEN_RUNS[run]
+    long_path, agg_path = tmp_path / "long.csv", tmp_path / "agg.csv"
+    code = main(["simulate", "--strategies", ALL_STRATEGIES, *args,
+                 "--out-long", str(long_path), "--out-agg", str(agg_path)])
+    assert code == 0
+    assert hashlib.sha256(long_path.read_bytes()).hexdigest() == long_digest
+    assert hashlib.sha256(agg_path.read_bytes()).hexdigest() == agg_digest
 
 
 # ----------------------------------------------------------------------- prune

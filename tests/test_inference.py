@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmtrees import inference
-from lmtrees.dataset import CATEGORICAL, NUMERIC, Dataset, RngStream, SplitColumn
+from lmtrees.dataset import CATEGORICAL, NUMERIC, Dataset, RngStream, SplitColumn, order_permutation
 from lmtrees.inference import (
     DegenerateTestError,
     StrategyConfig,
@@ -43,6 +43,11 @@ def run_alone(config, fit, col):
 
 def ncol(values, name="z1"):
     return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
+
+
+def bridge(gof, col):
+    # the fluctuation process along the column's own stable order
+    return fluctuation_process(gof, col.values, order_permutation(col))
 
 
 def random_fit(seed, n):
@@ -243,7 +248,7 @@ def test_contingency_requires_dichotomized_gof():
 def test_fluctuation_process_is_a_bridge():
     fit, rng = random_fit(31, 40)
     gof = make_gof(fit, use_scores=True, dichotomize=False)
-    proc = fluctuation_process(gof, ncol(rng.normal(size=40)))
+    proc = bridge(gof, ncol(rng.normal(size=40)))
     assert proc.cumulative.shape == (41, 2)
     assert np.allclose(proc.cumulative[0], 0.0, atol=1e-14)
     assert np.allclose(proc.cumulative[-1], 0.0, atol=1e-10)
@@ -252,7 +257,7 @@ def test_fluctuation_process_is_a_bridge():
 def test_fluctuation_process_centers_dichotomized_input():
     fit, rng = random_fit(32, 30)
     gof = make_gof(fit, use_scores=True, dichotomize=True)
-    proc = fluctuation_process(gof, ncol(rng.normal(size=30)))
+    proc = bridge(gof, ncol(rng.normal(size=30)))
     # sign indicators do not sum to zero, centering must close the bridge
     assert np.allclose(proc.cumulative[-1], 0.0, atol=1e-10)
 
@@ -260,22 +265,22 @@ def test_fluctuation_process_centers_dichotomized_input():
 def test_fluctuation_process_rejects_constant_gof():
     gof = GofMatrix(np.ones((12, 1)), dichotomized=True)
     with pytest.raises(DegenerateTestError):
-        fluctuation_process(gof, ncol(np.arange(12.0)))
+        bridge(gof, ncol(np.arange(12.0)))
 
 
 def test_suplm_hand_oracle():
     gof = GofMatrix(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None], dichotomized=False)
     col = ncol([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    stat, peak = suplm_statistic(fluctuation_process(gof, col), min_segment=1)
+    stat, peak = suplm_statistic(bridge(gof, col), min_segment=1)
     assert stat == pytest.approx(6.0, abs=1e-12)
     assert peak == 3
     # the boundary values are 1.2, 3, 6, 3, 1.2; trimming to [2, 4] keeps 6
-    stat2, peak2 = suplm_statistic(fluctuation_process(gof, col), min_segment=2)
+    stat2, peak2 = suplm_statistic(bridge(gof, col), min_segment=2)
     assert stat2 == pytest.approx(6.0, abs=1e-12)
     assert peak2 == 3
     # trimming away everything raises through the degenerate path downstream
     with pytest.raises(DegenerateTestError):
-        suplm_statistic(fluctuation_process(gof, col), min_segment=4)
+        suplm_statistic(bridge(gof, col), min_segment=4)
 
 
 def test_suplm_matches_termwise_recomputation():
@@ -283,7 +288,7 @@ def test_suplm_matches_termwise_recomputation():
     gof = make_gof(fit, use_scores=True, dichotomize=False)
     col = ncol(rng.normal(size=60))
     ms = 9
-    stat, peak = suplm_statistic(fluctuation_process(gof, col), ms)
+    stat, peak = suplm_statistic(bridge(gof, col), ms)
 
     # independent recomputation straight from the definition
     s = gof.values - gof.values.mean(axis=0)
@@ -505,7 +510,7 @@ def test_suplm_scans_only_tie_block_ends():
     # rows 3..5 share one value: boundaries 3 and 4 fall inside the block
     gof = GofMatrix(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None], dichotomized=False)
     col = ncol([1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
-    proc = fluctuation_process(gof, col)
+    proc = bridge(gof, col)
     assert proc.tie_ends.tolist() == [True, True, True, False, False, True, True]
     # boundary values are 1.2, 3, 6, 3, 1.2; the peak 6 at boundary 3 lies
     # inside the block, so the largest value at a block end is 3 at 2
@@ -588,7 +593,7 @@ def contingency(gof, col):
 
 
 def max_route(gof, col):
-    return suplm_statistic(fluctuation_process(gof, col), resolve_min_segment(gof.n))
+    return suplm_statistic(bridge(gof, col), resolve_min_segment(gof.n))
 
 
 ALTERNATING = fit_ols(np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
@@ -611,7 +616,7 @@ DEGENERATE_INPUTS = [
                  id="bins_of_three_rows"),
     pytest.param("mob", random_fit(74, 40)[0], ncol([0.0] * 39 + [1.0]), max_route,
                  id="suplm_no_tie_end"),
-    pytest.param("mob", perfect_fit(30), ncol(np.arange(30.0)), fluctuation_process,
+    pytest.param("mob", perfect_fit(30), ncol(np.arange(30.0)), bridge,
                  id="fluctuation_zero_gof"),
 ]
 

@@ -1,39 +1,33 @@
-"""The index-based node engine against the per-node path it replaced.
+"""The index-based, column-blocked node engine against the per-node,
+per-column path it replaced.
 
 The former grower copied and re-validated a ``Dataset`` at every node
 (``Dataset.take``) and tested each split column on its own: a fresh gof
-matrix, quartiles and decorrelation per column, and a fresh stable
-argsort of every numeric column at every node.  That path is kept here
-as the oracle; the engine must reproduce it exactly, bit for bit.
+matrix, quartiles and decorrelation per column, a fresh stable argsort
+of every numeric column at every node, and one design, one set of
+moments and one eigendecomposition per column.  That path is kept here
+as the oracle, written out in full so that it shares no arithmetic with
+the engine; the engine must reproduce it exactly, bit for bit.
 """
 
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, Dataset, SplitColumn
-from lmtrees.dataset import order_permutation, subset_order
+from lmtrees.dataset import CATEGORICAL, NUMERIC, ColumnMatrix, CsvSchema, Dataset, SplitColumn
+from lmtrees.dataset import empirical_quartiles, order_permutation, subset_order
 from lmtrees import inference
-from lmtrees.inference import (
-    FluctuationProcess,
-    argmin_outcome,
-    chisq_statistic,
-    linear_statistic,
-    max_abs_test,
-    parse_strategy,
-    quad_form_test,
-    resolve_min_segment,
-    suplm_pvalue,
-    suplm_statistic,
-)
+from lmtrees.inference import argmin_outcome, parse_strategy, resolve_min_segment, select_variable
+from lmtrees.inference import suplm_pvalue
 from lmtrees.linmod import fit_ols
-from lmtrees.special import chi2_sf
-from lmtrees.transform import DegenerateTestError, eig_pinv_parts, make_gof, make_split_transform
+from lmtrees.special import chi2_sf, normal_sf
+from lmtrees.transform import DegenerateTestError, design_groups, make_gof
 from lmtrees.tree import GrowControl, TreeNode, best_split_point, grow, iter_nodes, tree_to_json
 
 NAMES = ("ctree", "mob", "guide", "guide+scores", "ctree+max", "ctree+cat", "ctree+dich",
@@ -41,6 +35,28 @@ NAMES = ("ctree", "mob", "guide", "guide+scores", "ctree+max", "ctree+cat", "ctr
 
 
 # ---------------------------------------------------------------- the oracle
+
+
+def former_eig_pinv_parts(sym):
+    sym = 0.5 * (sym + sym.T)
+    eigval, eigvec = np.linalg.eigh(sym)
+    keep = eigval > sym.shape[0] * float(eigval.max(initial=0.0)) * 1e-12
+    return eigval[keep], eigvec[:, keep], int(keep.sum())
+
+
+def former_design(col):
+    if col.kind == CATEGORICAL:
+        codes = col.values
+    elif col.n < 4:
+        raise DegenerateTestError("too few rows for quartile bins")
+    else:
+        breaks = np.unique(np.asarray(empirical_quartiles(col)))
+        codes = np.searchsorted(breaks, col.values, side="left")
+    return (codes[:, None] == np.flatnonzero(np.bincount(codes))).astype(float)
+
+
+def former_linear_statistic(gof, design):
+    return (design.T @ gof.values).flatten(order="F")
 
 
 def former_conditional_moments(gof, design):
@@ -58,21 +74,66 @@ def former_conditional_moments(gof, design):
     return mean, cov
 
 
-def former_fluctuation_process(gof, col):
+def former_quad_form_test(t, mean, cov):
+    eigval, eigvec, rank = former_eig_pinv_parts(cov)
+    if rank == 0:
+        raise DegenerateTestError("rank zero")
+    proj = eigvec.T @ (t - mean)
+    stat = float(proj @ (proj / eigval))
+    return stat, rank, chi2_sf(stat, rank)
+
+
+def former_max_abs_test(t, mean, cov):
+    var = float(cov.reshape(-1)[0])
+    if var <= 0.0 or not math.isfinite(var):
+        raise DegenerateTestError("variance not positive")
+    stat = abs(float((t - mean)[0])) / math.sqrt(var)
+    if stat == 0.0:
+        raise DegenerateTestError("zero statistic")
+    return stat, 2.0 * normal_sf(stat)
+
+
+def former_suplm_statistic(gof, col, ms):
     order = np.argsort(col.values, kind="stable")
     s = gof.values - gof.values.mean(axis=0)
     n = s.shape[0]
-    vhat = (s.T @ s) / n
-    eigval, eigvec, rank = eig_pinv_parts(vhat)
+    eigval, eigvec, rank = former_eig_pinv_parts((s.T @ s) / n)
     if rank == 0:
         raise DegenerateTestError("gof covariance is numerically zero")
     root_inv = eigvec @ np.diag(1.0 / np.sqrt(eigval)) @ eigvec.T
-    walk = (s[order] @ root_inv) / math.sqrt(n)
     cumulative = np.zeros((n + 1, gof.k))
-    np.cumsum(walk, axis=0, out=cumulative[1:])
+    np.cumsum((s[order] @ root_inv) / math.sqrt(n), axis=0, out=cumulative[1:])
     vs = col.values[order]
     tie_ends = np.concatenate(([True], vs[:-1] != vs[1:], [True]))
-    return FluctuationProcess(cumulative=cumulative, tie_ends=tie_ends, k_eff=rank)
+    lo, hi = ms, n - ms
+    ends = tie_ends[lo : hi + 1]
+    if not ends.any():
+        raise DegenerateTestError("no admissible cut")
+    frac = np.arange(lo, hi + 1) / n
+    path = cumulative[lo : hi + 1]
+    values = 1.0 / (frac * (1.0 - frac)) * np.einsum("ij,ij->i", path, path)
+    values[~ends] = -np.inf
+    return float(values[int(np.argmax(values))]), rank
+
+
+def former_chisq_statistic(gof, design):
+    n = design.shape[0]
+    col_totals = design.sum(axis=0)
+    if design.shape[1] < 2:
+        raise DegenerateTestError("fewer than two non-empty bins")
+    total_stat, total_df = 0.0, 0
+    for q in range(gof.k):
+        ones = gof.values[:, q] @ design
+        observed = np.vstack((col_totals - ones, ones))
+        row_totals = observed.sum(axis=1)
+        if np.any(row_totals == 0.0):
+            continue
+        expected = np.outer(row_totals, col_totals) / n
+        total_stat += float(((observed - expected) ** 2 / expected).sum())
+        total_df += design.shape[1] - 1
+    if total_df == 0:
+        raise DegenerateTestError("every gof column has a constant sign")
+    return total_stat, total_df
 
 
 def former_run_strategy(config, fit, col):
@@ -81,24 +142,23 @@ def former_run_strategy(config, fit, col):
     try:
         if mode == "max":
             ms = resolve_min_segment(gof.n, config.min_segment)
-            proc = former_fluctuation_process(gof, col)
-            stat, _ = suplm_statistic(proc, ms)
-            law, df, p = "suplm", proc.k_eff, suplm_pvalue(stat, proc.k_eff, ms, gof.n)
+            stat, df = former_suplm_statistic(gof, col, ms)
+            law, p = "suplm", suplm_pvalue(stat, df, ms, gof.n)
         elif mode == "cat" and config.dichotomize:
-            # the design builder without breaks takes one column's quartiles
-            stat, df = chisq_statistic(gof, make_split_transform(col))
+            stat, df = former_chisq_statistic(gof, former_design(col))
             law, p = "chi2", chi2_sf(stat, df)
         else:
-            design = col.values[:, None] if mode == "lin" else make_split_transform(col)
-            t = linear_statistic(gof, design)
+            design = col.values[:, None] if mode == "lin" else former_design(col)
+            t = former_linear_statistic(gof, design)
             mean, cov = former_conditional_moments(gof, design)
             if mode == "lin" and t.shape[0] == 1:
-                (stat, p), df, law = max_abs_test(t, mean, cov), 1, "normal"
+                (stat, p), df, law = former_max_abs_test(t, mean, cov), 1, "normal"
             else:
-                (stat, df, p), law = quad_form_test(t, mean, cov), "chi2"
+                (stat, df, p), law = former_quad_form_test(t, mean, cov), "chi2"
     except DegenerateTestError:
         stat, p, law, df = 0.0, 1.0, "degenerate", 0
-    return inference.TestOutcome(variable=col.name, statistic=stat, p_value=p, law=law, df=df)
+    return inference.TestOutcome(variable=col.name, statistic=stat, p_value=float(p), law=law,
+                                 df=df)
 
 
 def former_select_variable(config, fit, data):
@@ -150,8 +210,9 @@ def former_grow(data, strategy, control):
 
 
 def node_data(seed, n, distinct):
-    """Heavily tied, constant and continuous numeric columns, and a
-    categorical column that leaves some of its levels unobserved."""
+    """Heavily tied, constant and continuous numeric columns, whose
+    quartile bins take one to four widths, and categorical columns of
+    two to six observed levels, one of which leaves levels unobserved."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     tied = rng.integers(0, distinct, n).astype(float)
@@ -165,9 +226,29 @@ def node_data(seed, n, distinct):
         SplitColumn("region", CATEGORICAL, codes, levels=("a", "b", "c", "d", "e")),
         SplitColumn("rounded", NUMERIC, rounded),
         SplitColumn("smooth", NUMERIC, smooth),
+        SplitColumn("zone", CATEGORICAL, rng.integers(0, distinct + 2, n), levels=tuple("abcdef")),
+        SplitColumn("pair", CATEGORICAL, rng.integers(0, 2, n), levels=("no", "yes")),
     )
     schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in z))
     return Dataset(y, x, z), schema
+
+
+def assert_same_trees(got, want, schema, strategy, control):
+    for a, b in zip(iter_nodes(got), iter_nodes(want), strict=True):
+        assert a.outcomes == b.outcomes
+        assert (a.split, a.n, a.id, a.depth) == (b.split, b.n, b.id, b.depth)
+        assert np.array_equal(a.rows, b.rows)
+        assert (a.fit.beta0, a.fit.beta1, a.fit.rss) == (b.fit.beta0, b.fit.beta1, b.fit.rss)
+    assert tree_to_json(got, schema, strategy, control) == tree_to_json(want, schema, strategy,
+                                                                        control)
+
+
+def assert_same_selection(got, want):
+    (outcomes, chosen), (former_outcomes, former_chosen) = got, want
+    assert outcomes == former_outcomes and chosen == former_chosen
+    # equal floats, and equal bits: the CSV writers print repr
+    assert [repr((o.statistic, o.p_value)) for o in outcomes] == [
+        repr((o.statistic, o.p_value)) for o in former_outcomes]
 
 
 # ------------------------------------------------------------ the properties
@@ -182,23 +263,52 @@ def node_data(seed, n, distinct):
     min_node_size=st.integers(3, 12),
     max_depth=st.integers(1, 4),
     prepruning=st.booleans(),
+    block=st.sampled_from([None, 1, 40, 300]),
 )
 def test_engine_matches_the_per_node_path(name, seed, n, distinct, min_node_size, max_depth,
-                                          prepruning):
+                                          prepruning, block):
     data, schema = node_data(seed, n, distinct)
     strategy = parse_strategy(name)
     control = GrowControl(alpha=0.5, min_node_size=min_node_size, max_depth=max_depth,
                           prepruning=prepruning)
-    got = grow(data, strategy, control)
-    want = former_grow(data, strategy, control)
-    pairs = list(zip(iter_nodes(got), iter_nodes(want), strict=True))
-    for a, b in pairs:
-        assert a.outcomes == b.outcomes
-        assert (a.split, a.n, a.id, a.depth) == (b.split, b.n, b.id, b.depth)
-        assert np.array_equal(a.rows, b.rows)
-        assert (a.fit.beta0, a.fit.beta1, a.fit.rss) == (b.fit.beta0, b.fit.beta1, b.fit.rss)
-    assert tree_to_json(got, schema, strategy, control) == tree_to_json(want, schema, strategy,
-                                                                        control)
+    # a small budget splits every node into several column blocks
+    budget = inference.COLUMN_BLOCK if block is None else block
+    with mock.patch.object(inference, "COLUMN_BLOCK", budget):
+        got = grow(data, strategy, control)
+        # the stump call of the simulation: the whole data, no kept presort
+        fit = fit_ols(data.y, data.x)
+        stump = select_variable(strategy, fit, data)
+    assert_same_trees(got, former_grow(data, strategy, control), schema, strategy, control)
+    assert_same_selection(stump, former_select_variable(strategy, fit, data))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_one_node_mixing_design_widths_matches_the_per_column_path(name):
+    data, _ = node_data(seed=3, n=90, distinct=4)
+    rows = np.flatnonzero(np.arange(data.n) % 7 != 3)
+    # the node's binned designs: quartile bins and levels of several widths
+    columns = ColumnMatrix(data.z)
+    numeric = np.array([col.kind == NUMERIC for col in data.z])
+    groups = list(design_groups(columns.values[:, rows], numeric))
+    widths = {designs.shape[2] for _, designs in groups}
+    levels = {len(np.unique(col.values[rows])) for col in data.z if col.kind == CATEGORICAL}
+    assert {1, 2, 3, 6} <= widths and levels == {2, 3, 6} and len(groups) > 3
+    config = parse_strategy(name)
+    fit = fit_ols(data.y[rows], data.x[rows])
+    got = select_variable(config, fit, data, rows, columns)
+    assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_node_of_several_column_blocks_matches_the_per_column_path(name):
+    data, _ = node_data(seed=11, n=14_000, distinct=3)
+    rows = np.flatnonzero(np.random.default_rng(4).uniform(size=data.n) < 0.93)
+    # the node's columns do not fit one block at the module's own budget
+    assert inference.COLUMN_BLOCK // rows.shape[0] < len(data.z)
+    config = parse_strategy(name)
+    fit = fit_ols(data.y[rows], data.x[rows])
+    got = select_variable(config, fit, data, rows, ColumnMatrix(data.z))
+    assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
 
 
 @settings(max_examples=200, deadline=None)

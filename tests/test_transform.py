@@ -18,6 +18,7 @@ from lmtrees.transform import (
     GofMatrix,
     TransformError,
     make_gof,
+    design_groups,
     make_split_transform,
     quartile_breaks,
 )
@@ -202,19 +203,32 @@ def test_one_hot_design_matches_former_builder(col):
 def test_quartile_breaks_equal_the_per_column_quartiles_bit_for_bit():
     rng = np.random.default_rng(2024)
     for trial in range(2000):
-        n, j = int(rng.integers(1, 120)), int(rng.integers(1, 8))
-        values = rng.normal(size=(n, j)) * 10.0 ** int(rng.integers(-3, 4))
+        n, j = int(rng.integers(4, 120)), int(rng.integers(1, 8))
+        values = rng.normal(size=(j, n)) * 10.0 ** int(rng.integers(-3, 4))
         if trial % 2:
             values = np.round(values, int(rng.integers(0, 2)))
-        cols = [ncol(values[:, i], name=f"z{i}") for i in range(j)]
-        cols.append(cat_col(rng.integers(0, 3, n), ("a", "b", "c")))
-        got = quartile_breaks(cols)
-        if n < 4:
-            assert got == {}
-            continue
-        assert list(got) == [c.name for c in cols[:-1]]
-        for c in cols[:-1]:
-            want = np.unique(np.asarray(empirical_quartiles(c)))
-            assert got[c.name].tobytes() == want.tobytes()
-            # the binned design built from the shared breaks is the one built alone
-            assert np.array_equal(make_split_transform(c, got[c.name]), make_split_transform(c))
+        got = quartile_breaks(values)
+        assert got.shape == (j, 3)
+        codes = rng.integers(0, 3, n)
+        rows = list(design_groups(np.vstack([values, codes]), np.arange(j + 1) < j))
+        for i in range(j):
+            c = ncol(values[i])
+            assert got[i].tobytes() == np.array(empirical_quartiles(c)).tobytes()
+            # the block's design of each column is the one built alone
+            (design,) = [d[list(r).index(i)] for r, d in rows if i in r]
+            assert np.array_equal(design, make_split_transform(c))
+            assert np.array_equal(design, _former_one_hot(c))
+
+
+def test_design_groups_stack_the_designs_of_each_width():
+    rng = np.random.default_rng(5)
+    codes = np.stack([rng.integers(0, w, 40) for w in (1, 3, 6, 3, 2, 6, 4)])
+    codes[2, codes[2] == 1] = 2  # width 2 with a gap
+    seen = []
+    for rows, designs in design_groups(codes.astype(float), np.zeros(7, dtype=bool)):
+        assert designs.shape == (rows.shape[0], 40, len(np.unique(codes[rows[0]])))
+        for row, design in zip(rows, designs):
+            levels = np.unique(codes[row])
+            assert np.array_equal(design, (codes[row][:, None] == levels).astype(float))
+        seen += rows.tolist()
+    assert sorted(seen) == list(range(codes.shape[0]))

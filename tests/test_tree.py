@@ -431,13 +431,20 @@ def test_traced_benchmark_contract(monkeypatch):
         assert callable(owner), f"lmtrees.{module_name}.{attr}"
 
     # its completeness check counts one run_strategy call per split column
-    # per select_variable call, and one select_variable call per tested node
+    # per select_variable call, and one select_variable call per tested
+    # node; each call returns the outcome whose law names its span.  One
+    # strategy per route: quadratic form, normal, chi-square tables,
+    # binned quadratic form and supLM.
     calls = {"run_strategy": 0, "select_variable": 0}
+    laws = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "run_strategy":
+                laws.append(result.law)
+            return result
 
         return wrapper
 
@@ -447,16 +454,22 @@ def test_traced_benchmark_contract(monkeypatch):
     )
     data = stump_data(seed=5, n=600, delta=3.0)
     fit = fit_ols(data.y, data.x)
-    inference.select_variable(parse_strategy("mob"), fit, data)
-    assert calls["run_strategy"] == len(data.z)
+    routes = {"ctree": "chi2", "residuals,nodich,lin": "normal", "guide": "chi2",
+              "ctree+cat": "chi2", "mob": "suplm"}
+    for strategy, law in routes.items():
+        calls.update(run_strategy=0, select_variable=0)
+        laws.clear()
+        outcomes, _ = inference.select_variable(parse_strategy(strategy), fit, data)
+        assert calls["run_strategy"] == len(data.z)
+        assert laws == [o.law for o in outcomes] == [law] * len(data.z)
 
-    calls.update(run_strategy=0, select_variable=0)
-    # at depth 2 the leaves are not tested
-    tree = grow(data, "mob", GrowControl(alpha=0.5, min_node_size=25, max_depth=2))
-    tested = sum(1 for node in iter_nodes(tree) if node.outcomes)
-    assert sum(1 for _ in iter_nodes(tree)) > tested > 1
-    assert calls["select_variable"] == tested
-    assert calls["run_strategy"] == len(data.z) * tested
+        calls.update(run_strategy=0, select_variable=0)
+        # at depth 2 the leaves are not tested
+        tree = grow(data, strategy, GrowControl(alpha=0.5, min_node_size=25, max_depth=2))
+        tested = sum(1 for node in iter_nodes(tree) if node.outcomes)
+        assert sum(1 for _ in iter_nodes(tree)) > tested > 1
+        assert calls["select_variable"] == tested
+        assert calls["run_strategy"] == len(data.z) * tested
 
 
 def test_grow_depth_and_size_stopping():
