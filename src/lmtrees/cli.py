@@ -14,21 +14,9 @@ import sys
 from .dataset import CATEGORICAL, NUMERIC, CsvSchema, load_csv
 from .inference import parse_strategy
 from .prune import cv_prune, ic_prune
-from .sim import (
-    ScenarioConfig,
-    aggregate_records,
-    run_study,
-    write_aggregate_csv,
-    write_records_csv,
-)
-from .tree import (
-    GrowControl,
-    format_tree,
-    grow,
-    leaves,
-    tree_from_json,
-    tree_to_json,
-)
+from .sim import (ScenarioConfig, aggregate_records, run_study, write_aggregate_csv,
+                  write_records_csv)
+from .tree import GrowControl, format_tree, grow, leaves, tree_from_json, tree_to_json
 
 
 def _default_seed() -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, ColumnMatrix, Dataset, SplitColumn, subset_order
+from .dataset import CATEGORICAL, ColumnMatrix, Dataset, SplitColumn
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
 from .transform import DegenerateTestError, GofMatrix, design_groups, eig_pinv_parts, make_gof
@@ -485,11 +485,15 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
 
 
 def column_entries(config: StrategyConfig, gof: GofMatrix, columns: ColumnMatrix,
-                   rows: np.ndarray | None = None) -> list[tuple]:
+                   rows: np.ndarray | None = None, orders: np.ndarray | None = None) -> list[tuple]:
     """Each column's ``(statistic, p, law, df)`` against a node's gof
     matrix under ``config``: the node is ``rows`` (increasing) of
-    ``columns``, all of them by default, gathered and tested in blocks
-    of at most ``COLUMN_BLOCK`` values (columns times rows)."""
+    ``columns``, all of them by default, and ``orders`` its (J, n) column
+    orders, read off the presort of ``columns`` when the max route needs
+    them and none are given.  Columns are gathered and tested in blocks of
+    at most ``COLUMN_BLOCK`` values (columns times rows)."""
+    if orders is None and config.split_mode == MODE_MAX:
+        orders = columns.orders_of(rows)
     rows = np.arange(gof.n) if rows is None else rows
     numeric = np.array([col.kind != CATEGORICAL for col in columns.cols], dtype=bool)
     entries = [(0.0, 1.0, LAW_DEGENERATE, 0)] * numeric.size
@@ -497,8 +501,8 @@ def column_entries(config: StrategyConfig, gof: GofMatrix, columns: ColumnMatrix
     for start in range(0, numeric.size, step):
         span = slice(start, start + step)
         values = columns.values[span, rows]
-        orders = subset_order(columns.orders[span], rows) if config.split_mode == MODE_MAX else None
-        for sel, stat, df, p, law in _route_tests(config, gof, values, orders, numeric[span]):
+        block_orders = orders[span] if config.split_mode == MODE_MAX else None
+        for sel, stat, df, p, law in _route_tests(config, gof, values, block_orders, numeric[span]):
             for j, s, d, pj in zip((sel + start).tolist(), stat.tolist(), df.tolist(), p):
                 if d > 0:
                     entries[j] = (s, float(pj), law, d)
@@ -514,7 +518,7 @@ def run_strategy(config: StrategyConfig, gof: GofMatrix, col: SplitColumn,
     the column is tested alone, as a block of one.  A degenerate test is
     an outcome with p = 1, not an error.
     """
-    stat, p, law, df = entry or column_entries(config, gof, ColumnMatrix([col]))[0]
+    stat, p, law, df = entry or column_entries(config, gof, ColumnMatrix([col], col.n))[0]
     return TestOutcome(variable=col.name, statistic=stat, p_value=p, law=law, df=df)
 
 
@@ -527,19 +531,20 @@ def argmin_outcome(outcomes: list[TestOutcome]) -> TestOutcome | None:
 
 def select_variable(
     config: StrategyConfig, fit: LinearFit, data: Dataset,
-    rows: np.ndarray | None = None, columns: ColumnMatrix | None = None,
+    rows: np.ndarray | None = None, orders: np.ndarray | None = None,
 ) -> tuple[list[TestOutcome], str | None]:
     """Test every split column and apply the selection gate.
 
     The node is ``rows`` (increasing) of ``data``, all of it by default,
-    ``fit`` its fit, ``columns`` the column matrix of ``data`` if kept.
-    Returns all outcomes in column order and the chosen variable, or
-    ``None`` when the (possibly adjusted) minimum p-value misses ``alpha``.
+    ``fit`` its fit and ``orders`` its column orders if kept (see
+    ``column_entries``); the columns come from ``data.columns``, whose
+    presort every call on ``data`` shares.  Returns all outcomes in
+    column order and the chosen variable, or ``None`` when the (possibly
+    adjusted) minimum p-value misses ``alpha``.
     """
     gof = make_gof(fit, config.use_scores, config.dichotomize)
-    columns = ColumnMatrix(data.z) if columns is None else columns
-    entries = column_entries(config, gof, columns, rows)
-    outcomes = [run_strategy(config, gof, col, entry) for col, entry in zip(columns.cols, entries)]
+    entries = column_entries(config, gof, data.columns, rows, orders)
+    outcomes = [run_strategy(config, gof, col, entry) for col, entry in zip(data.z, entries)]
     best = argmin_outcome(outcomes)
     if best is None:
         return outcomes, None

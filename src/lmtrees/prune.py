@@ -22,7 +22,8 @@ import numpy as np
 
 from .dataset import DataError, Dataset, RngStream
 from .inference import StrategyConfig
-from .tree import GrowControl, TreeNode, grow, iter_nodes, leaves, predict_tree
+from .linmod import predict
+from .tree import GrowControl, TreeNode, grow, iter_nodes, leaves, route_rows
 
 __all__ = [
     "PruneResult",
@@ -149,7 +150,9 @@ def cv_prune(
     The main tree is grown without prepruning, its path knots define
     one candidate parameter per subtree, and each candidate is scored
     by held-out squared prediction error of the correspondingly pruned
-    fold trees.  Each tree grown here gets one cost-complexity path,
+    fold trees, each grown on its training rows of ``data`` as an index
+    set that shares the presort of ``data``, with its held-out rows routed
+    through it once.  Each tree grown here gets one cost-complexity path,
     from which every candidate subtree and the returned tree are read.
     The smallest mean loss wins; with ``one_se`` the simplest tree
     within one standard error of that minimum wins.  Folds whose tree
@@ -176,15 +179,20 @@ def cv_prune(
         if test.size == 0:
             continue
         try:
-            fold_tree = grow(data.take(train), strategy, control)
+            fold_tree = grow(data, strategy, control, rows=train)
         except ValueError as exc:
             warnings.warn(f"fold {f} skipped: {exc}")
             continue
         fold_path = cost_complexity_path(fold_tree)
-        test_data = data.take(test)
+        # a held-out row reaches each node of a candidate subtree as it
+        # reaches that node in the fold tree
+        reach = route_rows(fold_tree, data, test)
         fold_err = np.empty(len(candidates))
+        pred = np.empty(n)
         for c, alpha in enumerate(candidates):
-            resid = test_data.y - predict_tree(_subtree_at(fold_path, alpha), test_data)
+            for leaf in leaves(_subtree_at(fold_path, alpha)):
+                pred[reach[leaf.id]] = predict(leaf.fit, data.x[reach[leaf.id]])
+            resid = data.y[test] - pred[test]
             fold_err[c] = float(resid @ resid)
         sq_err += fold_err
         held_out += test.size
@@ -225,8 +233,10 @@ def ic_prune(tree: TreeNode, criterion: str = "aic", split_df: int = 1) -> Prune
     Each leaf spends three parameters (intercept, slope, variance) and
     each retained split ``split_df`` more.  An internal node keeps its
     subtree only when the subtree criterion strictly beats the collapsed
-    leaf; ties collapse.
+    leaf; ties collapse.  A negative ``split_df`` raises ``ValueError``.
     """
+    if split_df < 0:
+        raise ValueError(f"split_df must be non-negative, got {split_df}")
     criterion = criterion.lower()
     if criterion not in ("aic", "bic"):
         raise ValueError(f"unknown criterion {criterion!r}")

@@ -115,9 +115,7 @@ def _draw_columns(config: ScenarioConfig, rng: RngStream) -> tuple[np.ndarray, l
 def _assemble(config: ScenarioConfig, x, columns, beta0, beta1, rng) -> Dataset:
     eps = rng.standard_normal(config.n)
     y = beta0 + beta1 * x + eps
-    z = tuple(
-        SplitColumn(f"z{j + 1}", NUMERIC, values) for j, values in enumerate(columns)
-    )
+    z = tuple(SplitColumn(f"z{j + 1}", NUMERIC, values) for j, values in enumerate(columns))
     return Dataset(y, x, z)
 
 
@@ -301,17 +299,13 @@ def aggregate_records(records: Sequence[ReplicationRecord]) -> list[dict]:
     ignores the gate and only asks whether ``z1`` attains the smallest
     p-value; ``mean_p`` averages the raw p-value of ``z1``.
     """
+    # cells keep the order of their first record
     groups: dict[tuple, list[ReplicationRecord]] = {}
-    order: list[tuple] = []
     for record in records:
         key = (record.scenario, record.strategy, record.variation, record.xi, record.delta)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
+        groups.setdefault(key, []).append(record)
     rows = []
-    for key in order:
-        group = groups[key]
+    for key, group in groups.items():
         reps = len(group)
         chosen_hits = sum(1 for r in group if r.chosen == "z1")
         # the first smallest p-value, degenerate tests included
@@ -345,33 +339,11 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-LONG_COLUMNS = (
-    "scenario",
-    "strategy",
-    "variation",
-    "xi",
-    "delta",
-    "rep",
-    "variable",
-    "p_value",
-    "chosen",
-    "ari",
-    "leaves",
-)
+LONG_COLUMNS = ("scenario", "strategy", "variation", "xi", "delta", "rep", "variable", "p_value",
+                "chosen", "ari", "leaves")
 
-AGG_COLUMNS = (
-    "scenario",
-    "strategy",
-    "variation",
-    "xi",
-    "delta",
-    "reps",
-    "selection_probability",
-    "argmin_probability",
-    "mean_p",
-    "mean_ari",
-    "mean_leaves",
-)
+AGG_COLUMNS = ("scenario", "strategy", "variation", "xi", "delta", "reps", "selection_probability",
+               "argmin_probability", "mean_p", "mean_ari", "mean_leaves")
 
 
 def write_records_csv(records: Sequence[ReplicationRecord], path: str) -> None:
@@ -381,21 +353,9 @@ def write_records_csv(records: Sequence[ReplicationRecord], path: str) -> None:
         writer.writerow(LONG_COLUMNS)
         for r in records:
             for variable, p in r.p_values.items():
-                writer.writerow(
-                    [
-                        r.scenario,
-                        r.strategy,
-                        r.variation,
-                        _cell_text(r.xi),
-                        _cell_text(r.delta),
-                        r.rep,
-                        variable,
-                        _cell_text(p),
-                        _cell_text(r.chosen),
-                        _cell_text(r.ari),
-                        _cell_text(r.leaf_count),
-                    ]
-                )
+                cells = (r.scenario, r.strategy, r.variation, r.xi, r.delta, r.rep, variable, p,
+                         r.chosen, r.ari, r.leaf_count)
+                writer.writerow([_cell_text(cell) for cell in cells])
 
 
 def write_aggregate_csv(rows: Sequence[dict], path: str) -> None:

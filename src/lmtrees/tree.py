@@ -8,9 +8,12 @@ no admissible point) or inferential (no significant variable while
 prepruning is on).
 
 A node is an increasing index set into the root arrays, validated once
-per tree.  The split columns are stacked once per tree (``ColumnMatrix``)
-and sorted on first use (the CART presort); a node gathers its columns
-and reads their orders off that (``subset_order``).
+per dataset.  The split columns are stacked and sorted once per dataset
+(``Dataset.columns``, the CART presort), so every tree grown on it shares
+them, fold trees of cross-validation included.  A node carries its
+columns' orders as node-local positions; a split hands each child its
+part of them by one stable partition (``partition_orders``), never a
+sort.
 """
 
 from __future__ import annotations
@@ -22,15 +25,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dataset import (NUMERIC, ColumnMatrix, CsvSchema, DataError, Dataset, SplitColumn,
-                      order_permutation, subset_order)
-from .inference import (
-    StrategyConfig,
-    TestOutcome,
-    argmin_outcome,
-    parse_strategy,
-    select_variable,
-)
+from .dataset import (NUMERIC, CsvSchema, DataError, Dataset, SplitColumn, order_permutation,
+                      partition_orders)
+from .inference import StrategyConfig, TestOutcome, argmin_outcome, parse_strategy, select_variable
 from .linmod import LinearFit, fit_ols, predict
 
 __all__ = [
@@ -40,6 +37,7 @@ __all__ = [
     "best_split_point",
     "grow",
     "partition_labels",
+    "route_rows",
     "predict_tree",
     "iter_nodes",
     "leaves",
@@ -112,9 +110,11 @@ class TreeNode:
 
 def iter_nodes(node: TreeNode) -> Iterator[TreeNode]:
     """Preorder traversal."""
-    yield node
-    for child in node.children:
-        yield from iter_nodes(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def leaves(node: TreeNode) -> list[TreeNode]:
@@ -238,22 +238,25 @@ def _goes_left(split: Split, col: SplitColumn, values: np.ndarray, unseen_left: 
     return np.isin(values, [code[lab] for lab in split.left_levels or () if lab in code])
 
 
-def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) -> TreeNode:
+def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
+         rows: np.ndarray | None = None) -> TreeNode:
     """Grow a tree by test-based variable selection and RSS point search.
 
     A node is split when it is shallower than ``max_depth``, holds at
     least twice ``min_node_size`` rows, the selection gate names a
     variable (or, without prepruning, any non-degenerate test exists),
     and that variable admits a cut.  Test degeneracies never abort the
-    recursion; they terminate the node.
+    recursion; they terminate the node.  ``rows`` (increasing) grows the
+    tree on those rows of ``data`` alone, as on ``data.take(rows)``, with
+    every node's ``rows`` indexing ``data``.
     """
     if isinstance(strategy, str):
         strategy = parse_strategy(strategy)
     strategy = replace(strategy, alpha=control.alpha, min_segment=control.min_segment)
     counter = itertools.count()
-    columns = ColumnMatrix(data.z)
+    names = [col.name for col in data.z]
 
-    def build(rows: np.ndarray, depth: int) -> TreeNode:
+    def build(rows: np.ndarray, orders: np.ndarray | None, depth: int) -> TreeNode:
         node_id = next(counter)
         y, x = data.y[rows], data.x[rows]
         fit = fit_ols(y, x)
@@ -261,21 +264,24 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) ->
         split = None
         children: tuple[TreeNode, ...] = ()
         if depth < control.max_depth and rows.shape[0] >= 2 * control.min_node_size:
-            outcome_list, chosen = select_variable(strategy, fit, data, rows, columns)
+            outcome_list, chosen = select_variable(strategy, fit, data, rows, orders)
             outcomes = tuple(outcome_list)
             if not control.prepruning:
                 best = argmin_outcome(outcome_list)
                 chosen = best.variable if best is not None else None
             if chosen is not None:
-                j = [col.name for col in data.z].index(chosen)
+                j = names.index(chosen)
                 col = data.z[j].take(rows)
-                order = subset_order(columns.orders[j], rows) if col.kind == NUMERIC else None
-                candidate = best_split_point(y, x, col, control.min_node_size, order)
+                candidate = best_split_point(y, x, col, control.min_node_size, orders[j])
                 if candidate is not None:
                     # growth sees every level of the split, so none is unseen
                     mask = _goes_left(candidate, col, col.values, unseen_left=False)
                     split = candidate
-                    children = (build(rows[mask], depth + 1), build(rows[~mask], depth + 1))
+                    # children at the depth limit are never tested and need no orders
+                    deeper = depth + 1 < control.max_depth
+                    left, right = partition_orders(orders, mask) if deeper else (None, None)
+                    children = (build(rows[mask], left, depth + 1),
+                                build(rows[~mask], right, depth + 1))
         return TreeNode(
             id=node_id,
             depth=depth,
@@ -285,30 +291,37 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl) ->
             outcomes=outcomes,
             split=split,
             children=children,
-            rows=np.asarray(rows),
+            rows=rows,
         )
 
-    tree = build(np.arange(data.n), 0)
-    del build  # a reference cycle that would hold the presort until the next gc
+    tree = build(np.arange(data.n) if rows is None else np.asarray(rows),
+                 data.columns.orders_of(rows), 0)
+    del build  # a reference cycle that would hold the data until the next gc
     return tree
 
 
-def _route_rows(node: TreeNode, data: Dataset, idx: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf or node.split is None:
-        out[idx] = node.id
-        return
-    col = data.column(node.split.variable)
-    # an unseen level follows the child that saw more training rows
-    unseen_left = node.children[0].n >= node.children[1].n
-    mask = _goes_left(node.split, col, col.values[idx], unseen_left)
-    _route_rows(node.children[0], data, idx[mask], out)
-    _route_rows(node.children[1], data, idx[~mask], out)
+def route_rows(tree: TreeNode, data: Dataset, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """The ``rows`` of ``data`` that reach each node of ``tree``, by node
+    id, every parent before its children."""
+    reach, stack = {}, [(tree, rows)]
+    while stack:
+        node, idx = stack.pop()
+        reach[node.id] = idx
+        if node.children and node.split is not None:
+            col = data.column(node.split.variable)
+            # an unseen level follows the child that saw more training rows
+            unseen_left = node.children[0].n >= node.children[1].n
+            mask = _goes_left(node.split, col, col.values[idx], unseen_left)
+            stack += ((node.children[1], idx[~mask]), (node.children[0], idx[mask]))
+    return reach
 
 
 def partition_labels(tree: TreeNode, data: Dataset) -> np.ndarray:
     """Leaf id reached by every row of ``data``."""
     out = np.empty(data.n, dtype=np.int64)
-    _route_rows(tree, data, np.arange(data.n), out)
+    # children overwrite their parent's rows
+    for node_id, idx in route_rows(tree, data, np.arange(data.n)).items():
+        out[idx] = node_id
     return out
 
 
@@ -462,8 +475,7 @@ def tree_from_json(text: str) -> tuple[TreeNode, CsvSchema, StrategyConfig, Grow
 def format_tree(tree: TreeNode) -> str:
     """Indented one-line-per-node summary for terminal output."""
     lines: list[str] = []
-
-    def visit(node: TreeNode) -> None:
+    for node in iter_nodes(tree):
         pad = "  " * node.depth
         model = f"y = {node.fit.beta0:.4g} + {node.fit.beta1:.4g} x"
         if node.split is None:
@@ -476,8 +488,4 @@ def format_tree(tree: TreeNode) -> str:
             else:
                 tail = f"split {node.split.variable} in {list(node.split.left_levels or ())} (p={shown})"
         lines.append(f"{pad}[{node.id}] n={node.n} {model} | {tail}")
-        for child in node.children:
-            visit(child)
-
-    visit(tree)
     return "\n".join(lines)

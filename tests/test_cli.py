@@ -366,3 +366,12 @@ def test_prune_rejects_malformed_tree_file(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+
+def test_prune_rejects_a_negative_split_df(tmp_path, capsys):
+    data_path, tree_path = fitted_tree_file(tmp_path)
+    code = main(["prune", "--tree", str(tree_path), "--data", str(data_path), "--method", "bic",
+                 "--split-df", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "split_df" in err

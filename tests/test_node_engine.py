@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmtrees.dataset import CATEGORICAL, NUMERIC, ColumnMatrix, CsvSchema, Dataset, SplitColumn
-from lmtrees.dataset import empirical_quartiles, order_permutation, subset_order
+from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, Dataset, SplitColumn
+from lmtrees.dataset import empirical_quartiles, order_permutation, partition_orders
 from lmtrees import inference
 from lmtrees.inference import argmin_outcome, parse_strategy, resolve_min_segment, select_variable
 from lmtrees.inference import suplm_pvalue
@@ -287,15 +287,14 @@ def test_one_node_mixing_design_widths_matches_the_per_column_path(name):
     data, _ = node_data(seed=3, n=90, distinct=4)
     rows = np.flatnonzero(np.arange(data.n) % 7 != 3)
     # the node's binned designs: quartile bins and levels of several widths
-    columns = ColumnMatrix(data.z)
     numeric = np.array([col.kind == NUMERIC for col in data.z])
-    groups = list(design_groups(columns.values[:, rows], numeric))
+    groups = list(design_groups(data.columns.values[:, rows], numeric))
     widths = {designs.shape[2] for _, designs in groups}
     levels = {len(np.unique(col.values[rows])) for col in data.z if col.kind == CATEGORICAL}
     assert {1, 2, 3, 6} <= widths and levels == {2, 3, 6} and len(groups) > 3
     config = parse_strategy(name)
     fit = fit_ols(data.y[rows], data.x[rows])
-    got = select_variable(config, fit, data, rows, columns)
+    got = select_variable(config, fit, data, rows)
     assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
 
 
@@ -307,8 +306,12 @@ def test_a_node_of_several_column_blocks_matches_the_per_column_path(name):
     assert inference.COLUMN_BLOCK // rows.shape[0] < len(data.z)
     config = parse_strategy(name)
     fit = fit_ols(data.y[rows], data.x[rows])
-    got = select_variable(config, fit, data, rows, ColumnMatrix(data.z))
+    got = select_variable(config, fit, data, rows)
     assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
+
+
+def stable_orders(values):
+    return np.argsort(values, axis=1, kind="stable")
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,12 +322,65 @@ def test_a_node_of_several_column_blocks_matches_the_per_column_path(name):
     keep=st.floats(0.0, 1.0),
 )
 def test_presort_partition_equals_the_node_sort(seed, n, distinct, keep):
+    # the partition of a numeric column's whole-data order against a
+    # fresh sort of each row subset, two levels deep
     rng = np.random.default_rng(seed)
     col = SplitColumn("z", NUMERIC, rng.integers(0, distinct, n) * 0.5 - 1.0)
-    root = order_permutation(col)
+    data = Dataset(np.zeros(n), np.zeros(n), (col,))
     rows = np.flatnonzero(rng.uniform(size=n) < keep)
-    # two levels deep: a node's order filtered again for its child
     child = rows[rng.uniform(size=rows.shape[0]) < 0.5]
     for subset in (rows, child):
         want = order_permutation(col.take(subset))
-        assert np.array_equal(subset_order(root, subset), want)
+        assert np.array_equal(data.columns.orders_of(subset)[0], want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 200),
+    columns=st.integers(0, 5),
+    distinct=st.integers(1, 5),
+    keep=st.floats(0.0, 1.0),
+)
+def test_partitioned_orders_equal_each_childs_sort(seed, n, columns, distinct, keep):
+    # tied numeric rows and categorical-code rows, split by random masks
+    # two levels deep: each child's partitioned orders are its own sort
+    rng = np.random.default_rng(seed)
+    values = np.vstack([rng.integers(0, distinct, n) * (0.25 if j % 2 else 1.0)
+                        for j in range(columns)] or [np.empty((0, n))])
+    nodes = [(np.arange(n), stable_orders(values))]
+    for _ in range(2):
+        children = []
+        for rows, orders in nodes:
+            mask = rng.uniform(size=rows.shape[0]) < keep
+            for side, part in zip((mask, ~mask), partition_orders(orders, mask)):
+                assert part.shape == (columns, int(side.sum()))
+                assert np.array_equal(part, stable_orders(values[:, rows[side]]))
+                children.append((rows[side], part))
+        nodes = children
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 160),
+    distinct=st.integers(1, 4),
+    keep=st.floats(0.3, 1.0),
+    prepruning=st.booleans(),
+)
+def test_growing_on_an_index_set_equals_growing_on_its_copy(name, seed, n, distinct, keep,
+                                                            prepruning):
+    data, schema = node_data(seed, n, distinct)
+    subset = np.flatnonzero(np.random.default_rng(seed).uniform(size=n) < keep)
+    strategy = parse_strategy(name)
+    control = GrowControl(alpha=0.5, min_node_size=4, max_depth=3, prepruning=prepruning)
+    got = grow(data, strategy, control, rows=subset)
+    want = grow(data.take(subset), strategy, control)
+    for a, b in zip(iter_nodes(got), iter_nodes(want), strict=True):
+        assert a.outcomes == b.outcomes
+        assert (a.split, a.n, a.id, a.depth) == (b.split, b.n, b.id, b.depth)
+        assert np.array_equal(a.rows, subset[b.rows])
+        assert (a.fit.beta0, a.fit.beta1, a.fit.rss) == (b.fit.beta0, b.fit.beta1, b.fit.rss)
+    assert tree_to_json(got, schema, strategy, control) == tree_to_json(want, schema, strategy,
+                                                                        control)

@@ -1,24 +1,29 @@
 """Post-pruning: cost-complexity path, cross-validated choice, AIC/BIC."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
+from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, RngStream
+from lmtrees.dataset import SplitColumn
 from lmtrees.inference import parse_strategy
 from lmtrees.linmod import LinearFit
 from lmtrees.prune import (
     PruneResult,
+    _candidate_alphas,
     _collapse,
+    _subtree_at,
     _weakest_links,
     cost_complexity_path,
     cv_prune,
     ic_prune,
     prune_at,
 )
-from lmtrees.tree import GrowControl, Split, TreeNode, grow, iter_nodes, leaves
+from lmtrees.tree import GrowControl, Split, TreeNode, grow, iter_nodes, leaves, predict_tree
+from lmtrees.tree import tree_to_json
 
 
 def node(nid, depth, n, rss, children=(), variable="z1"):
@@ -237,6 +242,102 @@ def test_cv_prune_result_invariants():
     main = grow(data, strategy, replace(control, prepruning=False))
     expect = prune_at(main, res.chosen_alpha)
     assert {n.id for n in iter_nodes(res.tree)} == {n.id for n in iter_nodes(expect)}
+
+
+def former_cv_prune(data, strategy, control, folds=10, seed=0, one_se=False):
+    """The fold loop before fold trees grew on index sets: each fold's
+    training rows are copied (``Dataset.take``) and grown as their own
+    data, and its held-out rows scored as a copy too."""
+    control = replace(control, prepruning=False)
+    path = cost_complexity_path(grow(data, strategy, control))
+    knots = [alpha for alpha, _ in path]
+    candidates = _candidate_alphas(knots)
+    fold_ids = np.empty(data.n, dtype=np.int64)
+    fold_ids[RngStream(seed, 0).permutation(data.n)] = np.arange(data.n) % folds
+    sq_err, held_out, fold_means = np.zeros(len(candidates)), 0, []
+    for f in range(folds):
+        train, test = np.flatnonzero(fold_ids != f), np.flatnonzero(fold_ids == f)
+        if test.size == 0:
+            continue
+        try:
+            fold_path = cost_complexity_path(grow(data.take(train), strategy, control))
+        except ValueError as exc:
+            warnings.warn(f"fold {f} skipped: {exc}")
+            continue
+        test_data = data.take(test)
+        fold_err = np.empty(len(candidates))
+        for c, alpha in enumerate(candidates):
+            resid = test_data.y - predict_tree(_subtree_at(fold_path, alpha), test_data)
+            fold_err[c] = float(resid @ resid)
+        sq_err += fold_err
+        held_out += test.size
+        fold_means.append(fold_err / test.size)
+    if len(fold_means) <= folds // 2:
+        raise DataError(f"only {len(fold_means)} of {folds} folds usable")
+    mean_loss = sq_err / held_out
+    best_idx = int(np.argmin(mean_loss))
+    threshold = mean_loss[best_idx]
+    if one_se and len(fold_means) > 1:
+        stacked = np.vstack(fold_means)
+        threshold += float(stacked[:, best_idx].std(ddof=1)) / math.sqrt(stacked.shape[0])
+    chosen_idx = best_idx
+    for c in range(len(candidates)):
+        if mean_loss[c] <= threshold and candidates[c] >= candidates[chosen_idx]:
+            chosen_idx = c
+    alpha_path = tuple((knots[k], len(leaves(path[k][1])), float(mean_loss[k]))
+                       for k in range(len(path)))
+    return PruneResult(tree=_subtree_at(path, candidates[chosen_idx]), method="cc",
+                       chosen_alpha=float(candidates[chosen_idx]), alpha_path=alpha_path)
+
+
+def mixed_data(seed, n=240):
+    """Tied numeric columns, a smooth one and a categorical column whose
+    rare level, held by one row, is missing from one training fold."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n)
+    tied = rng.integers(0, 4, n).astype(float)
+    codes = rng.integers(0, 2, n)
+    codes[0] = 2
+    y = np.where(tied >= 2, 1.0, -1.0) * x + (codes == 1) + 0.5 * rng.normal(size=n)
+    z = (
+        SplitColumn("tied", NUMERIC, tied),
+        SplitColumn("coarse", NUMERIC, np.round(rng.normal(size=n), 1)),
+        SplitColumn("region", CATEGORICAL, codes, levels=("a", "b", "rare")),
+        SplitColumn("smooth", NUMERIC, rng.uniform(-1, 1, n)),
+    )
+    return Dataset(y, x, z), CsvSchema("y", "x", tuple((c.name, c.kind) for c in z))
+
+
+@pytest.mark.parametrize("name", ["ctree", "mob", "guide", "guide+scores", "mob+dich"])
+@pytest.mark.parametrize("one_se", [False, True])
+def test_cv_prune_on_index_sets_equals_the_fold_copies(name, one_se):
+    data, schema = mixed_data(seed=17)
+    strategy = parse_strategy(name)
+    control = GrowControl(alpha=0.5, min_node_size=8, max_depth=4)
+    folds, seed = 6, 5
+    fold_ids = np.empty(data.n, dtype=np.int64)
+    fold_ids[RngStream(seed, 0).permutation(data.n)] = np.arange(data.n) % folds
+    rare = data.column("region").values == 2
+    # the rare level is absent from some training folds, present in others
+    assert {bool(rare[fold_ids != f].any()) for f in range(folds)} == {False, True}
+    got = cv_prune(data, strategy, control, folds=folds, seed=seed, one_se=one_se)
+    want = former_cv_prune(data, strategy, control, folds=folds, seed=seed, one_se=one_se)
+    assert [row[0] for row in got.alpha_path] == [row[0] for row in want.alpha_path]
+    assert got.alpha_path == want.alpha_path
+    assert got.chosen_alpha == want.chosen_alpha
+    assert tree_to_json(got.tree, schema, strategy, control) == tree_to_json(
+        want.tree, schema, strategy, control)
+
+
+def test_data_without_split_columns_grows_and_prunes_to_one_leaf():
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.normal(size=120), rng.uniform(-1, 1, 120), ())
+    assert data.columns.values.shape == (0, 120) and data.columns.orders.shape == (0, 120)
+    control = GrowControl(alpha=1.0, min_node_size=10, prepruning=False)
+    assert len(leaves(grow(data, "mob", control))) == 1
+    assert len(leaves(grow(data, "mob", control, rows=np.arange(0, 120, 2)))) == 1
+    res = cv_prune(data, parse_strategy("ctree"), control, folds=5, seed=1)
+    assert len(leaves(res.tree)) == 1 and len(res.alpha_path) == 1
 
 
 def test_cv_prune_validates_folds():
