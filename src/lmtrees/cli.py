@@ -8,6 +8,7 @@ default seed; explicit ``--seed`` wins.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -197,10 +198,8 @@ def _cmd_prune(args: argparse.Namespace) -> int:
             handle.write(tree_to_json(result.tree, schema, strategy, control))
         print(f"wrote {args.out}")
     if args.path_out and result.alpha_path:
-        import csv as _csv
-
         with open(args.path_out, "w", newline="", encoding="utf-8") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(["alpha", "leaves", "cv_loss"])
             for alpha, size, loss in result.alpha_path:
                 writer.writerow([repr(alpha), size, "" if loss is None else repr(loss)])

@@ -17,6 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -206,14 +207,46 @@ def _parse_float(token: str, column: str, row: int) -> float:
     return value
 
 
+CSV_CHUNK = 2048  # rows that load_csv parses a column at a time
+
+
+def _parse_chunk(path: str, rows: list, start: int, width: int, columns: list) -> list:
+    """Parse data rows ``start``, ... into floats or stripped labels, one call
+    per column.  A chunk that fails anywhere is parsed again cell by cell:
+    that raises its first bad cell in row order, or gives its values where
+    ``float`` was only stricter than ``_parse_float`` (``str.strip`` also
+    removes ``\\x1c``-``\\x1f``)."""
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError("ragged or empty chunk")
+        cells = list(zip(*rows))
+        parsed = [np.fromiter(map(float, cells[i]), float, len(rows)) if kind == NUMERIC
+                  else list(map(str.strip, cells[i])) for _, kind, i, _, _ in columns]
+        if all(np.isfinite(part).all() if kind == NUMERIC else all(part)
+               for (_, kind, *_), part in zip(columns, parsed)):
+            return parsed
+    except ValueError:
+        pass
+    parsed = [[] for _ in columns]
+    for r, row in enumerate(rows, start):
+        if len(row) != width:
+            raise DataError(f"{path}: data row {r} has {len(row)} fields, expected {width}")
+        for (name, kind, i, _, _), values in zip(columns, parsed):
+            label = row[i].strip()
+            if not label:  # _parse_float's message for an empty numeric cell too
+                raise DataError(f"missing value in column {name!r} at data row {r}")
+            values.append(_parse_float(row[i], name, r) if kind == NUMERIC else label)
+    return parsed
+
+
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
     """Read an RFC-4180 CSV file with a header row into a :class:`Dataset`.
 
-    One pass parses each row into one typed column per declared role,
-    keeping no list of rows.  Numeric fields use a dot decimal separator;
-    a leading UTF-8 byte-order mark is skipped.  Empty cells in declared
-    columns (named by row and column), repeated declared names in the
-    header and malformed CSV (named by line) are rejected.
+    Rows are read and parsed ``CSV_CHUNK`` at a time, a column per call,
+    keeping no list of all rows.  Numeric fields use a dot decimal
+    separator; a leading UTF-8 byte-order mark is skipped.  Empty cells in
+    declared columns (named by row and column), repeated declared names in
+    the header and malformed CSV (named by line) are rejected.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -225,21 +258,22 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
                     raise DataError(f"{path}: column {name!r} not found in header {header}")
                 if header.count(name) > 1:
                     raise DataError(f"{path}: column {name!r} repeats in header {header}")
-            # categorical codes count labels in order of first appearance
-            columns = [(name, kind, header.index(name), array("d" if kind == NUMERIC else "q"), {})
+            # a categorical column keeps one string object per label
+            columns = [(name, kind, header.index(name), array("d") if kind == NUMERIC else [], {})
                        for name, kind in roles]
-            for r, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: data row {r} has {len(row)} fields, expected {len(header)}")
-                for name, kind, i, values, seen in columns:
+            for start in count(1, CSV_CHUNK):
+                rows = []
+                try:
+                    rows.extend(islice(reader, CSV_CHUNK))
+                finally:  # a bad cell on a row before a csv.Error is reported first
+                    parsed = _parse_chunk(path, rows, start, len(header), columns)
+                for (_, kind, _, values, seen), part in zip(columns, parsed):
                     if kind == NUMERIC:
-                        values.append(_parse_float(row[i], name, r))
-                        continue
-                    label = row[i].strip()
-                    if not label:
-                        raise DataError(f"missing value in column {name!r} at data row {r}")
-                    values.append(seen.setdefault(label, len(seen)))
+                        values.frombytes(np.asarray(part, float).tobytes())
+                    else:
+                        values.extend(map(seen.setdefault, part, part))
+                if len(rows) < CSV_CHUNK:
+                    break
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         except csv.Error as exc:
@@ -251,8 +285,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
             continue
         levels = tuple(sorted(seen))
         code = {label: i for i, label in enumerate(levels)}
-        recode = np.array([code[label] for label in seen], dtype=np.int64)
-        codes = recode[np.frombuffer(values, np.int64)]
+        codes = np.fromiter(map(code.__getitem__, values), np.int64, len(values))
         splits.append(SplitColumn(name, CATEGORICAL, codes, levels))
     return Dataset(np.frombuffer(columns[0][3]), np.frombuffer(columns[1][3]), tuple(splits))
 

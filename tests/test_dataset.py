@@ -3,12 +3,14 @@
 import csv
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmtrees import dataset
 from lmtrees.dataset import (
     CATEGORICAL,
     NUMERIC,
@@ -329,13 +331,15 @@ def reference_load_csv(path, schema):
     return Dataset(y, x, tuple(columns))
 
 
-PADDING = st.sampled_from(["", " ", "  "])
+# "\x1c" is stripped by str.strip but not by float; the other two by both
+PADDING = st.sampled_from(["", " ", "  ", "\x1c", "\u00a0", "\u2003"])
 GOOD_NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
-    st.sampled_from(["1e3", "+.5", "-0", "1_000", "0.1"]),
+    st.sampled_from(["1e3", "+.5", "-0", "1_000", "0.1", "١٢", "٣.٥e-١", "2_5.0_1e1_0"]),
 )
-BAD_NUMBERS = st.sampled_from(["", "  ", "nan", "inf", "-inf", "1e400", "abc", "1,5", "0x10"])
+BAD_NUMBERS = st.sampled_from(
+    ["", "  ", "nan", "inf", "-inf", "1e400", "abc", "1,5", "0x10", "1__0", "_1", "1.5\x1c2"])
 GOOD_LABELS = st.sampled_from(["a", "b", "b c", "x,y", 'say "hi"', "line\nbreak", "é"])
 BAD_LABELS = st.sampled_from(["", "   "])
 
@@ -351,7 +355,7 @@ def csv_cases(draw):
     kind_of = {"y": NUMERIC, "x": NUMERIC, **dict(splits)}
     clean = draw(st.booleans())
     rows = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 10))):
         row = []
         for name in names:
             if kind_of.get(name, CATEGORICAL) == NUMERIC:
@@ -393,7 +397,33 @@ def test_load_csv_matches_the_row_list_loader(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(text.encode("utf-8"))
     want = loaded_or_error(reference_load_csv, str(path), schema)
-    assert loaded_or_error(load_csv, str(path), schema) == want
+    # chunks of 1 to 3 rows put bad cells and ragged rows in later chunks
+    for chunk in (dataset.CSV_CHUNK, 1, 2, 3):
+        with mock.patch.object(dataset, "CSV_CHUNK", chunk):
+            assert loaded_or_error(load_csv, str(path), schema) == want, chunk
+
+
+def test_load_csv_strips_what_float_does_not(tmp_path):
+    # float() rejects a leading "\x1c" that str.strip() removes
+    path = tmp_path / "control.csv"
+    path.write_text("y,x\n\x1c1.5,2\n3,\x1f4\x1e\n")
+    data = load_csv(str(path), CsvSchema("y", "x", ()))
+    assert data.y.tolist() == [1.5, 3.0] and data.x.tolist() == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("chunk", [dataset.CSV_CHUNK, 1])
+def test_load_csv_reports_a_bad_cell_before_a_later_csv_parser_error(tmp_path, chunk):
+    path = tmp_path / "late.csv"
+    huge = "9" * (csv.field_size_limit() + 1)
+    schema = CsvSchema("y", "x", (("z", NUMERIC),))
+    with mock.patch.object(dataset, "CSV_CHUNK", chunk):
+        path.write_text(f"y,x,z\n1.0,oops,3.0\n1.0,2.0,{huge}\n")
+        bad_cell = "cannot parse 'oops' as a number in column 'x' at data row 1"
+        with pytest.raises(DataError, match=bad_cell):
+            load_csv(str(path), schema)
+        path.write_text(f"y,x,z\n1.0,2.0,3.0\n1.0,2.0,{huge}\n")
+        with pytest.raises(DataError, match=r"late\.csv: line 3: field larger than field limit"):
+            load_csv(str(path), schema)
 
 
 def test_load_csv_peak_memory_is_a_small_multiple_of_its_arrays(tmp_path):
