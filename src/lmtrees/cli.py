@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--folds", type=int, default=10)
     simulate.add_argument("--threads", type=int, default=1,
-                          help="accepted for compatibility; runs are serial")
+                          help="deprecated: no effect, runs are serial")
     simulate.add_argument("--alpha", type=float, default=0.05)
     simulate.add_argument("--multiplicity", choices=("bonferroni", "none"), default="bonferroni")
     simulate.add_argument("--out-long", default=None)

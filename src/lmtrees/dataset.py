@@ -63,7 +63,7 @@ class SplitColumn:
         if values.ndim != 1:
             raise DataError(f"column {self.name!r} must be one-dimensional")
         if self.kind == NUMERIC:
-            values = values.astype(float)
+            values = np.asarray(values, dtype=float)  # a float64 column is kept, not copied
             if not np.all(np.isfinite(values)):
                 raise DataError(f"column {self.name!r} contains non-finite values")
         else:

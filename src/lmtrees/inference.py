@@ -513,7 +513,7 @@ def run_strategy(config: StrategyConfig, gof: GofMatrix, col: SplitColumn,
                  entry: tuple | None = None) -> TestOutcome:
     """Test one split column against a node's gof matrix under ``config``.
 
-    ``gof`` is ``make_gof(fit, config.use_scores, config.dichotomize)``
+    ``gof`` is ``make_gof(fit, y, x, config.use_scores, config.dichotomize)``
     and ``entry`` the column's from ``column_entries`` over the node, or
     the column is tested alone, as a block of one.  A degenerate test is
     an outcome with p = 1, not an error.
@@ -536,13 +536,14 @@ def select_variable(
     """Test every split column and apply the selection gate.
 
     The node is ``rows`` (increasing) of ``data``, all of it by default,
-    ``fit`` its fit and ``orders`` its column orders if kept (see
-    ``column_entries``); the columns come from ``data.columns``, whose
-    presort every call on ``data`` shares.  Returns all outcomes in
+    ``fit`` its fit, grown or stored, and ``orders`` its column orders if
+    kept (see ``column_entries``); its gof matrix and columns are read off
+    ``data``, whose presort every call shares.  Returns all outcomes in
     column order and the chosen variable, or ``None`` when the (possibly
     adjusted) minimum p-value misses ``alpha``.
     """
-    gof = make_gof(fit, config.use_scores, config.dichotomize)
+    y, x = (data.y, data.x) if rows is None else (data.y[rows], data.x[rows])
+    gof = make_gof(fit, y, x, config.use_scores, config.dichotomize)
     entries = column_entries(config, gof, data.columns, rows, orders)
     outcomes = [run_strategy(config, gof, col, entry) for col, entry in zip(data.z, entries)]
     best = argmin_outcome(outcomes)

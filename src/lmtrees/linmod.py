@@ -1,14 +1,14 @@
-"""Per-node simple linear regression and its estimating-function values.
+"""Per-node simple linear regression.
 
 Every tree node carries ``y = beta0 + beta1 * x + error`` fitted by
-least squares.  The row-wise scores are the gradient of the squared-error
-objective at the fitted coefficients,
+least squares, four numbers a tree file stores.  The split tests read
+its residuals ``r_i`` at the node's rows or the row-wise scores, the
+gradient of the squared-error objective at the fitted coefficients,
 
     score_i = -2 * r_i * (1, x_i),
 
-which sum to zero at the optimum.  All downstream split tests consume
-either the residuals or these scores; every test statistic is invariant
-to the constant factor.
+which sum to zero at the optimum (``transform.make_gof`` derives both).
+Every test statistic is invariant to the constant factor.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "DegenerateRegressorError",
     "LinearFit",
     "fit_ols",
+    "residuals",
     "predict",
 ]
 
@@ -36,18 +37,17 @@ class DegenerateRegressorError(ValueError):
 
 @dataclass(frozen=True)
 class LinearFit:
-    """Closed-form least-squares fit of a line.
-
-    ``residuals`` and ``scores`` are ``None`` only on fits rebuilt from
-    a serialized tree, where the training rows are no longer available.
-    """
+    """Closed-form least-squares line fitted to ``n`` rows, with its RSS."""
 
     beta0: float
     beta1: float
     n: int
     rss: float
-    residuals: np.ndarray | None = None
-    scores: np.ndarray | None = None
+
+
+def residuals(beta0: float, beta1: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Residuals ``y - beta0 - beta1 * x`` of a line at the rows ``(y, x)``."""
+    return y - beta0 - beta1 * x
 
 
 def fit_ols(y: np.ndarray, x: np.ndarray) -> LinearFit:
@@ -72,11 +72,9 @@ def fit_ols(y: np.ndarray, x: np.ndarray) -> LinearFit:
     if sxx == 0.0:
         raise DegenerateRegressorError("regressor is constant within the node")
     beta1 = float(xc @ (y - ybar)) / sxx
-    beta0 = ybar - beta1 * xbar
-    residuals = y - beta0 - beta1 * x
-    rss = float(residuals @ residuals)
-    scores = np.column_stack((-2.0 * residuals, -2.0 * residuals * x))
-    return LinearFit(beta0=beta0, beta1=beta1, n=n, rss=rss, residuals=residuals, scores=scores)
+    beta0 = float(ybar - beta1 * xbar)
+    r = residuals(beta0, beta1, y, x)
+    return LinearFit(beta0=beta0, beta1=beta1, n=n, rss=float(r @ r))
 
 
 def predict(fit: LinearFit, x: np.ndarray) -> np.ndarray:

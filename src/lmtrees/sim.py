@@ -24,6 +24,7 @@ replication, so strategy comparisons are paired.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -240,8 +241,7 @@ def _run_replication(
             ari = float(adjusted_rand_index(truth, partition_labels(tree, data)))
             leaf_count = len(leaves(tree))
         else:
-            gated = replace(strat, alpha=control.alpha, min_segment=control.min_segment)
-            outcomes, chosen = select_variable(gated, fit, data)
+            outcomes, chosen = select_variable(control.apply_to(strat), fit, data)
             p_values = {o.variable: o.p_value for o in outcomes}
             ari = leaf_count = None
         records.append(
@@ -274,11 +274,12 @@ def run_study(
 
     Dataset and fold seeds depend on the cell and replication but not
     on the strategy, so all strategies face identical data.  Results
-    are returned in (cell, replication, strategy) order.  ``threads``
-    is accepted for compatibility and has no effect: replications run
-    serially, since the work is Python-bound and a thread pool only
-    slowed it down.
+    are returned in (cell, replication, strategy) order.  ``threads`` is
+    deprecated and warns unless 1: replications run serially, as the
+    Python-bound work only slowed down in a thread pool.
     """
+    if threads != 1:
+        warnings.warn("threads has no effect and will be removed", FutureWarning, stacklevel=2)
     if pruning not in ("pre", "post"):
         raise ValueError("pruning must be 'pre' or 'post'")
     if control is None:

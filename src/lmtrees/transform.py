@@ -1,7 +1,7 @@
 """Residual/score matrices and candidate-split designs.
 
-``make_gof`` turns a node fit into the row-wise matrix a split test
-consumes: raw residuals, the two score columns, or their elementwise
+``make_gof`` turns a node fit at its rows into the row-wise matrix a
+split test consumes: raw residuals, the two score columns, or their
 sign indicators.  ``design_groups`` turns a block of split columns into
 the one-hot designs the binned route pairs with them (quartile bins or
 levels), stacked by width; ``make_split_transform`` is one column's.
@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .dataset import CATEGORICAL, SplitColumn
-from .linmod import LinearFit
+from .linmod import LinearFit, residuals
 
 __all__ = [
     "TransformError",
@@ -96,18 +96,14 @@ def eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return eigval, eigvec, eigval > sym.shape[-1] * lam_max[..., None] * _EIG_RTOL
 
 
-def make_gof(fit: LinearFit, use_scores: bool, dichotomize: bool) -> GofMatrix:
-    """The per-row test input of a node fit: the two score columns with
-    ``use_scores``, else the residual column; ``dichotomize`` replaces each
-    entry by the indicator of nonnegativity (zeros map to one)."""
-    if use_scores:
-        if fit.scores is None:
-            raise TransformError("fit carries no per-row scores")
-        values = np.array(fit.scores, dtype=float)
-    else:
-        if fit.residuals is None:
-            raise TransformError("fit carries no residuals")
-        values = np.asarray(fit.residuals, dtype=float)[:, None]
+def make_gof(fit: LinearFit, y: np.ndarray, x: np.ndarray, use_scores: bool,
+             dichotomize: bool) -> GofMatrix:
+    """The per-row test input of a node fit at the node's float rows
+    ``(y, x)``: the two score columns with ``use_scores``, else the
+    residual column; ``dichotomize`` replaces each entry by the indicator
+    of nonnegativity (zeros map to one)."""
+    r = residuals(fit.beta0, fit.beta1, y, x)
+    values = np.column_stack((-2.0 * r, -2.0 * r * x)) if use_scores else r[:, None]
     if dichotomize:
         values = (values >= 0.0).astype(float)
     return GofMatrix(values=values, dichotomized=dichotomize)

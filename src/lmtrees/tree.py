@@ -77,6 +77,10 @@ class GrowControl:
         if self.min_segment is not None and self.min_segment < 1:
             raise ValueError("min_segment must be at least 1")
 
+    def apply_to(self, strategy: StrategyConfig) -> StrategyConfig:
+        """``strategy`` with the control's ``alpha`` and ``min_segment`` in place of its own."""
+        return replace(strategy, alpha=self.alpha, min_segment=self.min_segment)
+
 
 @dataclass(frozen=True)
 class Split:
@@ -252,7 +256,7 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
     """
     if isinstance(strategy, str):
         strategy = parse_strategy(strategy)
-    strategy = replace(strategy, alpha=control.alpha, min_segment=control.min_segment)
+    strategy = control.apply_to(strategy)
     counter = itertools.count()
     names = [col.name for col in data.z]
 
@@ -376,17 +380,16 @@ def _node_from_dict(payload: dict) -> TreeNode:
                 left_levels=tuple(raw_split["left_levels"]),
                 right_levels=tuple(raw_split["right_levels"]),
             )
-    fit = LinearFit(
-        beta0=float(payload["coefficients"]["intercept"]),
-        beta1=float(payload["coefficients"]["slope"]),
-        n=int(payload["n"]),
-        rss=float(payload["rss"]),
-    )
     return TreeNode(
         id=int(payload["id"]),
         depth=int(payload["depth"]),
         n=int(payload["n"]),
-        fit=fit,
+        fit=LinearFit(
+            beta0=float(payload["coefficients"]["intercept"]),
+            beta1=float(payload["coefficients"]["slope"]),
+            n=int(payload["n"]),
+            rss=float(payload["rss"]),
+        ),
         p_values={k: float(v) for k, v in payload["p_values"].items()},
         split=split,
         children=children,

@@ -19,7 +19,6 @@ from lmtrees.inference import (
     linear_statistic,
     parse_strategy,
     quad_form_test,
-    run_strategy,
 )
 from lmtrees.linmod import fit_ols
 from lmtrees.prune import cost_complexity_path
@@ -43,12 +42,9 @@ from lmtrees.tree import (
 )
 from lmtrees.linmod import LinearFit
 
+from helpers import run_alone
+
 HEADLINE = ("ctree", "mob", "guide", "guide+scores")
-
-
-def run_alone(config, fit, col):
-    # one column tested against a gof matrix of its own
-    return run_strategy(config, make_gof(fit, config.use_scores, config.dichotomize), col)
 
 
 def strat_list(*names):
@@ -142,10 +138,10 @@ def test_late_split_ordering():
         )
         fit = fit_ols(data.y, data.x)
         z1 = data.column("z1")
-        by_guide = run_alone(guide_config, fit, z1)
-        by_gs = run_alone(gs_config, fit, z1)
+        by_guide = run_alone(guide_config, data.y, data.x, z1)
+        by_gs = run_alone(gs_config, data.y, data.x, z1)
         design = make_split_transform(z1)
-        signs = make_gof(fit, use_scores=True, dichotomize=True).values
+        signs = make_gof(fit, data.y, data.x, use_scores=True, dichotomize=True).values
         first, first_df = chisq_statistic(GofMatrix(signs[:, :1], True), design)
         slope, slope_df = chisq_statistic(GofMatrix(signs[:, 1:], True), design)
         # equal p-values tie each regenerated dataset to run_study's
@@ -268,7 +264,7 @@ def frozen_instance(seed):
     y = rng.uniform(-1.0, 1.0, n)
     x = rng.uniform(-1.0, 1.0, n)
     fit = fit_ols(y, x)
-    gof = make_gof(fit, use_scores=False, dichotomize=False)
+    gof = make_gof(fit, y, x, use_scores=False, dichotomize=False)
     design = rng.uniform(-1.0, 1.0, n)[:, None]
     return gof, design
 
@@ -333,7 +329,7 @@ def test_exact_oracle_score_fluctuation_scan():
     y = rng.normal(size=n)
     x = rng.uniform(-1, 1, n)
     fit = fit_ols(y, x)
-    gof = make_gof(fit, use_scores=True, dichotomize=False)
+    gof = make_gof(fit, y, x, use_scores=True, dichotomize=False)
     col = SplitColumn("z", NUMERIC, rng.normal(size=n))
     ms = 9
     stat, peak = suplm_statistic(fluctuation_process(gof, col.values, order_permutation(col)), ms)
@@ -532,9 +528,9 @@ def test_invariant_response_scale_free_pvalues():
 
     for name in sorted(STRATEGIES):
         cfg = parse_strategy(name)
-        base = run_alone(cfg, fit_ols(y, x), col)
+        base = run_alone(cfg, y, x, col)
         for factor in (1e-8, 1e8):
-            scaled = run_alone(cfg, fit_ols(y * factor, x), col)
+            scaled = run_alone(cfg, y * factor, x, col)
             denom = max(base.p_value, 1e-12)
             worst = max(worst, abs(scaled.p_value - base.p_value) / denom)
     ok = worst <= 1e-8

@@ -27,9 +27,7 @@ from lmtrees.dataset import (
     write_csv,
 )
 
-
-def col(values, name="z1"):
-    return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
+from helpers import ncol as col
 
 
 # ---------------------------------------------------------------- quartiles
@@ -93,6 +91,13 @@ def test_order_permutation_rejects_categorical():
 
 
 # ------------------------------------------------------------- split column
+
+
+def test_numeric_column_keeps_a_float64_array_without_a_copy():
+    values = np.linspace(-1.0, 1.0, 7)
+    assert np.shares_memory(SplitColumn("z", NUMERIC, values).values, values)
+    # other dtypes are still converted to float
+    assert SplitColumn("z", NUMERIC, np.arange(3)).values.dtype == np.float64
 
 
 def test_numeric_column_rejects_non_finite():

@@ -23,7 +23,6 @@ from lmtrees.inference import (
     parse_strategy,
     quad_form_test,
     resolve_min_segment,
-    run_strategy,
     select_variable,
     suplm_pvalue,
     suplm_statistic,
@@ -35,14 +34,7 @@ from lmtrees.inference import (
 from lmtrees.linmod import fit_ols
 from lmtrees.transform import GofMatrix, make_gof, make_split_transform
 
-
-def run_alone(config, fit, col):
-    # one column tested against a gof matrix of its own
-    return run_strategy(config, make_gof(fit, config.use_scores, config.dichotomize), col)
-
-
-def ncol(values, name="z1"):
-    return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
+from helpers import ncol, run_alone
 
 
 def bridge(gof, col):
@@ -50,9 +42,15 @@ def bridge(gof, col):
     return fluctuation_process(gof, col.values, order_permutation(col))
 
 
-def random_fit(seed, n):
+def random_node(seed, n):
+    # the (y, x) rows of a node and the generator that drew them
     rng = np.random.default_rng(seed)
-    return fit_ols(rng.normal(size=n), rng.uniform(-1, 1, n)), rng
+    return (rng.normal(size=n), rng.uniform(-1, 1, n)), rng
+
+
+def node_gof(node, use_scores, dichotomize):
+    y, x = node
+    return make_gof(fit_ols(y, x), y, x, use_scores, dichotomize)
 
 
 # ----------------------------------------------------------- linear statistic
@@ -246,8 +244,8 @@ def test_contingency_requires_dichotomized_gof():
 
 
 def test_fluctuation_process_is_a_bridge():
-    fit, rng = random_fit(31, 40)
-    gof = make_gof(fit, use_scores=True, dichotomize=False)
+    node, rng = random_node(31, 40)
+    gof = node_gof(node, use_scores=True, dichotomize=False)
     proc = bridge(gof, ncol(rng.normal(size=40)))
     assert proc.cumulative.shape == (41, 2)
     assert np.allclose(proc.cumulative[0], 0.0, atol=1e-14)
@@ -255,8 +253,8 @@ def test_fluctuation_process_is_a_bridge():
 
 
 def test_fluctuation_process_centers_dichotomized_input():
-    fit, rng = random_fit(32, 30)
-    gof = make_gof(fit, use_scores=True, dichotomize=True)
+    node, rng = random_node(32, 30)
+    gof = node_gof(node, use_scores=True, dichotomize=True)
     proc = bridge(gof, ncol(rng.normal(size=30)))
     # sign indicators do not sum to zero, centering must close the bridge
     assert np.allclose(proc.cumulative[-1], 0.0, atol=1e-10)
@@ -284,8 +282,8 @@ def test_suplm_hand_oracle():
 
 
 def test_suplm_matches_termwise_recomputation():
-    fit, rng = random_fit(33, 60)
-    gof = make_gof(fit, use_scores=True, dichotomize=False)
+    node, rng = random_node(33, 60)
+    gof = node_gof(node, use_scores=True, dichotomize=False)
     col = ncol(rng.normal(size=60))
     ms = 9
     stat, peak = suplm_statistic(bridge(gof, col), ms)
@@ -418,9 +416,8 @@ ALL_TRIPLES = [
 @pytest.mark.parametrize("use_scores,dichotomize,mode", ALL_TRIPLES)
 def test_every_strategy_combination_dispatches(use_scores, dichotomize, mode):
     data = make_data()
-    fit = fit_ols(data.y, data.x)
     config = StrategyConfig(use_scores=use_scores, dichotomize=dichotomize, split_mode=mode)
-    out = run_alone(config, fit, data.column("z1"))
+    out = run_alone(config, data.y, data.x, data.column("z1"))
     assert out.variable == "z1"
     assert 0.0 <= out.p_value <= 1.0
     if mode == MODE_MAX:
@@ -436,18 +433,16 @@ def test_every_strategy_combination_dispatches(use_scores, dichotomize, mode):
 
 def test_categorical_column_always_uses_level_design():
     data = make_data()
-    fit = fit_ols(data.y, data.x)
     col = data.column("g")
     for mode in (MODE_LIN, MODE_MAX, MODE_CAT):
-        out = run_alone(StrategyConfig(False, False, mode), fit, col)
+        out = run_alone(StrategyConfig(False, False, mode), data.y, data.x, col)
         assert out.law == "chi2"  # quadratic form over one-hot levels
-    dich = run_alone(StrategyConfig(False, True, MODE_LIN), fit, col)
+    dich = run_alone(StrategyConfig(False, True, MODE_LIN), data.y, data.x, col)
     assert dich.law == "chi2"
 
 
 def test_named_strategies_resolve_to_expected_engines():
     data = make_data()
-    fit = fit_ols(data.y, data.x)
     col = data.column("z1")
     # score-based strategies carry two gof columns, so the "lin" engines land
     # in the quadratic-form chi2 branch rather than the scalar normal branch
@@ -464,7 +459,7 @@ def test_named_strategies_resolve_to_expected_engines():
     }
     assert set(expected_laws) == set(STRATEGIES)
     for name, law in expected_laws.items():
-        out = run_alone(parse_strategy(name), fit, col)
+        out = run_alone(parse_strategy(name), data.y, data.x, col)
         assert out.law == law, name
 
 
@@ -482,27 +477,26 @@ def test_parse_strategy_accepts_triples_and_overrides():
 
 def test_constant_column_degeneracy_per_engine():
     data = make_data()
-    fit = fit_ols(data.y, data.x)
     zeros = ncol(np.zeros(data.n), name="flat")
     ones = ncol(np.ones(data.n), name="flat")
 
     # quadratic form: an all-zero column zeroes the covariance exactly
-    out = run_alone(parse_strategy("ctree"), fit, zeros)
+    out = run_alone(parse_strategy("ctree"), data.y, data.x, zeros)
     assert out.law == "degenerate" and out.p_value == 1.0
     # a constant nonzero column leaves float noise in the covariance; the
     # rank procedure keeps one dimension but the p-value is still ~1
-    out = run_alone(parse_strategy("ctree"), fit, ones)
+    out = run_alone(parse_strategy("ctree"), data.y, data.x, ones)
     assert out.p_value > 0.999
 
     # binned contingency engine: one bin means zero contrast dimensions
     for col in (zeros, ones):
-        out = run_alone(parse_strategy("guide"), fit, col)
+        out = run_alone(parse_strategy("guide"), data.y, data.x, col)
         assert out.law == "degenerate" and out.p_value == 1.0
 
     # order-statistic engine: a constant column is one tie block, so no
     # boundary inside the trimming range is a cut point
     for col in (zeros, ones):
-        out = run_alone(parse_strategy("mob"), fit, col)
+        out = run_alone(parse_strategy("mob"), data.y, data.x, col)
         assert out.law == "degenerate" and out.p_value == 1.0
 
 
@@ -532,8 +526,8 @@ def tied_study(seed, n, distinct):
 def permuted_outcomes(name, y, x, z, perm):
     config = parse_strategy(name)
     return (
-        run_alone(config, fit_ols(y, x), ncol(z)),
-        run_alone(config, fit_ols(y[perm], x[perm]), ncol(z[perm])),
+        run_alone(config, y, x, ncol(z)),
+        run_alone(config, y[perm], x[perm], ncol(z[perm])),
     )
 
 
@@ -562,22 +556,22 @@ def test_max_route_pvalue_ignores_the_order_of_tied_rows(name):
     p_values = set()
     for k in range(6):
         perm = np.random.default_rng(k).permutation(200)
-        p_values.add(run_alone(config, fit_ols(y[perm], x[perm]), ncol(z[perm])).p_value)
+        p_values.add(run_alone(config, y[perm], x[perm], ncol(z[perm])).p_value)
     assert len(p_values) == 1
 
 
 @pytest.mark.parametrize("name", ["guide", "ctree+cat"])
 def test_tiny_numeric_column_is_degenerate_for_binned_engines(name):
     # three rows have no quartiles: the binned engines end the test at p = 1
-    fit = fit_ols(np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0]))
-    out = run_alone(parse_strategy(name), fit, ncol([1.0, 2.0, 5.0]))
+    y, x = np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0])
+    out = run_alone(parse_strategy(name), y, x, ncol([1.0, 2.0, 5.0]))
     assert out.law == "degenerate" and out.p_value == 1.0
 
 
-def perfect_fit(n):
+def perfect_node(n):
     # y = 1 + 2x exactly: every residual and score is exactly zero
     x = np.arange(float(n))
-    return fit_ols(1.0 + 2.0 * x, x)
+    return 1.0 + 2.0 * x, x
 
 
 def linear_route(engine):
@@ -596,37 +590,37 @@ def max_route(gof, col):
     return suplm_statistic(bridge(gof, col), resolve_min_segment(gof.n))
 
 
-ALTERNATING = fit_ols(np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+ALTERNATING = (np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
 
 DEGENERATE_INPUTS = [
-    # strategy, fit, column, and the engine call that must raise on its gof
-    pytest.param("ctree", perfect_fit(8), ncol(np.arange(8.0)), linear_route(quad_form_test),
+    # strategy, node rows (y, x), column, and the engine call that must raise on its gof
+    pytest.param("ctree", perfect_node(8), ncol(np.arange(8.0)), linear_route(quad_form_test),
                  id="quad_form_rank_zero"),
-    pytest.param("residuals,nodich,lin", perfect_fit(8), ncol(np.arange(8.0)),
+    pytest.param("residuals,nodich,lin", perfect_node(8), ncol(np.arange(8.0)),
                  linear_route(max_abs_test), id="max_abs_zero_variance"),
     # variance 4/3, but the statistic equals its permutation mean exactly
     pytest.param("residuals,nodich,lin", ALTERNATING, ncol([1.0, 1.0, 2.0, 2.0]),
                  linear_route(max_abs_test), id="max_abs_zero_statistic"),
-    pytest.param("guide", random_fit(73, 30)[0], ncol(np.zeros(30)), contingency,
+    pytest.param("guide", random_node(73, 30)[0], ncol(np.zeros(30)), contingency,
                  id="chisq_one_bin"),
-    pytest.param("guide", perfect_fit(8), ncol(np.arange(8.0)), contingency,
+    pytest.param("guide", perfect_node(8), ncol(np.arange(8.0)), contingency,
                  id="chisq_constant_sign"),
-    pytest.param("ctree+cat", fit_ols(np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0])),
+    pytest.param("ctree+cat", (np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0])),
                  ncol([1.0, 2.0, 5.0]), lambda gof, col: make_split_transform(col),
                  id="bins_of_three_rows"),
-    pytest.param("mob", random_fit(74, 40)[0], ncol([0.0] * 39 + [1.0]), max_route,
+    pytest.param("mob", random_node(74, 40)[0], ncol([0.0] * 39 + [1.0]), max_route,
                  id="suplm_no_tie_end"),
-    pytest.param("mob", perfect_fit(30), ncol(np.arange(30.0)), bridge,
+    pytest.param("mob", perfect_node(30), ncol(np.arange(30.0)), bridge,
                  id="fluctuation_zero_gof"),
 ]
 
 
-@pytest.mark.parametrize("name,fit,col,engine", DEGENERATE_INPUTS)
-def test_degenerate_input_raises_in_its_engine_and_ends_at_p_one(name, fit, col, engine):
+@pytest.mark.parametrize("name,node,col,engine", DEGENERATE_INPUTS)
+def test_degenerate_input_raises_in_its_engine_and_ends_at_p_one(name, node, col, engine):
     config = parse_strategy(name)
     with pytest.raises(DegenerateTestError):
-        engine(make_gof(fit, config.use_scores, config.dichotomize), col)
-    out = run_alone(config, fit, col)
+        engine(node_gof(node, config.use_scores, config.dichotomize), col)
+    out = run_alone(config, *node, col)
     assert (out.law, out.statistic, out.p_value, out.df) == ("degenerate", 0.0, 1.0, 0)
 
 
@@ -719,11 +713,10 @@ def test_select_variable_ignores_degenerate_tests_in_family_size():
 def test_argmin_outcome_skips_degenerate_and_returns_none_when_all_are():
     a = parse_strategy("ctree")
     data = make_data()
-    fit = fit_ols(data.y, data.x)
-    flat1 = run_alone(a, fit, ncol(np.zeros(data.n), name="f1"))
-    flat2 = run_alone(a, fit, ncol(np.zeros(data.n), name="f2"))
+    flat1 = run_alone(a, data.y, data.x, ncol(np.zeros(data.n), name="f1"))
+    flat2 = run_alone(a, data.y, data.x, ncol(np.zeros(data.n), name="f2"))
     assert argmin_outcome([flat1, flat2]) is None
-    live = run_alone(a, fit, data.column("z1"))
+    live = run_alone(a, data.y, data.x, data.column("z1"))
     assert argmin_outcome([flat1, live, flat2]) is live
 
 
@@ -739,9 +732,9 @@ def test_statistics_ignore_response_scale(name):
     zvals = rng.normal(size=n)
     col = ncol(zvals)
     cfg = parse_strategy(name)
-    base = run_alone(cfg, fit_ols(y, x), col)
+    base = run_alone(cfg, y, x, col)
     for factor in (1e-8, 1e8):
-        scaled = run_alone(cfg, fit_ols(y * factor, x), col)
+        scaled = run_alone(cfg, y * factor, x, col)
         assert scaled.law == base.law
         assert scaled.p_value == pytest.approx(base.p_value, rel=1e-8, abs=1e-12)
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-7, abs=1e-9)
@@ -759,9 +752,8 @@ def test_engines_hold_their_size_under_the_null():
         x = rng.uniform(-1.0, 1.0, n)
         z1 = rng.uniform(-1.0, 1.0, n)
         data = Dataset(y, x, (SplitColumn("z1", NUMERIC, z1),))
-        fit = fit_ols(data.y, data.x)
         for name, cfg in configs.items():
-            out = run_alone(cfg, fit, data.column("z1"))
+            out = run_alone(cfg, data.y, data.x, data.column("z1"))
             hits[name] += out.p_value < 0.05
     for name, count in hits.items():
         rate = count / reps
@@ -770,11 +762,10 @@ def test_engines_hold_their_size_under_the_null():
 
 def test_outcomes_are_deterministic():
     data = make_data()
-    fit = fit_ols(data.y, data.x)
     for name in sorted(STRATEGIES):
         cfg = parse_strategy(name)
-        a = run_alone(cfg, fit, data.column("z1"))
-        b = run_alone(cfg, fit, data.column("z1"))
+        a = run_alone(cfg, data.y, data.x, data.column("z1"))
+        b = run_alone(cfg, data.y, data.x, data.column("z1"))
         assert (a.statistic, a.p_value, a.law, a.df) == (b.statistic, b.p_value, b.law, b.df)
 
 

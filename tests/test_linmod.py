@@ -1,4 +1,7 @@
-"""Closed-form node model: fits, residuals, per-row scores, predictions."""
+"""Closed-form node model: fits, residuals, per-row scores, predictions.
+
+A fit holds no per-row arrays; its residuals and scores are derived at
+the node's rows by ``residuals`` and ``make_gof``."""
 
 import numpy as np
 import pytest
@@ -11,14 +14,18 @@ from lmtrees.linmod import (
     LinearFit,
     fit_ols,
     predict,
+    residuals,
 )
+from lmtrees.transform import make_gof
 
 
 def test_hand_worked_fit():
-    fit = fit_ols(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+    y, x = np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0, 1.0])
+    fit = fit_ols(y, x)
     assert fit.beta0 == pytest.approx(0.5, abs=1e-12)
     assert fit.beta1 == pytest.approx(1.0, abs=1e-12)
-    assert fit.residuals == pytest.approx([-0.5, 0.5, -0.5, 0.5], abs=1e-12)
+    r = residuals(fit.beta0, fit.beta1, y, x)
+    assert r == pytest.approx([-0.5, 0.5, -0.5, 0.5], abs=1e-12)
     assert fit.rss == pytest.approx(1.0, abs=1e-12)
     assert fit.n == 4
 
@@ -41,18 +48,20 @@ def test_scores_are_minus_two_residual_times_design():
     y = rng.normal(size=30)
     x = rng.uniform(-1, 1, 30)
     fit = fit_ols(y, x)
-    expected = np.column_stack((-2.0 * fit.residuals, -2.0 * fit.residuals * x))
-    assert np.allclose(fit.scores, expected, atol=1e-12)
-    assert np.allclose(fit.scores[3], expected[3], atol=1e-12)
+    r = residuals(fit.beta0, fit.beta1, y, x)
+    scores = make_gof(fit, y, x, use_scores=True, dichotomize=False).values
+    expected = np.column_stack((-2.0 * r, -2.0 * r * x))
+    assert np.allclose(scores, expected, atol=1e-12)
+    assert np.allclose(scores[3], expected[3], atol=1e-12)
 
 
 def test_score_columns_sum_to_zero_at_the_fit():
     rng = np.random.default_rng(3)
     y = rng.normal(size=50)
     x = rng.normal(size=50)
-    fit = fit_ols(y, x)
-    sums = fit.scores.sum(axis=0)
-    scale = np.abs(fit.scores).sum()
+    scores = make_gof(fit_ols(y, x), y, x, use_scores=True, dichotomize=False).values
+    sums = scores.sum(axis=0)
+    scale = np.abs(scores).sum()
     assert abs(sums[0]) <= 1e-10 * max(scale, 1.0)
     assert abs(sums[1]) <= 1e-10 * max(scale, 1.0)
 
@@ -110,8 +119,11 @@ def test_residuals_match_definition():
     y = rng.normal(size=12)
     x = rng.normal(size=12)
     fit = fit_ols(y, x)
-    assert np.allclose(fit.residuals, y - fit.beta0 - fit.beta1 * x, atol=1e-12)
-    assert fit.rss == pytest.approx(float(fit.residuals @ fit.residuals), rel=1e-12)
+    r = make_gof(fit, y, x, use_scores=False, dichotomize=False).values[:, 0]
+    assert np.allclose(r, y - fit.beta0 - fit.beta1 * x, atol=1e-12)
+    assert fit.rss == pytest.approx(float(r @ r), rel=1e-12)
+    # the fit and the split tests share one residual expression, bit for bit
+    assert fit.rss == float(r @ r)
 
 
 @given(

@@ -136,8 +136,7 @@ def former_chisq_statistic(gof, design):
     return total_stat, total_df
 
 
-def former_run_strategy(config, fit, col):
-    gof = make_gof(fit, config.use_scores, config.dichotomize)
+def former_run_strategy(config, gof, col):
     mode = "cat" if col.kind == CATEGORICAL else config.split_mode
     try:
         if mode == "max":
@@ -162,7 +161,8 @@ def former_run_strategy(config, fit, col):
 
 
 def former_select_variable(config, fit, data):
-    outcomes = [former_run_strategy(config, fit, col) for col in data.z]
+    gof = make_gof(fit, data.y, data.x, config.use_scores, config.dichotomize)
+    outcomes = [former_run_strategy(config, gof, col) for col in data.z]
     best = argmin_outcome(outcomes)
     if best is None:
         return outcomes, None

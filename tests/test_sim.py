@@ -261,7 +261,9 @@ def test_run_study_is_reproducible_and_ordered():
 def test_run_study_threads_do_not_change_output():
     config = cell(n=80, replications=6, j_noise=2)
     serial = run_study([config], strat_list("ctree", "mob"), seed=2, threads=1)
-    parallel = run_study([config], strat_list("ctree", "mob"), seed=2, threads=2)
+    # the parameter is deprecated: any value but 1 warns and changes nothing
+    with pytest.warns(FutureWarning, match="threads"):
+        parallel = run_study([config], strat_list("ctree", "mob"), seed=2, threads=2)
     assert serial == parallel
 
 

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmtrees.dataset import CATEGORICAL, NUMERIC, SplitColumn, empirical_quartiles
+from lmtrees.dataset import CATEGORICAL, SplitColumn, empirical_quartiles
 from lmtrees.inference import (
     conditional_moments,
     linear_statistic,
     parse_strategy,
     quad_form_test,
-    run_strategy,
 )
 from lmtrees.linmod import fit_ols
 from lmtrees.transform import (
@@ -23,25 +22,19 @@ from lmtrees.transform import (
     quartile_breaks,
 )
 
-
-def run_alone(config, fit, col):
-    # one column tested against a gof matrix of its own
-    return run_strategy(config, make_gof(fit, config.use_scores, config.dichotomize), col)
+from helpers import ncol, run_alone
 
 
-def ncol(values, name="z1"):
-    return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
-
-
-def small_fit():
-    return fit_ols(np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+def small_gof(use_scores, dichotomize):
+    y, x = np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0, 1.0])
+    return make_gof(fit_ols(y, x), y, x, use_scores, dichotomize)
 
 
 # ------------------------------------------------------------------ gof side
 
 
 def test_residual_gof_is_single_column():
-    gof = make_gof(small_fit(), use_scores=False, dichotomize=False)
+    gof = small_gof(use_scores=False, dichotomize=False)
     assert gof.values.shape == (4, 1)
     assert gof.values[:, 0] == pytest.approx([-0.5, 0.5, -0.5, 0.5])
     assert not gof.dichotomized
@@ -49,14 +42,14 @@ def test_residual_gof_is_single_column():
 
 
 def test_score_gof_has_two_columns():
-    fit = small_fit()
-    gof = make_gof(fit, use_scores=True, dichotomize=False)
+    gof = small_gof(use_scores=True, dichotomize=False)
     assert gof.values.shape == (4, 2)
-    assert np.allclose(gof.values, fit.scores)
+    # residuals (-0.5, 0.5, -0.5, 0.5) at x = (0, 0, 1, 1), scores -2 r (1, x)
+    assert np.allclose(gof.values, [[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0], [-1.0, -1.0]])
 
 
 def test_dichotomization_maps_nonnegative_to_one():
-    gof = make_gof(small_fit(), use_scores=False, dichotomize=True)
+    gof = small_gof(use_scores=False, dichotomize=True)
     assert gof.values[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
     assert gof.dichotomized
     # an exact zero lands in the "one" class
@@ -80,12 +73,12 @@ def test_gof_matrix_validation():
 def test_linear_mode_uses_raw_values():
     # the linear route pairs the gof matrix with the raw column itself
     rng = np.random.default_rng(4)
-    fit = fit_ols(rng.normal(size=40), rng.normal(size=40))
+    y, x = rng.normal(size=40), rng.normal(size=40)
     col = ncol(rng.uniform(-1, 1, 40))
-    gof = make_gof(fit, use_scores=True, dichotomize=False)
+    gof = make_gof(fit_ols(y, x), y, x, use_scores=True, dichotomize=False)
     design = col.values.reshape(-1, 1)
     expected = quad_form_test(linear_statistic(gof, design), *conditional_moments(gof, design))
-    outcome = run_alone(parse_strategy("ctree"), fit, col)
+    outcome = run_alone(parse_strategy("ctree"), y, x, col)
     assert (outcome.statistic, outcome.df, outcome.p_value) == expected
 
 

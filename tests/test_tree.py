@@ -27,14 +27,13 @@ from lmtrees.tree import (
     leaves,
     partition_labels,
     predict_tree,
+    route_rows,
     tree_depth,
     tree_from_json,
     tree_to_json,
 )
 
-
-def ncol(values, name="z1"):
-    return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
+from helpers import ncol
 
 
 def ols_rss(y, x):
@@ -681,6 +680,51 @@ def test_json_round_trip_keeps_categorical_splits():
     assert back.split.left_levels == tree.split.left_levels
     assert back.split.right_levels == tree.split.right_levels
     assert np.array_equal(partition_labels(back, data), partition_labels(tree, data))
+
+
+def test_grown_fits_equal_and_hash_as_their_stored_fits():
+    data = stump_data(seed=40, n=300, delta=2.0)
+    control = GrowControl(alpha=0.2, min_node_size=25, max_depth=3)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    tree = grow(data, "mob", control)
+    back, _, _, _ = tree_from_json(tree_to_json(tree, schema, parse_strategy("mob"), control))
+    pairs = list(zip(iter_nodes(tree), iter_nodes(back)))
+    assert len(pairs) > 1
+    for grown, stored in pairs:
+        assert grown.fit == stored.fit
+        assert hash(grown.fit) == hash(stored.fit)
+
+
+def levelled_data(seed, n=300):
+    # stump_data's columns plus a four-level column that shifts the intercept
+    data = stump_data(seed=seed, n=n, delta=1.5)
+    codes = np.random.default_rng(seed + 1).integers(0, 4, n)
+    g = SplitColumn("g", CATEGORICAL, codes, levels=("a", "b", "c", "d"))
+    return Dataset(data.y + 1.0 * (codes >= 2), data.x, data.z + (g,))
+
+
+@pytest.mark.parametrize("levels", [False, True], ids=["numeric", "categorical"])
+@pytest.mark.parametrize("name", sorted(inference.STRATEGIES) + ["residuals,nodich,lin"])
+def test_stored_node_fits_retest_to_the_grown_outcomes(name, levels):
+    # a tree file suffices to recompute every node's tests: the stored fit
+    # and the rows routed to the node give the grown outcomes exactly
+    data = levelled_data(42) if levels else stump_data(seed=42, n=300, delta=1.5)
+    control = GrowControl(alpha=0.5, min_node_size=20, max_depth=3, prepruning=False)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    tree = grow(data, name, control)
+    text = tree_to_json(tree, schema, parse_strategy(name), control)
+    back, _, strategy, control = tree_from_json(text)
+    reach = route_rows(back, data, np.arange(data.n))
+    tested = 0
+    for grown, stored in zip(iter_nodes(tree), iter_nodes(back)):
+        if grown.outcomes:
+            rows = reach[stored.id]
+            assert np.array_equal(rows, grown.rows)
+            outcomes, _ = inference.select_variable(control.apply_to(strategy), stored.fit, data,
+                                                    rows)
+            assert tuple(outcomes) == grown.outcomes
+            tested += 1
+    assert tested > 1
 
 
 def test_tree_from_json_rejects_unknown_format():
