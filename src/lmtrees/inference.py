@@ -291,21 +291,17 @@ class FluctuationProcess:
 
 def fluctuation_process(gof: GofMatrix, values: np.ndarray,
                         order: np.ndarray) -> FluctuationProcess:
-    """Build the cumulative-score process along a numeric column's order.
-
-    The gof columns are centered, decorrelated by the inverse symmetric
-    square root of their average outer product, scaled by ``n**-0.5``,
-    and cumulated in the stable sort ``order`` of the column ``values``
-    (columns stacked as rows give stacked processes).
-    """
+    """Build the cumulative-score process along a numeric column's order:
+    the whitened gof rows (``GofMatrix.whitened``) cumulated in the stable
+    sort ``order`` of the column ``values`` (columns stacked as rows give
+    stacked processes), both gathered with ``np.take``."""
     n = gof.n
-    root_inv, rank = gof.inverse_root
+    white, rank = gof.whitened
     if rank == 0:
         raise DegenerateTestError("gof covariance is numerically zero")
-    walk = (gof.centred[order] @ root_inv) / math.sqrt(n)
     cumulative = np.zeros((*order.shape[:-1], n + 1, gof.k))
-    np.cumsum(walk, axis=-2, out=cumulative[..., 1:, :])
-    vs = np.take_along_axis(values, order, axis=-1)
+    np.cumsum(np.take(white, order, axis=0), axis=-2, out=cumulative[..., 1:, :])
+    vs = np.take(values, order + n * np.arange(order.size // n).reshape(*order.shape[:-1], 1))
     tie_ends = np.ones(cumulative.shape[:-1], dtype=bool)
     tie_ends[..., 1:-1] = vs[..., :-1] != vs[..., 1:]
     return FluctuationProcess(cumulative=cumulative, tie_ends=tie_ends, k_eff=rank)
@@ -329,7 +325,8 @@ def suplm_statistic(proc: FluctuationProcess, min_segment: int) -> tuple[float, 
         raise DegenerateTestError(f"segments of {min_segment} leave no cut in {n} rows")
     frac = np.arange(lo, hi + 1) / n
     path = proc.cumulative[..., lo : hi + 1, :]
-    values = 1.0 / (frac * (1.0 - frac)) * np.einsum("...ij,...ij->...i", path, path)
+    norm = sum(path[..., j] * path[..., j] for j in range(path.shape[-1]))
+    values = 1.0 / (frac * (1.0 - frac)) * norm
     values[~ends] = -np.inf
     peak, stat = np.argmax(values, axis=-1), values.max(axis=-1)
     if not lead:
@@ -500,7 +497,7 @@ def column_entries(config: StrategyConfig, gof: GofMatrix, columns: ColumnMatrix
     step = max(1, COLUMN_BLOCK // gof.n)
     for start in range(0, numeric.size, step):
         span = slice(start, start + step)
-        values = columns.values[span, rows]
+        values = np.take(columns.values[span], rows, axis=1)
         block_orders = orders[span] if config.split_mode == MODE_MAX else None
         for sel, stat, df, p, law in _route_tests(config, gof, values, block_orders, numeric[span]):
             for j, s, d, pj in zip((sel + start).tolist(), stat.tolist(), df.tolist(), p):

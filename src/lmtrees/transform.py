@@ -78,12 +78,13 @@ class GofMatrix:
         return (self.centred.T @ self.centred) / self.n
 
     @cached_property
-    def inverse_root(self) -> tuple[np.ndarray, int]:
-        """Inverse symmetric square root of ``covariance`` on its numerical
-        range, and the dimension of that range."""
+    def whitened(self) -> tuple[np.ndarray, int]:
+        """``centred`` decorrelated by the inverse symmetric square root of
+        ``covariance`` on its numerical range and scaled by ``n**-0.5``, and
+        the dimension of that range (each row is a product of its own)."""
         eigval, eigvec, keep = eig_pinv_parts(self.covariance)
-        eigval, eigvec = eigval[keep], eigvec[:, keep]
-        return eigvec @ np.diag(1.0 / np.sqrt(eigval)) @ eigvec.T, int(keep.sum())
+        root_inv = eigvec[:, keep] @ np.diag(1.0 / np.sqrt(eigval[keep])) @ eigvec[:, keep].T
+        return (self.centred @ root_inv) / np.sqrt(self.n), int(keep.sum())
 
 
 def eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -107,6 +107,10 @@ class TreeNode:
     children: tuple["TreeNode", ...] = ()
     rows: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.n != self.fit.n:
+            raise ValueError(f"node {self.id} holds {self.n} rows but its fit {self.fit.n}")
+
     @property
     def is_leaf(self) -> bool:
         return not self.children

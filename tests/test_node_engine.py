@@ -27,11 +27,13 @@ from lmtrees.inference import argmin_outcome, parse_strategy, resolve_min_segmen
 from lmtrees.inference import suplm_pvalue
 from lmtrees.linmod import InsufficientDataError, fit_ols
 from lmtrees.special import chi2_sf, normal_sf
-from lmtrees.transform import DegenerateTestError, design_groups, make_gof
+from lmtrees.transform import DegenerateTestError, GofMatrix, design_groups, make_gof
 from lmtrees.tree import GrowControl, TreeNode, best_split_point, grow, iter_nodes, tree_to_json
 
 NAMES = ("ctree", "mob", "guide", "guide+scores", "ctree+max", "ctree+cat", "ctree+dich",
-         "mob+cat", "mob+dich", "residuals,nodich,lin")
+         "mob+cat", "mob+dich", "residuals,nodich,lin", "residuals,nodich,max",
+         "residuals,dich,max")
+MAX_NAMES = tuple(name for name in NAMES if parse_strategy(name).split_mode == "max")
 
 
 # ---------------------------------------------------------------- the oracle
@@ -308,6 +310,46 @@ def test_a_node_of_several_column_blocks_matches_the_per_column_path(name):
     fit = fit_ols(data.y[rows], data.x[rows])
     got = select_variable(config, fit, data, rows)
     assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
+
+
+@pytest.mark.parametrize("name", MAX_NAMES)
+@pytest.mark.parametrize("seed", [5, 6])
+def test_a_node_of_one_column_per_block_matches_the_per_column_path(name, seed):
+    # tied columns, each gathered, whitened and scanned as a block of its own
+    data, _ = node_data(seed=seed, n=600, distinct=3)
+    rows = np.flatnonzero(np.random.default_rng(seed).uniform(size=data.n) < 0.8)
+    config = parse_strategy(name)
+    fit = fit_ols(data.y[rows], data.x[rows])
+    with mock.patch.object(inference, "COLUMN_BLOCK", rows.shape[0] - 1):
+        got = select_variable(config, fit, data, rows)
+    assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
+    assert {o.law for o in got[0]} >= {"suplm", "degenerate"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 3000),
+    k=st.sampled_from([1, 2]),
+    columns=st.integers(1, 3),
+    distinct=st.integers(1, 6),
+    scale=st.floats(1e-6, 1e6),
+)
+def test_gathering_whitened_rows_equals_whitening_gathered_rows(seed, n, k, columns, distinct,
+                                                                scale):
+    # each whitened row is the BLAS product of its own centred row, so a
+    # gather before whitening and one after it give the same bytes
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, k)) * scale
+    if k == 2 and seed % 3 == 0:
+        values[:, 1] = values[:, 0] * rng.integers(-2, 3, n)
+    gof = GofMatrix(values=values, dichotomized=False)
+    eigval, eigvec, rank = former_eig_pinv_parts(gof.covariance)
+    root_inv = eigvec @ np.diag(1.0 / np.sqrt(eigval)) @ eigvec.T
+    order = stable_orders(rng.integers(0, distinct, (columns, n)))
+    got = np.take(gof.whitened[0], order, axis=0)
+    assert got.tobytes() == ((gof.centred[order] @ root_inv) / math.sqrt(n)).tobytes()
+    assert gof.whitened[1] == rank
 
 
 def stable_orders(values):

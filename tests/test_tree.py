@@ -632,6 +632,14 @@ def test_unseen_level_routes_right_when_right_child_is_larger():
     assert labels.tolist() == [1, 2, 2, 2]
 
 
+def test_a_node_whose_size_differs_from_its_fits_is_refused():
+    fit = LinearFit(0.0, 0.0, 40, 5.0)
+    with pytest.raises(ValueError, match="40"):
+        TreeNode(id=3, depth=1, n=41, fit=fit, p_values={})
+    node = TreeNode(id=3, depth=1, n=40, fit=fit, p_values={})
+    assert (node.n, node.fit.n) == (40, 40)
+
+
 # -------------------------------------------------------------- serialization
 
 
