@@ -529,18 +529,21 @@ def argmin_outcome(outcomes: list[TestOutcome]) -> TestOutcome | None:
 def select_variable(
     config: StrategyConfig, fit: LinearFit, data: Dataset,
     rows: np.ndarray | None = None, orders: np.ndarray | None = None,
+    yx: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[TestOutcome], str | None]:
     """Test every split column and apply the selection gate.
 
     The node is ``rows`` (increasing) of ``data``, all of it by default,
     ``fit`` its fit, grown or stored, and ``orders`` its column orders if
-    kept (see ``column_entries``); its gof matrix and columns are read off
-    ``data``, whose presort every call shares.  Returns all outcomes in
+    kept (see ``column_entries``), and ``yx`` its response and regressor
+    if already gathered; its gof matrix and columns are read off ``data``,
+    whose presort every call shares.  Returns all outcomes in
     column order and the chosen variable, or ``None`` when the (possibly
     adjusted) minimum p-value misses ``alpha``.
     """
-    y, x = (data.y, data.x) if rows is None else (data.y[rows], data.x[rows])
-    gof = make_gof(fit, y, x, config.use_scores, config.dichotomize)
+    if yx is None:
+        yx = (data.y, data.x) if rows is None else (data.y[rows], data.x[rows])
+    gof = make_gof(fit, *yx, config.use_scores, config.dichotomize)
     entries = column_entries(config, gof, data.columns, rows, orders)
     outcomes = [run_strategy(config, gof, col, entry) for col, entry in zip(data.z, entries)]
     best = argmin_outcome(outcomes)

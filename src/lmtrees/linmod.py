@@ -65,8 +65,9 @@ def fit_ols(y: np.ndarray, x: np.ndarray) -> LinearFit:
     n = y.shape[0]
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    xbar = x.mean()
-    ybar = y.mean()
+    # sum / n is mean() to the bit, without its Python wrapper
+    xbar = x.sum() / n
+    ybar = y.sum() / n
     xc = x - xbar
     sxx = float(xc @ xc)
     if sxx == 0.0:

@@ -41,7 +41,6 @@ __all__ = [
     "predict_tree",
     "iter_nodes",
     "leaves",
-    "tree_depth",
     "tree_to_dict",
     "tree_from_dict",
     "tree_to_json",
@@ -127,10 +126,6 @@ def iter_nodes(node: TreeNode) -> Iterator[TreeNode]:
 
 def leaves(node: TreeNode) -> list[TreeNode]:
     return [n for n in iter_nodes(node) if n.is_leaf]
-
-
-def tree_depth(node: TreeNode) -> int:
-    return max(n.depth for n in iter_nodes(node))
 
 
 def _segment_rss(sums: np.ndarray, sxx_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +222,8 @@ def best_split_point(
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    yc = y - y.mean()
-    xc = x - x.mean()
+    yc = y - y.sum() / y.shape[0]  # mean() to the bit, as in fit_ols
+    xc = x - x.sum() / x.shape[0]
     if col.kind == NUMERIC:
         order = order_permutation(col) if order is None else order
         return _best_numeric_split(yc, xc, col, order, min_node_size)
@@ -272,7 +267,7 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
         split = None
         children: tuple[TreeNode, ...] = ()
         if depth < control.max_depth and rows.shape[0] >= 2 * control.min_node_size:
-            outcome_list, chosen = select_variable(strategy, fit, data, rows, orders)
+            outcome_list, chosen = select_variable(strategy, fit, data, rows, orders, (y, x))
             outcomes = tuple(outcome_list)
             if not control.prepruning:
                 best = argmin_outcome(outcome_list)
@@ -335,12 +330,12 @@ def partition_labels(tree: TreeNode, data: Dataset) -> np.ndarray:
 
 def predict_tree(tree: TreeNode, data: Dataset) -> np.ndarray:
     """Evaluate each row's leaf model at its regressor value."""
-    labels = partition_labels(tree, data)
-    by_id = {node.id: node for node in iter_nodes(tree)}
+    reach = route_rows(tree, data, np.arange(data.n))
     out = np.empty(data.n, dtype=float)
-    for leaf_id in np.unique(labels):
-        mask = labels == leaf_id
-        out[mask] = predict(by_id[int(leaf_id)].fit, data.x[mask])
+    for node in iter_nodes(tree):
+        # where routing stops: at a leaf, or at a node without a split
+        if node.id in reach and (node.is_leaf or node.split is None):
+            out[reach[node.id]] = predict(node.fit, data.x[reach[node.id]])
     return out
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from lmtrees.cli import main
-from lmtrees.dataset import NUMERIC, CsvSchema, Dataset, SplitColumn, write_csv
-from lmtrees.tree import tree_depth, tree_from_json, tree_to_json
+from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, Dataset, SplitColumn, write_csv
+from lmtrees.tree import tree_from_json, tree_to_json
+
+from helpers import tree_depth
 
 
 def stump_csv(path, seed=0, n=200, delta=2.0):
@@ -377,3 +379,53 @@ def test_prune_rejects_a_negative_split_df(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "split_df" in err
+
+
+def mixed_csv(path, seed=21, n=240):
+    """Tied and smooth numeric columns and a four-level categorical one."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n)
+    tied = rng.integers(0, 5, n).astype(float)
+    codes = rng.integers(0, 4, n)
+    y = np.where(tied >= 2, 1.0, -0.5) * x + 0.8 * (codes % 2) + 0.6 * rng.normal(size=n)
+    z = (
+        SplitColumn("tied", NUMERIC, tied),
+        SplitColumn("region", CATEGORICAL, codes, levels=("north", "east", "south", "west")),
+        SplitColumn("smooth", NUMERIC, rng.uniform(-1, 1, n)),
+    )
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in z))
+    write_csv(Dataset(y, x, z), str(path), schema)
+
+
+# sha256 of the cc-pruned tree, its knot table and the bic-pruned tree,
+# recorded before the cost-complexity path moved onto node arrays; the
+# knot table's cv_loss reprs are pinned nowhere else
+GOLDEN_PRUNES = {
+    "mob": (
+        "040156a68a7ffb56bfd0ba34999e54949384f1ca91769937011eaf1cf6ff04cf",
+        "d14c3c90c91f529f90e6556fb4a1cea060a6f988d00079f9dc49565e169d951e",
+        "040156a68a7ffb56bfd0ba34999e54949384f1ca91769937011eaf1cf6ff04cf",
+    ),
+    "guide+scores": (
+        "5a5fb59a3b8393eff1ba430ae24f7dc1c83521460af6d70335a00941364d869c",
+        "538bc5d2eb96786f01b9fbbd9e0f28c23e6ca9191995328ad995cfcd74d7d63d",
+        "5a5fb59a3b8393eff1ba430ae24f7dc1c83521460af6d70335a00941364d869c",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_PRUNES))
+def test_prune_outputs_keep_their_pinned_digests(tmp_path, strategy):
+    data_path, tree_path = tmp_path / "d.csv", tmp_path / "t.json"
+    mixed_csv(data_path)
+    assert main(["fit", "--response", "y", "--regressor", "x", "--split", "tied,region,smooth",
+                 "--categorical", "region", "--strategy", strategy, "--no-preprune",
+                 "--alpha", "1.0", "--max-depth", "4", "--min-node-size", "15",
+                 "--data", str(data_path), "--out", str(tree_path)]) == 0
+    cc, knots, bic = tmp_path / "cc.json", tmp_path / "knots.csv", tmp_path / "bic.json"
+    prune = ["prune", "--tree", str(tree_path), "--data", str(data_path)]
+    assert main(prune + ["--method", "cc", "--folds", "5", "--seed", "3", "--out", str(cc),
+                         "--path-out", str(knots)]) == 0
+    assert main(prune + ["--method", "bic", "--out", str(bic)]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (cc, knots, bic))
+    assert got == GOLDEN_PRUNES[strategy]

@@ -298,6 +298,9 @@ def test_one_node_mixing_design_widths_matches_the_per_column_path(name):
     fit = fit_ols(data.y[rows], data.x[rows])
     got = select_variable(config, fit, data, rows)
     assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
+    # the node's response and regressor handed in, as grow gathers them
+    yx = (data.y[rows], data.x[rows])
+    assert_same_selection(select_variable(config, fit, data, rows, None, yx), got)
 
 
 @pytest.mark.parametrize("name", NAMES)

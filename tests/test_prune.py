@@ -11,17 +11,8 @@ from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset,
 from lmtrees.dataset import SplitColumn
 from lmtrees.inference import parse_strategy
 from lmtrees.linmod import LinearFit
-from lmtrees.prune import (
-    PruneResult,
-    _candidate_alphas,
-    _collapse,
-    _subtree_at,
-    _weakest_links,
-    cost_complexity_path,
-    cv_prune,
-    ic_prune,
-    prune_at,
-)
+from lmtrees.prune import PruneResult, _candidate_alphas, cost_complexity_path, cv_prune, ic_prune
+from lmtrees.prune import prune_at
 from lmtrees.tree import GrowControl, Split, TreeNode, grow, iter_nodes, leaves, predict_tree
 from lmtrees.tree import tree_to_json
 
@@ -62,6 +53,54 @@ def null_data(seed, n=120):
 
 
 # -------------------------------------------------------- cost-complexity path
+
+
+def _weakest_links(node):
+    """The former path's step: the smallest per-split improvement rate
+    over the internal nodes in preorder, with the ids within 1e-15 of it."""
+    best = math.inf
+    ids = set()
+    for inner in iter_nodes(node):
+        if inner.is_leaf:
+            continue
+        sub_rss = 0.0
+        for leaf in leaves(inner):
+            sub_rss += leaf.fit.rss
+        g = (inner.fit.rss - sub_rss) / (len(leaves(inner)) - 1)
+        if g < best - 1e-15:
+            best = g
+            ids = {inner.id}
+        elif g <= best + 1e-15:
+            ids.add(inner.id)
+    return best, ids
+
+
+def _collapse(node, ids):
+    if node.id in ids:
+        return replace(node, split=None, children=())
+    if node.is_leaf:
+        return node
+    return replace(node, children=tuple(_collapse(c, ids) for c in node.children))
+
+
+def former_path(tree):
+    """The cost-complexity path as it was built before node arrays: the
+    weakest links searched afresh and the tree copied at every step."""
+    path = [(0.0, tree)]
+    current = tree
+    while not current.is_leaf:
+        alpha, ids = _weakest_links(current)
+        current = _collapse(current, ids)
+        path.append((max(alpha, 0.0), current))
+    return path
+
+
+def _subtree_at(path, alpha):
+    # take the path's collapses in order, stopping at the first knot above alpha
+    k = 1
+    while k < len(path) and path[k][0] <= alpha:
+        k += 1
+    return path[k - 1][1]
 
 
 def test_path_of_hand_built_stump():
@@ -184,6 +223,67 @@ def test_prune_at_matches_repeated_search(name, seed):
     assert prune_at(tree, -1.0) is tree
 
 
+def pair(nid, depth, rss):
+    """An internal node over two leaves of rss 1: its rate is rss - 2."""
+    return node(nid, depth, 20, rss, children=(node(nid + 1, depth + 1, 10, 1.0),
+                                                node(nid + 2, depth + 1, 10, 1.0)))
+
+
+# rates that tie exactly or within 1e-15; 5 +- 1 ulp gives rates 3 +- 2 ulp
+TIED_TREES = {
+    # two sibling rates of 3 collapse at one step
+    "siblings": node(0, 0, 40, 100.0, children=(pair(1, 1, 5.0), pair(4, 1, 5.0))),
+    # node 1's rate (10 - 4) / 2 = 3 ties with its descendant node 2
+    "ancestor": node(0, 0, 60, 100.0, children=(
+        node(1, 1, 40, 10.0, children=(pair(2, 2, 5.0), node(5, 2, 10, 2.0))),
+        node(6, 1, 20, 10.0))),
+    # in preorder 3 + 2 ulp, then 3 (its tie), then 3 - 2 ulp, which is
+    # more than 1e-15 below the first and so drops both before it
+    "within_1e-15": node(0, 0, 60, 100.0, children=(
+        node(1, 1, 40, 50.0, children=(pair(2, 2, 5.000000000000001), pair(5, 2, 5.0))),
+        pair(8, 1, 4.999999999999999))),
+}
+TIED_STEPS = {"siblings": 3, "ancestor": 3, "within_1e-15": 5}
+
+
+def node_fields(tree):
+    return [(n.id, n.depth, n.n, n.fit, n.p_values, n.outcomes, n.split,
+             [c.id for c in n.children], None if n.rows is None else n.rows.tobytes())
+            for n in iter_nodes(tree)]
+
+
+def assert_same_path(tree):
+    got, want = cost_complexity_path(tree), former_path(tree)
+    knots = [alpha for alpha, _ in want]
+    assert [float(a).hex() for a, _ in got] == [float(a).hex() for a in knots]
+    assert got[0][1] is tree and prune_at(tree, -1.0) is tree
+    for (_, new), (_, old) in zip(got, want):
+        assert node_fields(new) == node_fields(old)
+    probes = knots + [0.5 * (a + b) for a, b in zip(knots, knots[1:])] + [-1.0]
+    for alpha in probes:
+        assert node_fields(prune_at(tree, alpha)) == node_fields(_subtree_at(want, alpha))
+
+
+@pytest.mark.parametrize("name", sorted(TIED_TREES))
+def test_path_on_node_arrays_equals_the_former_path_on_tied_rates(name):
+    tree = TIED_TREES[name]
+    # every tie is one step of the former path
+    assert len(former_path(tree)) == TIED_STEPS[name]
+    assert_same_path(tree)
+
+
+@pytest.mark.parametrize("name", ["ctree", "mob", "guide", "guide+scores"])
+def test_path_on_node_arrays_equals_the_former_path_on_grown_trees(name):
+    data, _ = mixed_data(seed=17)
+    control = GrowControl(alpha=0.5, min_node_size=8, max_depth=4, prepruning=False)
+    tree = grow(data, name, control)
+    assert len(leaves(tree)) >= 8
+    assert_same_path(tree)
+    for f in range(3):
+        train = np.flatnonzero(np.arange(data.n) % 3 != f)
+        assert_same_path(grow(data, name, control, rows=train))
+
+
 # -------------------------------------------------------------- cross-validation
 
 
@@ -245,11 +345,11 @@ def test_cv_prune_result_invariants():
 
 
 def former_cv_prune(data, strategy, control, folds=10, seed=0, one_se=False):
-    """The fold loop before fold trees grew on index sets: each fold's
-    training rows are copied (``Dataset.take``) and grown as their own
-    data, and its held-out rows scored as a copy too."""
+    """The fold loop before fold trees grew on index sets, on the former
+    path: each fold's training rows are copied (``Dataset.take``) and
+    grown as their own data, and its held-out rows scored as a copy too."""
     control = replace(control, prepruning=False)
-    path = cost_complexity_path(grow(data, strategy, control))
+    path = former_path(grow(data, strategy, control))
     knots = [alpha for alpha, _ in path]
     candidates = _candidate_alphas(knots)
     fold_ids = np.empty(data.n, dtype=np.int64)
@@ -260,7 +360,7 @@ def former_cv_prune(data, strategy, control, folds=10, seed=0, one_se=False):
         if test.size == 0:
             continue
         try:
-            fold_path = cost_complexity_path(grow(data.take(train), strategy, control))
+            fold_path = former_path(grow(data.take(train), strategy, control))
         except ValueError as exc:
             warnings.warn(f"fold {f} skipped: {exc}")
             continue
@@ -324,6 +424,8 @@ def test_cv_prune_on_index_sets_equals_the_fold_copies(name, one_se):
     want = former_cv_prune(data, strategy, control, folds=folds, seed=seed, one_se=one_se)
     assert [row[0] for row in got.alpha_path] == [row[0] for row in want.alpha_path]
     assert got.alpha_path == want.alpha_path
+    # equal bits: the knot table prints repr
+    assert repr(got.alpha_path) == repr(want.alpha_path)
     assert got.chosen_alpha == want.chosen_alpha
     assert tree_to_json(got.tree, schema, strategy, control) == tree_to_json(
         want.tree, schema, strategy, control)

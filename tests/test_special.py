@@ -12,13 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmtrees.special import (
-    chi2_sf,
-    normal_cdf,
-    normal_sf,
-    regularized_gamma_p,
-    regularized_gamma_q,
-)
+from lmtrees.special import chi2_sf, normal_sf, regularized_gamma_q
+
+from helpers import normal_cdf, regularized_gamma_p
 
 ABS_TOL = 1e-10
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,11 @@ from lmtrees.tree import (
     partition_labels,
     predict_tree,
     route_rows,
-    tree_depth,
     tree_from_json,
     tree_to_json,
 )
 
-from helpers import ncol
+from helpers import ncol, tree_depth
 
 
 def ols_rss(y, x):
@@ -555,6 +555,30 @@ def test_partition_labels_and_predictions_match_manual_routing():
         leaf = route_by_hand(tree, data, i)
         assert labels[i] == leaf.id
         assert preds[i] == pytest.approx(predict(leaf.fit, data.x[i : i + 1])[0])
+
+
+def former_predict_tree(tree, data):
+    """Predictions as made before one routing pass: each leaf's rows found
+    by scanning the partition labels of all rows."""
+    labels = partition_labels(tree, data)
+    by_id = {node.id: node for node in iter_nodes(tree)}
+    out = np.empty(data.n, dtype=float)
+    for leaf_id in np.unique(labels):
+        mask = labels == leaf_id
+        out[mask] = predict(by_id[int(leaf_id)].fit, data.x[mask])
+    return out
+
+
+@pytest.mark.parametrize("extra_level", [False, True])
+def test_predict_tree_from_one_routing_pass_equals_the_label_scan(extra_level):
+    tree, data = categorical_tree_and_data(extra_level)
+    deep = stump_data(seed=32, n=300, delta=1.0)
+    grown = grow(deep, "guide", GrowControl(prepruning=False))
+    # a node with children but no split, as a tree file may hold, ends its rows' routing
+    stub = replace(grown, children=(replace(grown.children[0], split=None), grown.children[1]))
+    assert not stub.children[0].is_leaf
+    for tree, data in ((tree, data), (grown, deep), (stub, deep)):
+        assert predict_tree(tree, data).tobytes() == former_predict_tree(tree, data).tobytes()
 
 
 def test_training_rows_match_partition_labels():
