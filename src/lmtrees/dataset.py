@@ -389,10 +389,6 @@ class RngStream:
         """Derive an independent stream labelled by ``parts``."""
         return RngStream(self.seed, derive_stream_id(self.stream, *parts))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 

@@ -7,8 +7,8 @@ are assigned in preorder.  Stopping is structural (depth, node size,
 no admissible point) or inferential (no significant variable while
 prepruning is on).
 
-A node is an increasing index set into the root arrays, validated once
-per dataset.  The split columns are stacked and sorted once per dataset
+A growing node is an increasing index set into the root arrays, validated
+once per dataset.  The split columns are stacked and sorted once per dataset
 (``Dataset.columns``, the CART presort), so every tree grown on it shares
 them, fold trees of cross-validation included.  A node carries its
 columns' orders as node-local positions; a split hands each child its
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -94,21 +94,24 @@ class Split:
 
 @dataclass(eq=False)
 class TreeNode:
-    """One node of a fitted tree; leaves have no children."""
+    """One node of a fitted tree: a leaf, or a split with two children."""
 
     id: int
     depth: int
-    n: int
     fit: LinearFit
     p_values: dict[str, float]
     outcomes: tuple[TestOutcome, ...] = ()
     split: Split | None = None
     children: tuple["TreeNode", ...] = ()
-    rows: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n != self.fit.n:
-            raise ValueError(f"node {self.id} holds {self.n} rows but its fit {self.fit.n}")
+        if len(self.children) != (0 if self.split is None else 2):
+            raise ValueError(f"node {self.id}: {len(self.children)} children and "
+                             f"{'no' if self.split is None else 'a'} split")
+
+    @property
+    def n(self) -> int:
+        return self.fit.n
 
     @property
     def is_leaf(self) -> bool:
@@ -250,8 +253,8 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
     variable (or, without prepruning, any non-degenerate test exists),
     and that variable admits a cut.  Test degeneracies never abort the
     recursion; they terminate the node.  ``rows`` (increasing) grows the
-    tree on those rows of ``data`` alone, as on ``data.take(rows)``, with
-    every node's ``rows`` indexing ``data``.
+    tree on those rows of ``data`` alone, as on ``data.take(rows)``;
+    ``route_rows(tree, data, rows)`` gives each node's rows.
     """
     if isinstance(strategy, str):
         strategy = parse_strategy(strategy)
@@ -288,13 +291,11 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
         return TreeNode(
             id=node_id,
             depth=depth,
-            n=rows.shape[0],
             fit=fit,
             p_values={o.variable: o.p_value for o in outcomes},
             outcomes=outcomes,
             split=split,
             children=children,
-            rows=rows,
         )
 
     tree = build(np.arange(data.n) if rows is None else np.asarray(rows),
@@ -310,7 +311,7 @@ def route_rows(tree: TreeNode, data: Dataset, rows: np.ndarray) -> dict[int, np.
     while stack:
         node, idx = stack.pop()
         reach[node.id] = idx
-        if node.children and node.split is not None:
+        if node.split is not None:
             col = data.column(node.split.variable)
             # an unseen level follows the child that saw more training rows
             unseen_left = node.children[0].n >= node.children[1].n
@@ -333,8 +334,7 @@ def predict_tree(tree: TreeNode, data: Dataset) -> np.ndarray:
     reach = route_rows(tree, data, np.arange(data.n))
     out = np.empty(data.n, dtype=float)
     for node in iter_nodes(tree):
-        # where routing stops: at a leaf, or at a node without a split
-        if node.id in reach and (node.is_leaf or node.split is None):
+        if node.is_leaf:
             out[reach[node.id]] = predict(node.fit, data.x[reach[node.id]])
     return out
 
@@ -368,21 +368,17 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 def _node_from_dict(payload: dict) -> TreeNode:
     children = tuple(_node_from_dict(c) for c in payload["children"])
-    raw_split = payload.get("split")
-    split = None
-    if raw_split is not None:
-        if "point" in raw_split:
-            split = Split(variable=raw_split["variable"], point=float(raw_split["point"]))
-        else:
-            split = Split(
-                variable=raw_split["variable"],
-                left_levels=tuple(raw_split["left_levels"]),
-                right_levels=tuple(raw_split["right_levels"]),
-            )
+    raw = payload.get("split")
+    if raw is None:
+        split = None
+    elif "point" in raw:
+        split = Split(variable=raw["variable"], point=float(raw["point"]))
+    else:
+        split = Split(variable=raw["variable"], left_levels=tuple(raw["left_levels"]),
+                      right_levels=tuple(raw["right_levels"]))
     return TreeNode(
         id=int(payload["id"]),
         depth=int(payload["depth"]),
-        n=int(payload["n"]),
         fit=LinearFit(
             beta0=float(payload["coefficients"]["intercept"]),
             beta1=float(payload["coefficients"]["slope"]),
@@ -446,13 +442,14 @@ def tree_to_dict(
 
 def tree_from_dict(payload: dict) -> tuple[TreeNode, CsvSchema, StrategyConfig, GrowControl]:
     """Rebuild a tree and its settings; a payload that is not a
-    well-formed ``lmtrees-tree/1`` document raises ``DataError``."""
+    well-formed ``lmtrees-tree/1`` document, a node that is neither a
+    leaf nor split in two, or a node id used twice raises ``DataError``."""
     if not isinstance(payload, dict):
         raise DataError(f"a tree file holds a JSON object, not {type(payload).__name__}")
     if payload.get("format") != TREE_FORMAT:
         raise DataError(f"unsupported tree format {payload.get('format')!r}")
     try:
-        return (
+        loaded = (
             _node_from_dict(payload["root"]),
             _schema_from_dict(payload["schema"]),
             _strategy_from_dict(payload["strategy"]),
@@ -462,6 +459,12 @@ def tree_from_dict(payload: dict) -> tuple[TreeNode, CsvSchema, StrategyConfig, 
         raise DataError(f"malformed tree file: missing key {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:
         raise DataError(f"malformed tree file: wrong type ({exc})") from None
+    except ValueError as exc:
+        raise DataError(f"malformed tree file: {exc}") from None
+    ids = [node.id for node in iter_nodes(loaded[0])]  # route_rows keys its result by id
+    if len(set(ids)) < len(ids):
+        raise DataError(f"malformed tree file: node id {max(ids, key=ids.count)} is used twice")
+    return loaded
 
 
 def tree_to_json(

@@ -4,16 +4,67 @@ import math
 
 import numpy as np
 
-from lmtrees.dataset import NUMERIC, SplitColumn
-from lmtrees.inference import run_strategy
-from lmtrees.linmod import fit_ols
+from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
+from lmtrees.inference import parse_strategy, run_strategy
+from lmtrees.linmod import LinearFit, fit_ols
 from lmtrees.special import _gamma_p_series, _gamma_q_contfrac
 from lmtrees.transform import make_gof
-from lmtrees.tree import iter_nodes
+from lmtrees.tree import Split, TreeNode, iter_nodes, route_rows
 
 
 def ncol(values, name="z1"):
     return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
+
+
+def stump_data(seed=0, n=400, delta=2.0):
+    rng = np.random.default_rng(seed)
+    z1 = rng.uniform(-1, 1, n)
+    x = rng.uniform(-1, 1, n)
+    y = 1.0 + delta * (z1 > 0.0) + x + 0.3 * rng.normal(size=n)
+    cols = (
+        SplitColumn("z1", NUMERIC, z1),
+        SplitColumn("z2", NUMERIC, rng.uniform(-1, 1, n)),
+        SplitColumn("z3", NUMERIC, rng.normal(size=n)),
+    )
+    return Dataset(y, x, cols)
+
+
+def strat_list(*names):
+    return [(name, parse_strategy(name)) for name in names]
+
+
+def hand_node(nid, depth, n, rss, children=(), variable="z1"):
+    """A node of ``n`` rows and residual sum of squares ``rss``, split on
+    ``variable`` at 0 when it has children."""
+    split = Split(variable=variable, point=0.0) if children else None
+    return TreeNode(
+        id=nid,
+        depth=depth,
+        fit=LinearFit(beta0=0.0, beta1=0.0, n=n, rss=rss),
+        p_values={},
+        split=split,
+        children=tuple(children),
+    )
+
+
+def all_pruned_costs(tree):
+    """Every (rss, leaf_count) achievable by collapsing internal nodes."""
+    if tree.is_leaf:
+        return [(tree.fit.rss, 1)]
+    options = [(tree.fit.rss, 1)]
+    for lrss, lcount in all_pruned_costs(tree.children[0]):
+        for rrss, rcount in all_pruned_costs(tree.children[1]):
+            options.append((lrss + rrss, lcount + rcount))
+    return options
+
+
+def assert_fits_follow_routing(tree, data, rows):
+    """Every node's fit is ``fit_ols`` on the rows ``route_rows`` sends it,
+    bit for bit; returns those rows by node id."""
+    reach = route_rows(tree, data, rows)
+    for node in iter_nodes(tree):
+        assert repr(node.fit) == repr(fit_ols(data.y[reach[node.id]], data.x[reach[node.id]]))
+    return reach
 
 
 def run_alone(config, y, x, col):

@@ -33,22 +33,15 @@ from lmtrees.special import chi2_sf
 from lmtrees.transform import GofMatrix, make_gof, make_split_transform
 from lmtrees.tree import (
     GrowControl,
-    Split,
-    TreeNode,
     best_split_point,
     grow,
     leaves,
     tree_to_json,
 )
-from lmtrees.linmod import LinearFit
 
-from helpers import run_alone
+from helpers import all_pruned_costs, hand_node, run_alone, strat_list
 
 HEADLINE = ("ctree", "mob", "guide", "guide+scores")
-
-
-def strat_list(*names):
-    return [(name, parse_strategy(name)) for name in names]
 
 
 def report(tag, ok, detail):
@@ -425,29 +418,6 @@ def test_exact_oracle_split_search():
         else f"mismatch at seed {worst[0]}: {worst[1]} vs {worst[2]}",
     )
     assert ok
-
-
-def hand_node(nid, depth, n, rss, children=()):
-    split = Split(variable="z1", point=0.0) if children else None
-    return TreeNode(
-        id=nid,
-        depth=depth,
-        n=n,
-        fit=LinearFit(beta0=0.0, beta1=0.0, n=n, rss=rss),
-        p_values={},
-        split=split,
-        children=tuple(children),
-    )
-
-
-def all_pruned_costs(tree):
-    if tree.is_leaf:
-        return [(tree.fit.rss, 1)]
-    options = [(tree.fit.rss, 1)]
-    for lrss, lcount in all_pruned_costs(tree.children[0]):
-        for rrss, rcount in all_pruned_costs(tree.children[1]):
-            options.append((lrss + rrss, lcount + rcount))
-    return options
 
 
 def test_exact_oracle_pruning_path():

@@ -30,6 +30,8 @@ from lmtrees.special import chi2_sf, normal_sf
 from lmtrees.transform import DegenerateTestError, GofMatrix, design_groups, make_gof
 from lmtrees.tree import GrowControl, TreeNode, best_split_point, grow, iter_nodes, tree_to_json
 
+from helpers import assert_fits_follow_routing
+
 NAMES = ("ctree", "mob", "guide", "guide+scores", "ctree+max", "ctree+cat", "ctree+dich",
          "mob+cat", "mob+dich", "residuals,nodich,lin", "residuals,nodich,max",
          "residuals,dich,max")
@@ -176,11 +178,14 @@ def former_select_variable(config, fit, data):
 
 
 def former_grow(data, strategy, control):
+    """The former tree and the rows of ``data`` each of its nodes grew on, by id."""
     strategy = replace(strategy, alpha=control.alpha, min_segment=control.min_segment)
     counter = itertools.count()
+    grown_rows = {}
 
     def build(rows, depth):
         node_id = next(counter)
+        grown_rows[node_id] = rows
         sub = data.take(rows)
         fit = fit_ols(sub.y, sub.x)
         outcomes, split, children = (), None, ()
@@ -201,11 +206,11 @@ def former_grow(data, strategy, control):
                         mask = np.isin(col.values, left)
                     split = candidate
                     children = (build(rows[mask], depth + 1), build(rows[~mask], depth + 1))
-        return TreeNode(id=node_id, depth=depth, n=rows.shape[0], fit=fit,
+        return TreeNode(id=node_id, depth=depth, fit=fit,
                         p_values={o.variable: o.p_value for o in outcomes}, outcomes=outcomes,
-                        split=split, children=children, rows=rows)
+                        split=split, children=children)
 
-    return build(np.arange(data.n), 0)
+    return build(np.arange(data.n), 0), grown_rows
 
 
 # ----------------------------------------------------------------- the data
@@ -235,11 +240,13 @@ def node_data(seed, n, distinct):
     return Dataset(y, x, z), schema
 
 
-def assert_same_trees(got, want, schema, strategy, control):
+def assert_same_trees(got, data, former, schema, strategy, control):
+    want, want_rows = former
+    reach = assert_fits_follow_routing(got, data, np.arange(data.n))
     for a, b in zip(iter_nodes(got), iter_nodes(want), strict=True):
         assert a.outcomes == b.outcomes
         assert (a.split, a.n, a.id, a.depth) == (b.split, b.n, b.id, b.depth)
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(reach[a.id], want_rows[b.id])
         assert (a.fit.beta0, a.fit.beta1, a.fit.rss) == (b.fit.beta0, b.fit.beta1, b.fit.rss)
     assert tree_to_json(got, schema, strategy, control) == tree_to_json(want, schema, strategy,
                                                                         control)
@@ -280,7 +287,7 @@ def test_engine_matches_the_per_node_path(name, seed, n, distinct, min_node_size
         # the stump call of the simulation: the whole data, no kept presort
         fit = fit_ols(data.y, data.x)
         stump = select_variable(strategy, fit, data)
-    assert_same_trees(got, former_grow(data, strategy, control), schema, strategy, control)
+    assert_same_trees(got, data, former_grow(data, strategy, control), schema, strategy, control)
     assert_same_selection(stump, former_select_variable(strategy, fit, data))
 
 
@@ -429,10 +436,12 @@ def test_growing_on_an_index_set_equals_growing_on_its_copy(name, seed, n, disti
         return
     got = grow(data, strategy, control, rows=subset)
     want = grow(data.take(subset), strategy, control)
+    reach = assert_fits_follow_routing(got, data, subset)
+    want_reach = assert_fits_follow_routing(want, data.take(subset), np.arange(subset.size))
     for a, b in zip(iter_nodes(got), iter_nodes(want), strict=True):
         assert a.outcomes == b.outcomes
         assert (a.split, a.n, a.id, a.depth) == (b.split, b.n, b.id, b.depth)
-        assert np.array_equal(a.rows, subset[b.rows])
+        assert np.array_equal(reach[a.id], subset[want_reach[b.id]])
         assert (a.fit.beta0, a.fit.beta1, a.fit.rss) == (b.fit.beta0, b.fit.beta1, b.fit.rss)
     assert tree_to_json(got, schema, strategy, control) == tree_to_json(want, schema, strategy,
                                                                         control)

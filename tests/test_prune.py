@@ -10,37 +10,12 @@ import pytest
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, RngStream
 from lmtrees.dataset import SplitColumn
 from lmtrees.inference import parse_strategy
-from lmtrees.linmod import LinearFit
 from lmtrees.prune import PruneResult, _candidate_alphas, cost_complexity_path, cv_prune, ic_prune
 from lmtrees.prune import prune_at
-from lmtrees.tree import GrowControl, Split, TreeNode, grow, iter_nodes, leaves, predict_tree
+from lmtrees.tree import GrowControl, grow, iter_nodes, leaves, predict_tree, route_rows
 from lmtrees.tree import tree_to_json
 
-
-def node(nid, depth, n, rss, children=(), variable="z1"):
-    split = Split(variable=variable, point=0.0) if children else None
-    return TreeNode(
-        id=nid,
-        depth=depth,
-        n=n,
-        fit=LinearFit(beta0=0.0, beta1=0.0, n=n, rss=rss),
-        p_values={},
-        split=split,
-        children=tuple(children),
-    )
-
-
-def stump_data(seed=0, n=400, delta=2.0):
-    rng = np.random.default_rng(seed)
-    z1 = rng.uniform(-1, 1, n)
-    x = rng.uniform(-1, 1, n)
-    y = 1.0 + delta * (z1 > 0.0) + x + 0.3 * rng.normal(size=n)
-    cols = (
-        SplitColumn("z1", NUMERIC, z1),
-        SplitColumn("z2", NUMERIC, rng.uniform(-1, 1, n)),
-        SplitColumn("z3", NUMERIC, rng.normal(size=n)),
-    )
-    return Dataset(y, x, cols)
+from helpers import all_pruned_costs, hand_node, stump_data
 
 
 def null_data(seed, n=120):
@@ -104,7 +79,7 @@ def _subtree_at(path, alpha):
 
 
 def test_path_of_hand_built_stump():
-    stump = node(0, 0, 40, 10.0, children=(node(1, 1, 20, 3.0), node(2, 1, 20, 2.0)))
+    stump = hand_node(0, 0, 40, 10.0, children=(hand_node(1, 1, 20, 3.0), hand_node(2, 1, 20, 2.0)))
     path = cost_complexity_path(stump)
     assert len(path) == 2
     assert path[0][0] == 0.0 and path[0][1] is stump
@@ -114,25 +89,14 @@ def test_path_of_hand_built_stump():
 
 
 def test_path_of_hand_built_chain_collapses_weakest_first():
-    inner = node(1, 1, 20, 12.0, children=(node(2, 2, 10, 2.0), node(3, 2, 10, 3.0)))
-    root = node(0, 0, 40, 30.0, children=(inner, node(4, 1, 20, 4.0)))
+    inner = hand_node(1, 1, 20, 12.0, children=(hand_node(2, 2, 10, 2.0), hand_node(3, 2, 10, 3.0)))
+    root = hand_node(0, 0, 40, 30.0, children=(inner, hand_node(4, 1, 20, 4.0)))
     path = cost_complexity_path(root)
     # g(inner) = (12-5)/1 = 7, g(root over 3 leaves) = (30-9)/2 = 10.5 -> inner first
     assert [alpha for alpha, _ in path] == pytest.approx([0.0, 7.0, 14.0])
     assert [len(leaves(t)) for _, t in path] == [3, 2, 1]
     # after the first collapse the root's rate is (30 - (12+4)) / 1 = 14
     assert path[1][1].children[0].is_leaf
-
-
-def all_pruned_costs(tree):
-    """Every (rss, leaf_count) achievable by collapsing internal nodes."""
-    if tree.is_leaf:
-        return [(tree.fit.rss, 1)]
-    options = [(tree.fit.rss, 1)]
-    for lrss, lcount in all_pruned_costs(tree.children[0]):
-        for rrss, rcount in all_pruned_costs(tree.children[1]):
-            options.append((lrss + rrss, lcount + rcount))
-    return options
 
 
 def grown_forced_tree(seed=50):
@@ -225,43 +189,46 @@ def test_prune_at_matches_repeated_search(name, seed):
 
 def pair(nid, depth, rss):
     """An internal node over two leaves of rss 1: its rate is rss - 2."""
-    return node(nid, depth, 20, rss, children=(node(nid + 1, depth + 1, 10, 1.0),
-                                                node(nid + 2, depth + 1, 10, 1.0)))
+    return hand_node(nid, depth, 20, rss, children=(hand_node(nid + 1, depth + 1, 10, 1.0),
+                                                hand_node(nid + 2, depth + 1, 10, 1.0)))
 
 
 # rates that tie exactly or within 1e-15; 5 +- 1 ulp gives rates 3 +- 2 ulp
 TIED_TREES = {
     # two sibling rates of 3 collapse at one step
-    "siblings": node(0, 0, 40, 100.0, children=(pair(1, 1, 5.0), pair(4, 1, 5.0))),
+    "siblings": hand_node(0, 0, 40, 100.0, children=(pair(1, 1, 5.0), pair(4, 1, 5.0))),
     # node 1's rate (10 - 4) / 2 = 3 ties with its descendant node 2
-    "ancestor": node(0, 0, 60, 100.0, children=(
-        node(1, 1, 40, 10.0, children=(pair(2, 2, 5.0), node(5, 2, 10, 2.0))),
-        node(6, 1, 20, 10.0))),
+    "ancestor": hand_node(0, 0, 60, 100.0, children=(
+        hand_node(1, 1, 40, 10.0, children=(pair(2, 2, 5.0), hand_node(5, 2, 10, 2.0))),
+        hand_node(6, 1, 20, 10.0))),
     # in preorder 3 + 2 ulp, then 3 (its tie), then 3 - 2 ulp, which is
     # more than 1e-15 below the first and so drops both before it
-    "within_1e-15": node(0, 0, 60, 100.0, children=(
-        node(1, 1, 40, 50.0, children=(pair(2, 2, 5.000000000000001), pair(5, 2, 5.0))),
+    "within_1e-15": hand_node(0, 0, 60, 100.0, children=(
+        hand_node(1, 1, 40, 50.0, children=(pair(2, 2, 5.000000000000001), pair(5, 2, 5.0))),
         pair(8, 1, 4.999999999999999))),
 }
 TIED_STEPS = {"siblings": 3, "ancestor": 3, "within_1e-15": 5}
 
 
-def node_fields(tree):
+def node_fields(tree, data=None):
+    # with data, also each node's rows of it as route_rows gives them
+    reach = {} if data is None else route_rows(tree, data, np.arange(data.n))
     return [(n.id, n.depth, n.n, n.fit, n.p_values, n.outcomes, n.split,
-             [c.id for c in n.children], None if n.rows is None else n.rows.tobytes())
+             [c.id for c in n.children], None if data is None else reach[n.id].tobytes())
             for n in iter_nodes(tree)]
 
 
-def assert_same_path(tree):
+def assert_same_path(tree, data=None):
     got, want = cost_complexity_path(tree), former_path(tree)
     knots = [alpha for alpha, _ in want]
     assert [float(a).hex() for a, _ in got] == [float(a).hex() for a in knots]
     assert got[0][1] is tree and prune_at(tree, -1.0) is tree
     for (_, new), (_, old) in zip(got, want):
-        assert node_fields(new) == node_fields(old)
+        assert node_fields(new, data) == node_fields(old, data)
     probes = knots + [0.5 * (a + b) for a, b in zip(knots, knots[1:])] + [-1.0]
     for alpha in probes:
-        assert node_fields(prune_at(tree, alpha)) == node_fields(_subtree_at(want, alpha))
+        assert node_fields(prune_at(tree, alpha), data) == node_fields(_subtree_at(want, alpha),
+                                                                       data)
 
 
 @pytest.mark.parametrize("name", sorted(TIED_TREES))
@@ -278,10 +245,10 @@ def test_path_on_node_arrays_equals_the_former_path_on_grown_trees(name):
     control = GrowControl(alpha=0.5, min_node_size=8, max_depth=4, prepruning=False)
     tree = grow(data, name, control)
     assert len(leaves(tree)) >= 8
-    assert_same_path(tree)
+    assert_same_path(tree, data)
     for f in range(3):
         train = np.flatnonzero(np.arange(data.n) % 3 != f)
-        assert_same_path(grow(data, name, control, rows=train))
+        assert_same_path(grow(data, name, control, rows=train), data)
 
 
 # -------------------------------------------------------------- cross-validation
@@ -457,7 +424,7 @@ def neg2ll(rss, n):
 
 def test_ic_prune_hand_stump_keep_and_collapse():
     # split kept: subtree fits much better than the pooled leaf
-    good = node(0, 0, 40, 40.0, children=(node(1, 1, 20, 5.0), node(2, 1, 20, 5.0)))
+    good = hand_node(0, 0, 40, 40.0, children=(hand_node(1, 1, 20, 5.0), hand_node(2, 1, 20, 5.0)))
     kept = ic_prune(good, criterion="aic")
     assert not kept.tree.is_leaf
     want = neg2ll(5.0, 20) * 2 + 2.0 * (3 * 2 + 1)
@@ -465,7 +432,8 @@ def test_ic_prune_hand_stump_keep_and_collapse():
     assert kept.method == "aic"
 
     # split dropped: children fit exactly as poorly as the pooled leaf
-    flat = node(0, 0, 40, 40.0, children=(node(1, 1, 20, 20.0), node(2, 1, 20, 20.0)))
+    flat = hand_node(0, 0, 40, 40.0,
+                     children=(hand_node(1, 1, 20, 20.0), hand_node(2, 1, 20, 20.0)))
     dropped = ic_prune(flat, criterion="aic")
     assert dropped.tree.is_leaf
     assert dropped.score == pytest.approx(neg2ll(40.0, 40) + 2.0 * 3)
@@ -479,15 +447,17 @@ def test_ic_prune_threshold_matches_hand_arithmetic():
     r_keep, r_drop = 14.0, 17.0
     assert 2 * neg2ll(r_keep, 20) + 14.0 < neg2ll(root_rss, n) + 6.0
     assert 2 * neg2ll(r_drop, 20) + 14.0 > neg2ll(root_rss, n) + 6.0
-    keep = node(0, 0, n, root_rss, children=(node(1, 1, 20, r_keep), node(2, 1, 20, r_keep)))
-    drop = node(0, 0, n, root_rss, children=(node(1, 1, 20, r_drop), node(2, 1, 20, r_drop)))
+    keep = hand_node(0, 0, n, root_rss,
+                     children=(hand_node(1, 1, 20, r_keep), hand_node(2, 1, 20, r_keep)))
+    drop = hand_node(0, 0, n, root_rss,
+                     children=(hand_node(1, 1, 20, r_drop), hand_node(2, 1, 20, r_drop)))
     assert not ic_prune(keep, "aic").tree.is_leaf
     assert ic_prune(drop, "aic").tree.is_leaf
     assert bound == pytest.approx(neg2ll(root_rss, n) - 8.0)
 
 
 def test_ic_prune_zero_rss_split_is_retained():
-    exact = node(0, 0, 40, 25.0, children=(node(1, 1, 20, 0.0), node(2, 1, 20, 0.0)))
+    exact = hand_node(0, 0, 40, 25.0, children=(hand_node(1, 1, 20, 0.0), hand_node(2, 1, 20, 0.0)))
     res = ic_prune(exact, "aic")
     assert not res.tree.is_leaf
     assert res.score == -math.inf

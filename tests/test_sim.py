@@ -23,6 +23,8 @@ from lmtrees.sim import (
 )
 from lmtrees.tree import GrowControl
 
+from helpers import strat_list
+
 
 def cell(scenario="stump", variation="intercept", xi=0.0, delta=1.0, **kw):
     return ScenarioConfig(scenario=scenario, variation=variation, xi=xi, delta=delta, **kw)
@@ -228,10 +230,6 @@ def test_ari_validation():
 
 
 # ------------------------------------------------------------------ run_study
-
-
-def strat_list(*names):
-    return [(name, parse_strategy(name)) for name in names]
 
 
 def test_run_study_pairs_data_across_strategy_lists():

@@ -3,7 +3,7 @@
 import ast
 import importlib
 import json
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmtrees.cli import main as cli_main
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn
+from lmtrees.dataset import write_csv
 from lmtrees import inference
 from lmtrees import tree as tree_module
 from lmtrees.inference import parse_strategy
@@ -33,7 +35,7 @@ from lmtrees.tree import (
     tree_to_json,
 )
 
-from helpers import ncol, tree_depth
+from helpers import assert_fits_follow_routing, hand_node, ncol, stump_data, tree_depth
 
 
 def ols_rss(y, x):
@@ -343,19 +345,6 @@ def test_split_search_matches_former_search(case):
 # ----------------------------------------------------------------- tree growth
 
 
-def stump_data(seed=0, n=400, delta=2.0):
-    rng = np.random.default_rng(seed)
-    z1 = rng.uniform(-1, 1, n)
-    x = rng.uniform(-1, 1, n)
-    y = 1.0 + delta * (z1 > 0.0) + x + 0.3 * rng.normal(size=n)
-    cols = (
-        SplitColumn("z1", NUMERIC, z1),
-        SplitColumn("z2", NUMERIC, rng.uniform(-1, 1, n)),
-        SplitColumn("z3", NUMERIC, rng.normal(size=n)),
-    )
-    return Dataset(y, x, cols)
-
-
 def null_data(seed, n=150):
     rng = np.random.default_rng(seed)
     cols = (
@@ -388,21 +377,23 @@ def test_grow_structural_invariants():
     # preorder node ids
     assert [node.id for node in nodes] == list(range(len(nodes)))
     assert tree_depth(tree) <= 3
+    # every node was fitted on the rows routing sends it
+    reach = assert_fits_follow_routing(tree, data, np.arange(data.n))
     for node in nodes:
-        assert node.n == node.rows.shape[0]
-        assert node.fit.n == node.n
+        rows = reach[node.id]
+        assert node.n == rows.shape[0]
         if node.children:
             assert len(node.children) == 2
             assert node.split is not None
             left, right = node.children
             assert left.depth == node.depth + 1 and right.depth == node.depth + 1
-            merged = np.sort(np.concatenate([left.rows, right.rows]))
-            assert np.array_equal(merged, np.sort(node.rows))
-            assert set(left.rows.tolist()).isdisjoint(right.rows.tolist())
+            merged = np.sort(np.concatenate([reach[left.id], reach[right.id]]))
+            assert np.array_equal(merged, np.sort(rows))
+            assert set(reach[left.id].tolist()).isdisjoint(reach[right.id].tolist())
             # the recorded split reproduces the routing of the parent rows
             col = data.column(node.split.variable)
-            mask = col.values[node.rows] <= node.split.point
-            assert np.array_equal(np.sort(node.rows[mask]), np.sort(left.rows))
+            mask = col.values[rows] <= node.split.point
+            assert np.array_equal(np.sort(rows[mask]), np.sort(reach[left.id]))
         else:
             assert node.split is None
             assert node.n >= control.min_node_size
@@ -574,19 +565,18 @@ def test_predict_tree_from_one_routing_pass_equals_the_label_scan(extra_level):
     tree, data = categorical_tree_and_data(extra_level)
     deep = stump_data(seed=32, n=300, delta=1.0)
     grown = grow(deep, "guide", GrowControl(prepruning=False))
-    # a node with children but no split, as a tree file may hold, ends its rows' routing
-    stub = replace(grown, children=(replace(grown.children[0], split=None), grown.children[1]))
-    assert not stub.children[0].is_leaf
-    for tree, data in ((tree, data), (grown, deep), (stub, deep)):
+    for tree, data in ((tree, data), (grown, deep)):
         assert predict_tree(tree, data).tobytes() == former_predict_tree(tree, data).tobytes()
 
 
 def test_training_rows_match_partition_labels():
     data = stump_data(seed=31, n=400, delta=2.5)
     tree = grow(data, "ctree", GrowControl(alpha=0.3, max_depth=3))
+    # the rows each leaf was fitted on
+    reach = assert_fits_follow_routing(tree, data, np.arange(data.n))
     labels = partition_labels(tree, data)
     for leaf in leaves(tree):
-        assert np.array_equal(np.sort(leaf.rows), np.flatnonzero(labels == leaf.id))
+        assert np.array_equal(np.sort(reach[leaf.id]), np.flatnonzero(labels == leaf.id))
 
 
 def categorical_tree_and_data(extra_level=False):
@@ -645,23 +635,35 @@ def test_categorical_routing_follows_labels_when_codes_shift():
 
 
 def test_unseen_level_routes_right_when_right_child_is_larger():
-    def leaf(nid, n):
-        return TreeNode(id=nid, depth=1, n=n, fit=LinearFit(0.0, 0.0, n, 1.0), p_values={})
-
     split = Split(variable="g", left_levels=("a",), right_levels=("b", "c"))
-    tree = TreeNode(id=0, depth=0, n=40, fit=LinearFit(0.0, 0.0, 40, 5.0), p_values={},
-                    split=split, children=(leaf(1, 10), leaf(2, 30)))
+    tree = TreeNode(id=0, depth=0, fit=LinearFit(0.0, 0.0, 40, 5.0), p_values={},
+                    split=split, children=(hand_node(1, 1, 10, 1.0), hand_node(2, 1, 30, 1.0)))
     col = SplitColumn("g", CATEGORICAL, np.array([0, 1, 2, 3]), levels=("a", "b", "c", "d"))
     labels = partition_labels(tree, Dataset(np.zeros(4), np.zeros(4), (col,)))
     assert labels.tolist() == [1, 2, 2, 2]
 
 
-def test_a_node_whose_size_differs_from_its_fits_is_refused():
-    fit = LinearFit(0.0, 0.0, 40, 5.0)
-    with pytest.raises(ValueError, match="40"):
-        TreeNode(id=3, depth=1, n=41, fit=fit, p_values={})
-    node = TreeNode(id=3, depth=1, n=40, fit=fit, p_values={})
-    assert (node.n, node.fit.n) == (40, 40)
+@pytest.mark.parametrize("children", [0, 1, 2, 3])
+@pytest.mark.parametrize("split", [None, Split(variable="z1", point=0.0)], ids=["leaf", "split"])
+def test_a_node_is_a_leaf_or_split_in_two(split, children):
+    def build():
+        return TreeNode(id=7, depth=0, fit=LinearFit(0.0, 0.0, 40, 5.0), p_values={},
+                        split=split, children=tuple(hand_node(8 + i, 1, 10, 1.0)
+                                                    for i in range(children)))
+
+    if children == (0 if split is None else 2):
+        node = build()
+        assert node.is_leaf == (split is None)
+        assert node.n == node.fit.n == 40
+    else:
+        with pytest.raises(ValueError, match=f"node 7: {children} children"):
+            build()
+
+
+def test_a_node_holds_its_size_once_and_no_rows():
+    assert {"n", "rows"}.isdisjoint(f.name for f in fields(TreeNode))
+    with pytest.raises(TypeError):
+        TreeNode(id=0, depth=0, n=40, fit=LinearFit(0.0, 0.0, 40, 5.0), p_values={})
 
 
 # -------------------------------------------------------------- serialization
@@ -747,11 +749,12 @@ def test_stored_node_fits_retest_to_the_grown_outcomes(name, levels):
     text = tree_to_json(tree, schema, parse_strategy(name), control)
     back, _, strategy, control = tree_from_json(text)
     reach = route_rows(back, data, np.arange(data.n))
+    grown_reach = assert_fits_follow_routing(tree, data, np.arange(data.n))
     tested = 0
     for grown, stored in zip(iter_nodes(tree), iter_nodes(back)):
         if grown.outcomes:
             rows = reach[stored.id]
-            assert np.array_equal(rows, grown.rows)
+            assert np.array_equal(rows, grown_reach[grown.id])
             outcomes, _ = inference.select_variable(control.apply_to(strategy), stored.fit, data,
                                                     rows)
             assert tuple(outcomes) == grown.outcomes
@@ -762,6 +765,57 @@ def test_stored_node_fits_retest_to_the_grown_outcomes(name, levels):
 def test_tree_from_json_rejects_unknown_format():
     with pytest.raises(DataError):
         tree_from_json(json.dumps({"format": "something-else/9", "root": {}}))
+
+
+def leaf_payloads(payload):
+    if not payload["children"]:
+        return [payload]
+    return [leaf for child in payload["children"] for leaf in leaf_payloads(child)]
+
+
+FAULTS = {
+    "split_nulled": "node 1: 2 children and no split",
+    "shared_id": "node id 3 is used twice",
+    "one_child": "node 0: 1 children and a split",
+}
+
+
+def faulty_tree_file(fault):
+    """A grown tree's file with one fault: its first child's split nulled,
+    two leaves sharing an id, or its root keeping one child."""
+    data = stump_data(seed=5, n=600, delta=3.0)
+    control = GrowControl(alpha=0.5, min_node_size=20, max_depth=4, prepruning=False)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    payload = json.loads(tree_to_json(grow(data, "mob", control), schema, parse_strategy("mob"),
+                                      control))
+    root = payload["root"]
+    assert len(leaf_payloads(root)) >= 8 and root["children"][0]["children"]
+    if fault == "split_nulled":
+        root["children"][0]["split"] = None
+    elif fault == "shared_id":
+        first, second = leaf_payloads(root)[:2]
+        second["id"] = first["id"]
+    else:
+        root["children"] = root["children"][:1]
+    return data, schema, json.dumps(payload)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_tree_from_json_rejects_a_faulty_tree_file(fault):
+    _, _, text = faulty_tree_file(fault)
+    with pytest.raises(DataError, match=f"malformed tree file: {FAULTS[fault]}"):
+        tree_from_json(text)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_prune_exits_1_on_a_malformed_tree_file(fault, tmp_path, capsys):
+    data, schema, text = faulty_tree_file(fault)
+    write_csv(data, str(tmp_path / "data.csv"), schema)
+    (tmp_path / "tree.json").write_text(text)
+    code = cli_main(["prune", "--method", "bic", "--tree", str(tmp_path / "tree.json"),
+                     "--data", str(tmp_path / "data.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed tree file: {FAULTS[fault]}")
 
 
 def test_format_tree_mentions_each_node():
