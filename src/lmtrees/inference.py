@@ -471,7 +471,8 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
     binned = np.flatnonzero(~numeric | ((mode == MODE_CAT) & (n >= 4)))
     if binned.size == 0:
         return
-    for group, designs in design_groups(values[binned], numeric[binned]):
+    bin_orders = orders[binned] if numeric[binned].any() else None
+    for group, designs in design_groups(values[binned], numeric[binned], bin_orders):
         with contextlib.suppress(DegenerateTestError):
             if config.dichotomize:
                 stat, df = chisq_statistic(gof, designs)
@@ -486,19 +487,19 @@ def column_entries(config: StrategyConfig, gof: GofMatrix, columns: ColumnMatrix
     """Each column's ``(statistic, p, law, df)`` against a node's gof
     matrix under ``config``: the node is ``rows`` (increasing) of
     ``columns``, all of them by default, and ``orders`` its (J, n) column
-    orders, read off the presort of ``columns`` when the max route needs
-    them and none are given.  Columns are gathered and tested in blocks of
-    at most ``COLUMN_BLOCK`` values (columns times rows)."""
-    if orders is None and config.split_mode == MODE_MAX:
+    orders, read off the presort of ``columns`` when numeric columns take
+    the max route or quartile bins and none are given.  Columns are
+    gathered and tested in blocks of at most ``COLUMN_BLOCK`` values."""
+    numeric = np.array([col.kind != CATEGORICAL for col in columns.cols], dtype=bool)
+    if orders is None and config.split_mode != MODE_LIN and numeric.any():
         orders = columns.orders_of(rows)
     rows = np.arange(gof.n) if rows is None else rows
-    numeric = np.array([col.kind != CATEGORICAL for col in columns.cols], dtype=bool)
     entries = [(0.0, 1.0, LAW_DEGENERATE, 0)] * numeric.size
     step = max(1, COLUMN_BLOCK // gof.n)
     for start in range(0, numeric.size, step):
         span = slice(start, start + step)
         values = np.take(columns.values[span], rows, axis=1)
-        block_orders = orders[span] if config.split_mode == MODE_MAX else None
+        block_orders = None if orders is None else orders[span]
         for sel, stat, df, p, law in _route_tests(config, gof, values, block_orders, numeric[span]):
             for j, s, d, pj in zip((sel + start).tolist(), stat.tolist(), df.tolist(), p):
                 if d > 0:

@@ -3,10 +3,10 @@
 ``make_gof`` turns a node fit at its rows into the row-wise matrix a
 split test consumes: raw residuals, the two score columns, or their
 sign indicators.  ``design_groups`` turns a block of split columns into
-the one-hot designs the binned route pairs with them (quartile bins or
-levels), stacked by width; ``make_split_transform`` is one column's.
-The linear route pairs the gof matrix with the raw column and the max
-route orders the rows by it, so neither needs a design built here.
+the one-hot designs the binned route pairs with them (levels, or quartile
+bins whose breaks are read at the node's presort), stacked by width;
+``make_split_transform`` is one column's.  The linear route pairs the gof
+matrix with the raw column and the max route orders the rows by it.
 ``DegenerateTestError`` is the one signal by which every split test, and
 the design builder here, says that its input can discriminate nothing.
 """
@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import CATEGORICAL, SplitColumn
+from .dataset import CATEGORICAL, ColumnMatrix, SplitColumn
 from .linmod import LinearFit, residuals
 
 __all__ = [
@@ -110,24 +110,31 @@ def make_gof(fit: LinearFit, y: np.ndarray, x: np.ndarray, use_scores: bool,
     return GofMatrix(values=values, dichotomized=dichotomize)
 
 
-def quartile_breaks(values: np.ndarray) -> np.ndarray:
-    """The three sample quartiles (type 7, as ``empirical_quartiles``) of
-    each row of a matrix of four or more columns, in one call."""
-    return np.moveaxis(np.quantile(values, (0.25, 0.5, 0.75), axis=-1), 0, -1)
+def quartile_breaks(values: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The three sample quartiles (type 7) of each row of a matrix of four
+    or more columns, ``np.quantile``'s interpolation of the order statistics
+    read at the rows' stable sorts ``orders``: its bytes but a zero's sign."""
+    t, lo = np.modf((values.shape[-1] - 1) * np.array((0.25, 0.5, 0.75)))
+    at = orders[:, np.concatenate((lo, lo + 1)).astype(np.intp)]
+    a, b = np.take_along_axis(values, at, axis=1).reshape(-1, 2, 3).swapaxes(0, 1)
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def design_groups(values: np.ndarray, numeric: np.ndarray) -> Iterator[tuple]:
+def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | None
+                  ) -> Iterator[tuple]:
     """One-hot designs of the split columns stacked as the rows of
     ``values``, by width w: the rows of w codes and their (g, n, w)
     designs, whose columns indicate the codes taken, in increasing order:
     levels of a categorical row, right-closed quartile bins ``(-inf, q1],
-    (q1, q2], ...`` of a ``numeric`` one (coincident quartiles merge)."""
+    (q1, q2], ...`` of a ``numeric`` one, read at its stable sort in
+    ``orders`` (``None`` with no numeric row); coincident quartiles merge."""
     codes = np.zeros(values.shape, dtype=np.intp)
     codes[~numeric] = values[~numeric]
     if numeric.any():
         # each value's bin is the number of quartiles below it
         bins = values[numeric]
-        codes[numeric] = (quartile_breaks(bins)[:, None, :] < bins[:, :, None]).sum(axis=-1)
+        q1, q2, q3 = quartile_breaks(bins, orders[numeric]).T[:, :, None]
+        codes[numeric] = (q1 < bins).astype(np.intp) + (q2 < bins) + (q3 < bins)
     width = int(codes.max(initial=0)) + 1
     offsets = codes + width * np.arange(codes.shape[0])[:, None]
     taken = np.bincount(offsets.ravel(), minlength=codes.shape[0] * width).reshape(-1, width) > 0
@@ -146,6 +153,6 @@ def make_split_transform(col: SplitColumn) -> np.ndarray:
         raise DegenerateTestError(f"column {col.name!r} has too few rows for quartile bins")
     if col.n == 0:
         raise TransformError(f"column {col.name!r} is empty")
-    numeric = np.array([col.kind != CATEGORICAL])
-    ((_, designs),) = design_groups(col.values[None].astype(float), numeric)
+    block = ColumnMatrix([col], col.n)
+    ((_, designs),) = design_groups(block.values, np.array([col.kind != CATEGORICAL]), block.orders)
     return designs[0]

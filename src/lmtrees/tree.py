@@ -142,9 +142,8 @@ def _segment_rss(sums: np.ndarray, sxx_tol: float) -> tuple[np.ndarray, np.ndarr
         vyy = syy - sy * sy / size
         vxy = sxy - sx * sy / size
         ok = vxx > sxx_tol
-        rss = np.where(
-            ok, vyy - np.divide(vxy * vxy, vxx, out=np.zeros_like(vxx), where=ok), np.inf
-        )
+        rss = np.where(ok, vyy - np.divide(vxy * vxy, vxx, out=np.zeros_like(vxx), where=ok),
+                       np.inf)
     return np.maximum(rss, 0.0), ok
 
 
@@ -152,15 +151,14 @@ def _best_cut(yc: np.ndarray, xc: np.ndarray, left_sums: Callable[[np.ndarray], 
               admissible: np.ndarray | bool, min_node_size: int) -> int | None:
     # left_sums maps the 6 x n per-row moments to the left sums of every
     # candidate; the last candidate holds all rows, so each right side is
-    # that total minus the left
-    moments = np.stack((np.ones_like(xc), xc, yc, xc * xc, yc * yc, xc * yc))
-    left = left_sums(moments)
-    right = left[:, -1:] - left
+    # that total minus the left, written beside it to score both in one pass
+    left = left_sums(np.stack((np.ones_like(xc), xc, yc, xc * xc, yc * yc, xc * yc)))
+    sides = np.empty((6, 2, left.shape[1]))
+    sides[:, 0] = left
+    np.subtract(left[:, -1:], left, out=sides[:, 1])
     sxx_tol = max(float(xc @ xc), 1.0) * 1e-12
-    lower = max(min_node_size, 3)
-    left_rss, left_ok = _segment_rss(left, sxx_tol)
-    right_rss, right_ok = _segment_rss(right, sxx_tol)
-    ok = admissible & left_ok & right_ok & (left[0] >= lower) & (right[0] >= lower)
+    (left_rss, right_rss), sides_ok = _segment_rss(sides, sxx_tol)
+    ok = admissible & (sides_ok & (sides[0] >= max(min_node_size, 3))).all(axis=0)
     if not ok.any():
         return None
     # argmin keeps the first minimum: ties go to the earliest candidate

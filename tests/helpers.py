@@ -12,6 +12,11 @@ from lmtrees.transform import make_gof
 from lmtrees.tree import Split, TreeNode, iter_nodes, route_rows
 
 
+def stable_orders(values):
+    """Each row's stable sort, as the presort of ``ColumnMatrix``."""
+    return np.argsort(values, axis=1, kind="stable")
+
+
 def ncol(values, name="z1"):
     return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
 

@@ -30,7 +30,7 @@ from lmtrees.special import chi2_sf, normal_sf
 from lmtrees.transform import DegenerateTestError, GofMatrix, design_groups, make_gof
 from lmtrees.tree import GrowControl, TreeNode, best_split_point, grow, iter_nodes, tree_to_json
 
-from helpers import assert_fits_follow_routing
+from helpers import assert_fits_follow_routing, stable_orders
 
 NAMES = ("ctree", "mob", "guide", "guide+scores", "ctree+max", "ctree+cat", "ctree+dich",
          "mob+cat", "mob+dich", "residuals,nodich,lin", "residuals,nodich,max",
@@ -218,7 +218,8 @@ def former_grow(data, strategy, control):
 
 def node_data(seed, n, distinct):
     """Heavily tied, constant and continuous numeric columns, whose
-    quartile bins take one to four widths, and categorical columns of
+    quartile bins take one to four widths, one of them mostly tied zeros
+    of both signs, on which quartiles land, and categorical columns of
     two to six observed levels, one of which leaves levels unobserved."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
@@ -235,6 +236,7 @@ def node_data(seed, n, distinct):
         SplitColumn("smooth", NUMERIC, smooth),
         SplitColumn("zone", CATEGORICAL, rng.integers(0, distinct + 2, n), levels=tuple("abcdef")),
         SplitColumn("pair", CATEGORICAL, rng.integers(0, 2, n), levels=("no", "yes")),
+        SplitColumn("signed", NUMERIC, np.round(0.3 * rng.normal(size=n))),
     )
     schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in z))
     return Dataset(y, x, z), schema
@@ -297,7 +299,8 @@ def test_one_node_mixing_design_widths_matches_the_per_column_path(name):
     rows = np.flatnonzero(np.arange(data.n) % 7 != 3)
     # the node's binned designs: quartile bins and levels of several widths
     numeric = np.array([col.kind == NUMERIC for col in data.z])
-    groups = list(design_groups(data.columns.values[:, rows], numeric))
+    values = data.columns.values[:, rows]
+    groups = list(design_groups(values, numeric, stable_orders(values)))
     widths = {designs.shape[2] for _, designs in groups}
     levels = {len(np.unique(col.values[rows])) for col in data.z if col.kind == CATEGORICAL}
     assert {1, 2, 3, 6} <= widths and levels == {2, 3, 6} and len(groups) > 3
@@ -360,10 +363,6 @@ def test_gathering_whitened_rows_equals_whitening_gathered_rows(seed, n, k, colu
     got = np.take(gof.whitened[0], order, axis=0)
     assert got.tobytes() == ((gof.centred[order] @ root_inv) / math.sqrt(n)).tobytes()
     assert gof.whitened[1] == rank
-
-
-def stable_orders(values):
-    return np.argsort(values, axis=1, kind="stable")
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,7 +22,7 @@ from lmtrees.transform import (
     quartile_breaks,
 )
 
-from helpers import ncol, run_alone
+from helpers import ncol, run_alone, stable_orders
 
 
 def small_gof(use_scores, dichotomize):
@@ -200,17 +200,60 @@ def test_quartile_breaks_equal_the_per_column_quartiles_bit_for_bit():
         values = rng.normal(size=(j, n)) * 10.0 ** int(rng.integers(-3, 4))
         if trial % 2:
             values = np.round(values, int(rng.integers(0, 2)))
-        got = quartile_breaks(values)
+        got = quartile_breaks(values, stable_orders(values))
         assert got.shape == (j, 3)
         codes = rng.integers(0, 3, n)
-        rows = list(design_groups(np.vstack([values, codes]), np.arange(j + 1) < j))
+        block = np.vstack([values, codes])
+        rows = list(design_groups(block, np.arange(j + 1) < j, stable_orders(block)))
         for i in range(j):
             c = ncol(values[i])
-            assert got[i].tobytes() == np.array(empirical_quartiles(c)).tobytes()
+            want = np.array(empirical_quartiles(c))
+            # equal floats; equal bytes but for the sign of a zero break
+            assert np.array_equal(got[i], want)
+            assert got[i][want != 0.0].tobytes() == want[want != 0.0].tobytes()
             # the block's design of each column is the one built alone
             (design,) = [d[list(r).index(i)] for r, d in rows if i in r]
             assert np.array_equal(design, make_split_transform(c))
             assert np.array_equal(design, _former_one_hot(c))
+
+
+def np_quantile_codes(values):
+    # each value's bin from the np.quantile breaks of its row
+    breaks = np.quantile(values, (0.25, 0.5, 0.75), axis=-1).T
+    return (breaks[:, :, None] < values[:, None, :]).sum(axis=1)
+
+
+def test_presort_bins_equal_the_np_quantile_bins_on_signed_zero_ties():
+    rng = np.random.default_rng(18)
+    for trial in range(5000):
+        n, j = int(rng.integers(4, 80)), int(rng.integers(1, 6))
+        # mostly tied zeros of both signs, where np.quantile's partition
+        # may put a zero of either sign at a quartile
+        values = np.round(0.3 * rng.normal(size=(j, n))) * rng.choice([-1.0, 1.0], size=(j, n))
+        if trial % 3 == 0:
+            # a constant row: zeros of both signs, or one value
+            values[0] = rng.choice([-0.0, 0.0], size=n) if trial % 2 else -2.5
+        orders = stable_orders(values)
+        codes = np_quantile_codes(values)
+        breaks = quartile_breaks(values, orders)
+        assert np.array_equal(breaks, np.quantile(values, (0.25, 0.5, 0.75), axis=-1).T)
+        assert np.array_equal((breaks[:, :, None] < values[:, None, :]).sum(axis=1), codes)
+        for rows, designs in design_groups(values, np.ones(j, dtype=bool), orders):
+            for i, design in zip(rows, designs):
+                kept = np.unique(codes[i])
+                assert np.array_equal(design, (codes[i][:, None] == kept).astype(float))
+
+
+def test_a_median_between_tied_zeros_keeps_the_sign_of_the_stable_order():
+    values = np.array([[-0.0, -0.0, 0.0, -1.0]])
+    breaks = quartile_breaks(values, stable_orders(values))
+    # the stable order reads the median between the two -0.0 entries
+    assert breaks.tobytes() == np.array([[-0.25, -0.0, 0.0]]).tobytes()
+    assert np.array_equal(breaks, np.quantile(values, (0.25, 0.5, 0.75), axis=-1).T)
+    ((_, (design,)),) = design_groups(values, np.array([True]), stable_orders(values))
+    assert np.array_equal(design, [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(np_quantile_codes(values), [[1, 1, 1, 0]])
+    assert np.array_equal(make_split_transform(ncol(values[0])), design)
 
 
 def test_design_groups_stack_the_designs_of_each_width():
@@ -218,7 +261,7 @@ def test_design_groups_stack_the_designs_of_each_width():
     codes = np.stack([rng.integers(0, w, 40) for w in (1, 3, 6, 3, 2, 6, 4)])
     codes[2, codes[2] == 1] = 2  # width 2 with a gap
     seen = []
-    for rows, designs in design_groups(codes.astype(float), np.zeros(7, dtype=bool)):
+    for rows, designs in design_groups(codes.astype(float), np.zeros(7, dtype=bool), None):
         assert designs.shape == (rows.shape[0], 40, len(np.unique(codes[rows[0]])))
         for row, design in zip(rows, designs):
             levels = np.unique(codes[row])
