@@ -146,14 +146,15 @@ class Dataset:
 
 class ColumnMatrix:
     """Split columns as the rows of one (J, n) float matrix (categorical
-    ones as codes), with ``orders``, each row's stable sort, computed on
-    first use (the CART presort)."""
+    ones as codes) with the mask of ``numeric`` rows, and ``orders``, each
+    row's stable sort, computed on first use (the CART presort)."""
 
     def __init__(self, cols: Sequence[SplitColumn], n: int) -> None:
         self.cols = tuple(cols)
         # the reshape keeps a matrix of no columns two-dimensional
         values = np.array([col.values for col in self.cols], dtype=float)
         self.values = values.reshape(len(self.cols), n)
+        self.numeric = np.array([col.kind != CATEGORICAL for col in self.cols], dtype=bool)
 
     @cached_property
     def orders(self) -> np.ndarray:

@@ -11,9 +11,9 @@ split mode).  Dispatch on the split mode picks the engine:
   sums of decorrelated gof rows in column order, scanned at tie-block
   ends (the cuts a split could use), against a simulated null table.
 * ``cat``  - with dichotomized gof, summed Pearson chi-square tests of
-  the sign-by-bin tables, one per gof column; without, the quadratic
-  form above with one-hot bins.  Categorical columns always take this
-  route, through their levels.
+  the sign-by-bin tables, one per gof column, counted from the bin
+  codes; without, the quadratic form above with one-hot bins.
+  Categorical columns always take this route, through their levels.
 
 ``column_entries`` tests a node's columns in blocks, one array pass per
 route: the engines take inputs stacked on leading axes and reproduce the
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, ColumnMatrix, Dataset, SplitColumn
+from .dataset import ColumnMatrix, Dataset, SplitColumn
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
 from .transform import DegenerateTestError, GofMatrix, design_groups, eig_pinv_parts, make_gof
@@ -417,28 +417,29 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
     ones, columns follow the design.  Empty design columns are dropped;
     a column of constant sign contributes nothing.  Statistics and
     degrees of freedom add across gof columns; fewer than two non-empty
-    bins or zero summed df raise ``DegenerateTestError``.  Stacked designs
-    (J, n, P) have no empty column; each table sums in its flattened order.
+    bins or zero summed df raise ``DegenerateTestError``.  The binned
+    route counts its tables from the bin codes and shares the arithmetic.
     """
     if not gof.dichotomized:
         raise UnsupportedConfigurationError("contingency test requires a dichotomized gof")
     design = np.asarray(design, dtype=float)
-    single = design.ndim == 2
-    designs = design[None, :, design.sum(axis=0) > 0] if single else design
-    n, width = designs.shape[-2:]
-    totals = designs.sum(axis=-2)
-    ones = gof.values.T @ designs
-    observed = np.stack((totals[:, None, :] - ones, ones), axis=-2)
+    totals, ones = design.sum(axis=0), gof.values.T @ design
+    stat, df = _pearson_tables(np.stack((totals - ones, ones), axis=-2)[None, ..., totals > 0], gof.n)
+    return float(stat[0]), int(df[0])
+
+
+def _pearson_tables(observed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Summed chi-square statistics and df of (g, k, 2, w) sign-by-bin tables
+    of n rows and no empty bin, each table summed in its flattened order."""
     row_totals = observed.sum(axis=-1)
-    used = (row_totals > 0.0).all(axis=-1) & (width > 1)
+    used = (row_totals > 0.0).all(axis=-1) & (observed.shape[-1] > 1)
     if not used.any():
         raise DegenerateTestError("fewer than two non-empty bins, or no gof column with both signs")
-    expected = row_totals[..., None] * totals[:, None, None, :] / n
+    expected = row_totals[..., None] * observed.sum(axis=-2)[..., None, :] / n
     # an unused table may expect zero counts; a used one never does
     cells = (observed - expected) ** 2 / np.where(expected > 0.0, expected, 1.0)
-    stat = np.where(used, cells.reshape(*used.shape, 2 * width).sum(axis=-1), 0.0).sum(axis=-1)
-    df = used.sum(axis=-1) * (width - 1)
-    return (float(stat[0]), int(df[0])) if single else (stat, df)
+    stat = np.where(used, cells.reshape(*used.shape, -1).sum(axis=-1), 0.0).sum(axis=-1)
+    return stat, used.sum(axis=-1) * (observed.shape[-1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +473,14 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
     if binned.size == 0:
         return
     bin_orders = orders[binned] if numeric[binned].any() else None
-    for group, designs in design_groups(values[binned], numeric[binned], bin_orders):
+    signs = gof.values if config.dichotomize else None
+    for group, arrays in design_groups(values[binned], numeric[binned], bin_orders, signs):
         with contextlib.suppress(DegenerateTestError):
             if config.dichotomize:
-                stat, df = chisq_statistic(gof, designs)
+                stat, df = _pearson_tables(arrays, n)
                 yield binned[group], stat, df, _chi2_pvalues(stat, df), LAW_CHI2
             else:
-                t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs)
+                t, (mean, cov) = linear_statistic(gof, arrays), conditional_moments(gof, arrays)
                 yield binned[group], *quad_form_test(t, mean, cov), LAW_CHI2
 
 
@@ -490,7 +492,7 @@ def column_entries(config: StrategyConfig, gof: GofMatrix, columns: ColumnMatrix
     orders, read off the presort of ``columns`` when numeric columns take
     the max route or quartile bins and none are given.  Columns are
     gathered and tested in blocks of at most ``COLUMN_BLOCK`` values."""
-    numeric = np.array([col.kind != CATEGORICAL for col in columns.cols], dtype=bool)
+    numeric = columns.numeric
     if orders is None and config.split_mode != MODE_LIN and numeric.any():
         orders = columns.orders_of(rows)
     rows = np.arange(gof.n) if rows is None else rows

@@ -2,11 +2,11 @@
 
 ``make_gof`` turns a node fit at its rows into the row-wise matrix a
 split test consumes: raw residuals, the two score columns, or their
-sign indicators.  ``design_groups`` turns a block of split columns into
-the one-hot designs the binned route pairs with them (levels, or quartile
-bins whose breaks are read at the node's presort), stacked by width;
-``make_split_transform`` is one column's.  The linear route pairs the gof
-matrix with the raw column and the max route orders the rows by it.
+sign indicators.  ``design_groups`` codes a block of split columns by
+level or quartile bin (breaks read at the node's presort), then per width
+counts their sign-by-code tables or builds their one-hot designs, and
+``make_split_transform`` builds one column's.  The linear route pairs the
+gof matrix with the raw column and the max route orders the rows by it.
 ``DegenerateTestError`` is the one signal by which every split test, and
 the design builder here, says that its input can discriminate nothing.
 """
@@ -120,14 +120,16 @@ def quartile_breaks(values: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | None
-                  ) -> Iterator[tuple]:
-    """One-hot designs of the split columns stacked as the rows of
-    ``values``, by width w: the rows of w codes and their (g, n, w)
-    designs, whose columns indicate the codes taken, in increasing order:
-    levels of a categorical row, right-closed quartile bins ``(-inf, q1],
-    (q1, q2], ...`` of a ``numeric`` one, read at its stable sort in
-    ``orders`` (``None`` with no numeric row); coincident quartiles merge."""
+def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | None,
+                  signs: np.ndarray | None) -> Iterator[tuple]:
+    """The split columns stacked as the rows of ``values``, coded and
+    grouped by the number w of codes taken: levels of a categorical row,
+    right-closed quartile bins ``(-inf, q1], (q1, q2], ...`` of a
+    ``numeric`` one, read at its stable sort in ``orders`` (``None`` with
+    no numeric row); coincident quartiles merge.  Yields each group's rows
+    and their (g, n, w) one-hot designs with ``signs`` None, else their
+    (g, k, 2, w) tables of rows by sign in each column of the dichotomized
+    gof ``signs`` (n, k) and by code, counted; codes go in increasing order."""
     codes = np.zeros(values.shape, dtype=np.intp)
     codes[~numeric] = values[~numeric]
     if numeric.any():
@@ -136,13 +138,24 @@ def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | 
         q1, q2, q3 = quartile_breaks(bins, orders[numeric]).T[:, :, None]
         codes[numeric] = (q1 < bins).astype(np.intp) + (q2 < bins) + (q3 < bins)
     width = int(codes.max(initial=0)) + 1
-    offsets = codes + width * np.arange(codes.shape[0])[:, None]
-    taken = np.bincount(offsets.ravel(), minlength=codes.shape[0] * width).reshape(-1, width) > 0
+    # each value's cell: (column, code), then its gof column and sign
+    per = 1 if signs is None else 2 * signs.shape[1]
+    cell = codes + width * np.arange(codes.shape[0])[:, None]
+    if signs is not None:
+        # a C-ordered sign matrix keeps the broadcast sum's inner loop along the rows
+        sign = np.ascontiguousarray(signs.T, np.intp) + np.arange(0, per, 2)[:, None]
+        cell = cell[:, None, :] * per + sign
+    counts = np.bincount(cell.ravel(), minlength=len(codes) * width * per).reshape(-1, width, per)
+    taken = counts.any(axis=-1)
     widths = taken.sum(axis=1)
     for w in np.unique(widths):
         rows = np.flatnonzero(widths == w)
         kept = np.nonzero(taken[rows])[1].reshape(rows.shape[0], w)
-        yield rows, (codes[rows][:, :, None] == kept[:, None, :]).astype(float)
+        if signs is None:
+            yield rows, (codes[rows][:, :, None] == kept[:, None, :]).astype(float)
+        else:
+            tables = np.ascontiguousarray(counts[rows[:, None], kept].swapaxes(1, 2), float)
+            yield rows, tables.reshape(-1, signs.shape[1], 2, w)
 
 
 def make_split_transform(col: SplitColumn) -> np.ndarray:
@@ -154,5 +167,5 @@ def make_split_transform(col: SplitColumn) -> np.ndarray:
     if col.n == 0:
         raise TransformError(f"column {col.name!r} is empty")
     block = ColumnMatrix([col], col.n)
-    ((_, designs),) = design_groups(block.values, np.array([col.kind != CATEGORICAL]), block.orders)
+    ((_, designs),) = design_groups(block.values, block.numeric, block.orders, None)
     return designs[0]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, Dataset, SplitColumn
+from lmtrees.dataset import CATEGORICAL, NUMERIC, ColumnMatrix, CsvSchema, Dataset, SplitColumn
 from lmtrees.dataset import empirical_quartiles, order_permutation, partition_orders
 from lmtrees import inference
 from lmtrees.inference import argmin_outcome, parse_strategy, resolve_min_segment, select_variable
@@ -300,7 +300,7 @@ def test_one_node_mixing_design_widths_matches_the_per_column_path(name):
     # the node's binned designs: quartile bins and levels of several widths
     numeric = np.array([col.kind == NUMERIC for col in data.z])
     values = data.columns.values[:, rows]
-    groups = list(design_groups(values, numeric, stable_orders(values)))
+    groups = list(design_groups(values, numeric, stable_orders(values), None))
     widths = {designs.shape[2] for _, designs in groups}
     levels = {len(np.unique(col.values[rows])) for col in data.z if col.kind == CATEGORICAL}
     assert {1, 2, 3, 6} <= widths and levels == {2, 3, 6} and len(groups) > 3
@@ -337,6 +337,42 @@ def test_a_node_of_one_column_per_block_matches_the_per_column_path(name, seed):
         got = select_variable(config, fit, data, rows)
     assert_same_selection(got, former_select_variable(config, fit, data.take(rows)))
     assert {o.law for o in got[0]} >= {"suplm", "degenerate"}
+
+
+@pytest.mark.parametrize("name", ["guide", "guide+scores"])
+def test_wide_and_degenerate_sign_tables_match_the_per_column_chisq(name):
+    # tables of 9 to 16 levels, whose 2 w > 8 cells numpy sums pairwise, so
+    # that only their flattened order reproduces the per-column sum; a
+    # column of one level and one of one bin; gof columns of constant sign
+    rng = np.random.default_rng(17)
+    n, widths, levels = 240, (9, 11, 13, 16), tuple(f"l{i}" for i in range(16))
+    cols = [SplitColumn(f"cat{w}", CATEGORICAL, rng.integers(0, w, n), levels=levels)
+            for w in widths]
+    cols += [SplitColumn("one", CATEGORICAL, np.full(n, 3), levels=levels),
+             SplitColumn("flat", NUMERIC, np.full(n, -0.5)),
+             SplitColumn("tied", NUMERIC, rng.integers(0, 3, n) * 1.0),
+             SplitColumn("smooth", NUMERIC, rng.normal(size=n))]
+    columns = ColumnMatrix(cols, n)
+    config = parse_strategy(name)
+    k = 2 if config.use_scores else 1
+    signs = (rng.uniform(size=(n, k)) < 0.4).astype(float)
+    constant_last = np.column_stack((signs[:, :-1], np.ones(n)))
+    for values, varying in ((signs, k), (constant_last, k - 1), (np.zeros((n, k)), 0)):
+        gof = GofMatrix(values, dichotomized=True)
+        want = []
+        for col in cols:
+            try:
+                stat, df = former_chisq_statistic(gof, former_design(col))
+                want.append((stat, float(chi2_sf(stat, df)), "chi2", df))
+            except DegenerateTestError:
+                want.append((0.0, 1.0, "degenerate", 0))
+        assert [entry[3] for entry in want] == [(w - 1) * varying for w in widths] + [
+            0, 0, 2 * varying, 3 * varying]
+        # one block, then blocks of two columns: ("one", "flat") is degenerate throughout
+        for block in (inference.COLUMN_BLOCK, 2 * n):
+            with mock.patch.object(inference, "COLUMN_BLOCK", block):
+                got = inference.column_entries(config, gof, columns)
+            assert repr(got) == repr(want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -204,7 +204,7 @@ def test_quartile_breaks_equal_the_per_column_quartiles_bit_for_bit():
         assert got.shape == (j, 3)
         codes = rng.integers(0, 3, n)
         block = np.vstack([values, codes])
-        rows = list(design_groups(block, np.arange(j + 1) < j, stable_orders(block)))
+        rows = list(design_groups(block, np.arange(j + 1) < j, stable_orders(block), None))
         for i in range(j):
             c = ncol(values[i])
             want = np.array(empirical_quartiles(c))
@@ -238,7 +238,7 @@ def test_presort_bins_equal_the_np_quantile_bins_on_signed_zero_ties():
         breaks = quartile_breaks(values, orders)
         assert np.array_equal(breaks, np.quantile(values, (0.25, 0.5, 0.75), axis=-1).T)
         assert np.array_equal((breaks[:, :, None] < values[:, None, :]).sum(axis=1), codes)
-        for rows, designs in design_groups(values, np.ones(j, dtype=bool), orders):
+        for rows, designs in design_groups(values, np.ones(j, dtype=bool), orders, None):
             for i, design in zip(rows, designs):
                 kept = np.unique(codes[i])
                 assert np.array_equal(design, (codes[i][:, None] == kept).astype(float))
@@ -250,7 +250,7 @@ def test_a_median_between_tied_zeros_keeps_the_sign_of_the_stable_order():
     # the stable order reads the median between the two -0.0 entries
     assert breaks.tobytes() == np.array([[-0.25, -0.0, 0.0]]).tobytes()
     assert np.array_equal(breaks, np.quantile(values, (0.25, 0.5, 0.75), axis=-1).T)
-    ((_, (design,)),) = design_groups(values, np.array([True]), stable_orders(values))
+    ((_, (design,)),) = design_groups(values, np.array([True]), stable_orders(values), None)
     assert np.array_equal(design, [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(np_quantile_codes(values), [[1, 1, 1, 0]])
     assert np.array_equal(make_split_transform(ncol(values[0])), design)
@@ -261,10 +261,39 @@ def test_design_groups_stack_the_designs_of_each_width():
     codes = np.stack([rng.integers(0, w, 40) for w in (1, 3, 6, 3, 2, 6, 4)])
     codes[2, codes[2] == 1] = 2  # width 2 with a gap
     seen = []
-    for rows, designs in design_groups(codes.astype(float), np.zeros(7, dtype=bool), None):
+    for rows, designs in design_groups(codes.astype(float), np.zeros(7, dtype=bool), None, None):
         assert designs.shape == (rows.shape[0], 40, len(np.unique(codes[rows[0]])))
         for row, design in zip(rows, designs):
             levels = np.unique(codes[row])
             assert np.array_equal(design, (codes[row][:, None] == levels).astype(float))
         seen += rows.tolist()
     assert sorted(seen) == list(range(codes.shape[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 200),
+    j=st.integers(1, 7),
+    k=st.sampled_from([1, 2]),
+    levels=st.integers(1, 17),
+)
+def test_sign_tables_counted_from_the_codes_equal_the_design_counts(seed, n, j, k, levels):
+    # numeric rows of one to four bins and categorical rows of up to 17
+    # levels with gaps; each group's tables are the stack a 0/1 matmul of
+    # its designs gave, in bytes and C layout, and the groups coincide
+    rng = np.random.default_rng(seed)
+    numeric = rng.uniform(size=j) < 0.5
+    values = np.where(numeric[:, None], np.round(rng.normal(size=(j, n)), int(rng.integers(0, 2))),
+                      rng.integers(0, levels, (j, n)) * int(rng.integers(1, 3)))
+    orders = stable_orders(values)
+    signs = (rng.uniform(size=(n, k)) < rng.uniform()).astype(float)
+    designs = list(design_groups(values, numeric, orders, None))
+    tables = list(design_groups(values, numeric, orders, signs))
+    assert len(tables) == len(designs)
+    for (rows, design), (table_rows, table) in zip(designs, tables):
+        assert np.array_equal(rows, table_rows)
+        ones = signs.T @ design
+        want = np.stack((design.sum(axis=-2)[:, None, :] - ones, ones), axis=-2)
+        assert table.flags.c_contiguous and table.dtype == np.float64
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
