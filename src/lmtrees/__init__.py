@@ -15,26 +15,17 @@ from .dataset import (
     Dataset,
     RngStream,
     SplitColumn,
-    empirical_quartiles,
     load_csv,
-    order_permutation,
     write_csv,
 )
 from .inference import (
     STRATEGIES,
-    FluctuationProcess,
     StrategyConfig,
     TestOutcome,
-    chisq_statistic,
-    conditional_moments,
-    linear_statistic,
-    max_abs_test,
     parse_strategy,
-    quad_form_test,
     run_strategy,
     select_variable,
     suplm_pvalue,
-    suplm_statistic,
 )
 from .linmod import (
     DegenerateRegressorError,
@@ -55,12 +46,7 @@ from .sim import (
     run_study,
     true_partition,
 )
-from .transform import (
-    DegenerateTestError,
-    GofMatrix,
-    make_gof,
-    make_split_transform,
-)
+from .transform import DegenerateTestError, GofMatrix, make_gof
 from .tree import (
     GrowControl,
     Split,

@@ -16,11 +16,11 @@ split mode).  Dispatch on the split mode picks the engine:
   Categorical columns always take this route, through their levels.
 
 ``column_entries`` tests a node's columns in blocks, one array pass per
-route: the engines take inputs stacked on leading axes and reproduce the
-one-column arithmetic bit for bit.  An engine that can discriminate
-nothing raises ``DegenerateTestError``, and the outcome is degenerate,
-with p = 1; a stack instead marks such entries (df 0, statistic 0, p 1,
-boundary -1) and raises only when all are.  Every engine is invariant to
+route.  The engines are internal: each takes a block's inputs stacked on
+a leading axis and returns arrays.  An entry that can discriminate
+nothing is marked (df 0, statistic 0, p 1, boundary -1) and its outcome
+is degenerate, with p = 1; an engine raises ``DegenerateTestError`` only
+when all its entries are marked.  Every engine is invariant to
 rescaling the gof columns; p-values are raw, and the selection gate
 optionally applies a Bonferroni factor across the tested columns.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "DegenerateTestError",
     "StrategyConfig",
     "TestOutcome",
-    "FluctuationProcess",
     "STRATEGIES",
     "parse_strategy",
     "resolve_min_segment",
@@ -225,16 +224,14 @@ def _chi2_pvalues(stat: np.ndarray, df: np.ndarray) -> list[float]:
 
 
 def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
-                   covariance: np.ndarray) -> tuple[float, int, float]:
-    """Quadratic form of the centered statistic in the pseudo-inverted
-    covariance against chi-square with the numerical rank as df, as
-    ``(statistic, df, p)``; rank zero raises ``DegenerateTestError``.  A
-    stack shares one ``eigh`` call; its projections and dots stay one BLAS
-    call each, as batched they change last bits."""
+                   covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Quadratic forms of (g, m) centered statistics in their pseudo-inverted
+    (g, m, m) covariances against chi-square with the numerical rank as df,
+    as ``(statistics, df, p-values)``.  The stack shares one ``eigh`` call;
+    its projections and dots stay one BLAS call each, as batched they
+    change last bits."""
     d = np.asarray(statistic, dtype=float) - mean
-    single = d.ndim == 1
-    d, cov = (d[None], np.asarray(covariance)[None]) if single else (d, covariance)
-    eigval, eigvec, keep = eig_pinv_parts(cov)
+    eigval, eigvec, keep = eig_pinv_parts(covariance)
     df = keep.sum(axis=-1)
     if not df.any():
         raise DegenerateTestError("covariance of the linear statistic has rank zero")
@@ -242,18 +239,16 @@ def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
     for j in np.flatnonzero(df):
         proj = eigvec[j][:, keep[j]].T @ d[j]
         stat[j] = proj @ (proj / eigval[j][keep[j]])
-    p = _chi2_pvalues(stat, df)
-    return (float(stat[0]), int(df[0]), p[0]) if single else (stat, df, p)
+    return stat, df, _chi2_pvalues(stat, df)
 
 
 def max_abs_test(statistic: np.ndarray, mean: np.ndarray,
-                 covariance: np.ndarray) -> tuple[float, float]:
-    """Two-sided normal test of a one-dimensional linear statistic.
-
-    Only defined when the statistic has a single component; the quadratic
-    form covers every higher-dimensional case.  A zero or non-finite
-    variance, or a zero statistic, raises ``DegenerateTestError``."""
-    d = np.atleast_1d(np.asarray(statistic, dtype=float)) - mean
+                 covariance: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Two-sided normal tests of (g, 1) linear statistics with (g, 1, 1)
+    covariances, as ``(statistics, p-values)``; the quadratic form covers
+    every higher-dimensional case.  A zero or non-finite variance, or a
+    zero statistic, is degenerate."""
+    d = np.asarray(statistic, dtype=float) - mean
     if d.shape[-1] != 1:
         raise UnsupportedConfigurationError(
             f"max-abs test requires a one-dimensional statistic, got {d.shape[-1]}"
@@ -263,38 +258,21 @@ def max_abs_test(statistic: np.ndarray, mean: np.ndarray,
     stat = np.where(spread, np.abs(d[..., 0]) / np.sqrt(np.where(spread, var, 1.0)), 0.0)
     if not stat.any():
         raise DegenerateTestError("the linear statistic has no spread about its permutation mean")
-    p = [2.0 * normal_sf(s) if s else 1.0 for s in np.atleast_1d(stat).tolist()]
-    return (float(stat), p[0]) if d.ndim == 1 else (stat, p)
+    return stat, [2.0 * normal_sf(s) if s else 1.0 for s in stat.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # maximally-selected fluctuation test
 
 
-@dataclass(frozen=True)
-class FluctuationProcess:
-    """Partial-sum process of decorrelated gof rows in column order.
-
-    ``cumulative`` holds n+1 rows; row i is the scaled partial sum of
-    the first i sorted rows, so the first and last rows are zero.
-    ``tie_ends`` marks the boundaries that end a block of tied values.
-    """
-
-    cumulative: np.ndarray
-    tie_ends: np.ndarray
-    k_eff: int
-
-    @property
-    def n(self) -> int:
-        return int(self.cumulative.shape[-2] - 1)
-
-
 def fluctuation_process(gof: GofMatrix, values: np.ndarray,
-                        order: np.ndarray) -> FluctuationProcess:
-    """Build the cumulative-score process along a numeric column's order:
-    the whitened gof rows (``GofMatrix.whitened``) cumulated in the stable
-    sort ``order`` of the column ``values`` (columns stacked as rows give
-    stacked processes), both gathered with ``np.take``."""
+                        order: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Partial-sum processes of the whitened gof rows (``GofMatrix.whitened``)
+    along (g, n) numeric columns ``values`` in their stable sort ``order``,
+    both gathered with ``np.take``, as ``(cumulative, tie_ends, k_eff)``:
+    row i of a process's (n + 1, k) ``cumulative`` sums the first i sorted
+    rows, so its first and last rows are zero; ``tie_ends`` marks the
+    boundaries that end a block of tied values; ``k_eff`` is the rank."""
     n = gof.n
     white, rank = gof.whitened
     if rank == 0:
@@ -304,33 +282,32 @@ def fluctuation_process(gof: GofMatrix, values: np.ndarray,
     vs = np.take(values, order + n * np.arange(order.size // n).reshape(*order.shape[:-1], 1))
     tie_ends = np.ones(cumulative.shape[:-1], dtype=bool)
     tie_ends[..., 1:-1] = vs[..., :-1] != vs[..., 1:]
-    return FluctuationProcess(cumulative=cumulative, tie_ends=tie_ends, k_eff=rank)
+    return cumulative, tie_ends, rank
 
 
-def suplm_statistic(proc: FluctuationProcess, min_segment: int) -> tuple[float, int]:
-    """Largest variance-weighted squared bridge norm over admissible cuts.
+def suplm_statistic(cumulative: np.ndarray, tie_ends: np.ndarray,
+                    min_segment: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest variance-weighted squared bridge norm of each process from
+    ``fluctuation_process`` over its admissible cuts.
 
     Candidate boundaries are the tie-block ends: row counts ``i`` after
     which the sorted column value changes, with at least
     ``min_segment`` rows on each side; the weight at boundary ``i`` is
-    ``((i/n) * (1 - i/n))**-1``.  Returns the statistic and the boundary
-    where the maximum is attained (ties keep the smallest); no admissible
-    boundary raises ``DegenerateTestError``."""
-    n, lead = proc.n, proc.tie_ends.shape[:-1]
+    ``((i/n) * (1 - i/n))**-1``.  Returns the statistics and the boundaries
+    where the maxima are attained (ties keep the smallest)."""
+    n = tie_ends.shape[-1] - 1
     if min_segment < 1:
         raise UnsupportedConfigurationError("min_segment must be at least 1")
     lo, hi = min_segment, n - min_segment
-    ends = proc.tie_ends[..., lo : hi + 1]
+    ends = tie_ends[..., lo : hi + 1]
     if not ends.any():
         raise DegenerateTestError(f"segments of {min_segment} leave no cut in {n} rows")
     frac = np.arange(lo, hi + 1) / n
-    path = proc.cumulative[..., lo : hi + 1, :]
+    path = cumulative[..., lo : hi + 1, :]
     norm = sum(path[..., j] * path[..., j] for j in range(path.shape[-1]))
     values = 1.0 / (frac * (1.0 - frac)) * norm
     values[~ends] = -np.inf
     peak, stat = np.argmax(values, axis=-1), values.max(axis=-1)
-    if not lead:
-        return float(stat), lo + int(peak)
     found = ends.any(axis=-1)
     return np.where(found, stat, 0.0), np.where(found, lo + peak, -1)
 
@@ -455,11 +432,11 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
     direct = np.flatnonzero(numeric) if mode != MODE_CAT else np.arange(0)
     with contextlib.suppress(DegenerateTestError):
         if direct.size and mode == MODE_MAX:
-            proc = fluctuation_process(gof, values[direct], orders[direct])
+            cumulative, tie_ends, k_eff = fluctuation_process(gof, values[direct], orders[direct])
             ms = resolve_min_segment(n, config.min_segment)
-            stat, peak = suplm_statistic(proc, ms)
-            p = suplm_pvalue(stat, proc.k_eff, ms, n)
-            yield direct, stat, np.where(peak >= 0, proc.k_eff, 0), p, LAW_SUPLM
+            stat, peak = suplm_statistic(cumulative, tie_ends, ms)
+            p = suplm_pvalue(stat, k_eff, ms, n)
+            yield direct, stat, np.where(peak >= 0, k_eff, 0), p, LAW_SUPLM
         elif direct.size:
             designs = values[direct][:, :, None]
             t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs)

@@ -183,10 +183,9 @@ def _best_numeric_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn, order:
 def _best_categorical_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn,
                             min_node_size: int) -> Split | None:
     observed = np.flatnonzero(np.bincount(col.values))
-    if observed.size < 2:
+    # past 16 observed levels the 2**15 partitions are too many to search
+    if not 2 <= observed.size <= 16:
         return None
-    if observed.size > 16:
-        raise DataError(f"column {col.name!r} has too many levels for exhaustive search")
     # candidate b holds the first observed level plus rest level j when
     # bit j of b is set; the last candidate holds every level
     bits = np.arange(2 ** (observed.size - 1))
@@ -219,7 +218,8 @@ def best_split_point(
     prefixes (``order`` when known), cut halfway between consecutive
     distinct values.  Categorical: the binary partitions of the observed
     levels, as the subsets holding the first one.  ``None`` when no
-    admissible cut exists.
+    admissible cut exists, and for a categorical column of more than 16
+    observed levels, whose partitions are too many to search.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)

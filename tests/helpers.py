@@ -1,5 +1,6 @@
 """Builders and reference functions shared by the test modules."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,16 @@ def stable_orders(values):
 
 def ncol(values, name="z1"):
     return SplitColumn(name, NUMERIC, np.asarray(values, dtype=float))
+
+
+def null_data(seed, n):
+    """Two numeric split columns that carry no signal for ``y``."""
+    rng = np.random.default_rng(seed)
+    cols = (
+        SplitColumn("z1", NUMERIC, rng.uniform(-1, 1, n)),
+        SplitColumn("z2", NUMERIC, rng.normal(size=n)),
+    )
+    return Dataset(rng.normal(size=n), rng.uniform(-1, 1, n), cols)
 
 
 def stump_data(seed=0, n=400, delta=2.0):
@@ -70,6 +81,20 @@ def assert_fits_follow_routing(tree, data, rows):
     for node in iter_nodes(tree):
         assert repr(node.fit) == repr(fit_ols(data.y[reach[node.id]], data.x[reach[node.id]]))
     return reach
+
+
+def enumeration_moments(gof_values, design):
+    """Exact mean/covariance of the statistic over all row permutations."""
+    n = gof_values.shape[0]
+    stats = []
+    for perm in itertools.permutations(range(n)):
+        t = (design.T @ gof_values[list(perm)]).flatten(order="F")
+        stats.append(t)
+    stats = np.array(stats)
+    mean = stats.mean(axis=0)
+    centered = stats - mean
+    cov = (centered.T @ centered) / stats.shape[0]
+    return mean, cov
 
 
 def run_alone(config, y, x, col):

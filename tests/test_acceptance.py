@@ -39,7 +39,7 @@ from lmtrees.tree import (
     tree_to_json,
 )
 
-from helpers import all_pruned_costs, hand_node, run_alone, strat_list
+from helpers import all_pruned_costs, enumeration_moments, hand_node, run_alone, strat_list
 
 HEADLINE = ("ctree", "mob", "guide", "guide+scores")
 
@@ -241,16 +241,6 @@ def test_post_pruning_rescues_binned_strategies():
 # -------------------------------------------------------------- 7: exact oracles
 
 
-def enumerated_moments(g, h):
-    ts = []
-    for perm in itertools.permutations(range(g.shape[0])):
-        ts.append((g.T @ h[list(perm)]).flatten(order="F"))
-    ts = np.array(ts)
-    mu = ts.mean(axis=0)
-    centered = ts - mu
-    return mu, centered.T @ centered / len(ts)
-
-
 def frozen_instance(seed):
     rng = np.random.default_rng(seed)
     n = 7
@@ -276,7 +266,7 @@ def test_exact_oracle_permutation_moments_and_tail():
             g = rng.normal(size=(n, 1))
         gof = GofMatrix(h, False)
         mean, cov = conditional_moments(gof, g)
-        mu, sigma = enumerated_moments(g, h)
+        mu, sigma = enumeration_moments(design=g, gof_values=h)
         worst_moment = max(
             worst_moment,
             float(np.abs(mean - mu).max()),
@@ -291,13 +281,13 @@ def test_exact_oracle_permutation_moments_and_tail():
     worst_gap = 0.0
     for seed in range(3020, 3040):
         gof, design = frozen_instance(seed)
-        t = linear_statistic(gof, design)
-        mom = conditional_moments(gof, design)
-        stat, _, p_chi2 = quad_form_test(t, *mom)
+        t = linear_statistic(gof, design[None])
+        mom = conditional_moments(gof, design[None])
+        (stat,), _, (p_chi2,) = quad_form_test(t, *mom)
         stats = np.empty(len(perms))
         for i, perm in enumerate(perms):
-            s, _, _ = quad_form_test(
-                linear_statistic(GofMatrix(gof.values[perm], False), design), *mom
+            (s,), _, _ = quad_form_test(
+                linear_statistic(GofMatrix(gof.values[perm], False), design[None]), *mom
             )
             stats[i] = s
         p_exact = float(np.mean(stats >= stat - 1e-12))
@@ -325,7 +315,9 @@ def test_exact_oracle_score_fluctuation_scan():
     gof = make_gof(fit, y, x, use_scores=True, dichotomize=False)
     col = SplitColumn("z", NUMERIC, rng.normal(size=n))
     ms = 9
-    stat, peak = suplm_statistic(fluctuation_process(gof, col.values, order_permutation(col)), ms)
+    cumulative, tie_ends, _ = fluctuation_process(gof, col.values[None],
+                                                  order_permutation(col)[None])
+    (stat,), (peak,) = suplm_statistic(cumulative, tie_ends, ms)
 
     # termwise recomputation straight from the displayed definition
     order = np.argsort(col.values, kind="stable")

@@ -1,9 +1,13 @@
-"""Every module under ``src/lmtrees`` and ``tests`` uses what it imports."""
+"""Every module under ``src/lmtrees`` and ``tests`` uses what it imports, and
+the package exports exactly its user API."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import lmtrees
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package __init__ imports names only to re-export them
@@ -45,3 +49,25 @@ def test_unused_import_check_sees_plain_aliased_and_exported_names():
         "__all__ = ['g']\nnp.zeros(e)\n"
     )
     assert unused_imports(source) == ["c", "os"]
+
+
+# the package's user API; a change here is a change of the public surface
+PUBLIC_NAMES = [
+    "CsvSchema", "DataError", "Dataset", "DegenerateRegressorError", "DegenerateTestError",
+    "GofMatrix", "GrowControl", "InsufficientDataError", "LinearFit", "PruneResult",
+    "ReplicationRecord", "RngStream", "STRATEGIES", "ScenarioConfig", "Split", "SplitColumn",
+    "StrategyConfig", "TestOutcome", "TreeNode", "adjusted_rand_index", "aggregate_records",
+    "best_split_point", "cost_complexity_path", "cv_prune", "fit_ols", "gen_stump",
+    "gen_stump_continuous", "gen_tree", "grow", "ic_prune", "leaves", "load_csv", "make_gof",
+    "parse_strategy", "partition_labels", "predict", "predict_tree", "prune_at", "run_strategy",
+    "run_study", "select_variable", "suplm_pvalue", "tree_from_json", "tree_to_json",
+    "true_partition", "write_csv",
+]
+
+
+def test_package_exports_exactly_its_user_api():
+    exported = sorted(
+        name for name, value in vars(lmtrees).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == sorted(PUBLIC_NAMES)

@@ -1,6 +1,5 @@
 """Split-variable testing engines against hand oracles and enumeration."""
 
-import itertools
 import math
 
 import numpy as np
@@ -34,12 +33,19 @@ from lmtrees.inference import (
 from lmtrees.linmod import fit_ols
 from lmtrees.transform import GofMatrix, make_gof, make_split_transform
 
-from helpers import ncol, run_alone
+from helpers import enumeration_moments, ncol, run_alone
 
 
 def bridge(gof, col):
-    # the fluctuation process along the column's own stable order
-    return fluctuation_process(gof, col.values, order_permutation(col))
+    # the fluctuation process along the column's own stable order, a stack of one
+    return fluctuation_process(gof, col.values[None], order_permutation(col)[None])
+
+
+def scan(gof, col, min_segment):
+    # the supLM statistic of one column and the boundary where it peaks
+    cumulative, tie_ends, _ = bridge(gof, col)
+    stat, peak = suplm_statistic(cumulative, tie_ends, min_segment)
+    return stat[0], peak[0]
 
 
 def random_node(seed, n):
@@ -80,20 +86,6 @@ def test_linear_statistic_one_hot_is_per_bin_sums():
 # ------------------------------------------------- permutation moment oracle
 
 
-def enumeration_moments(gof_values, design):
-    """Exact mean/covariance of the statistic over all row permutations."""
-    n = gof_values.shape[0]
-    stats = []
-    for perm in itertools.permutations(range(n)):
-        t = (design.T @ gof_values[list(perm)]).flatten(order="F")
-        stats.append(t)
-    stats = np.array(stats)
-    mean = stats.mean(axis=0)
-    centered = stats - mean
-    cov = (centered.T @ centered) / stats.shape[0]
-    return mean, cov
-
-
 @pytest.mark.parametrize(
     "seed,n,k,onehot",
     [(11, 5, 1, False), (12, 6, 1, True), (13, 6, 2, False), (14, 5, 2, True), (15, 6, 2, True)],
@@ -126,24 +118,24 @@ def test_conditional_moments_of_constant_gof_are_degenerate():
 
 
 def test_quad_form_scalar_example():
-    stat, df, p = quad_form_test(np.array([3.0]), np.array([1.0]), np.array([[4.0]]))
-    assert stat == pytest.approx(1.0, abs=1e-12)
-    assert df == 1
-    assert p == pytest.approx(0.3173105078629141, abs=1e-10)
+    stat, df, p = quad_form_test(np.array([[3.0]]), np.array([[1.0]]), np.array([[[4.0]]]))
+    assert stat[0] == pytest.approx(1.0, abs=1e-12)
+    assert df[0] == 1
+    assert p[0] == pytest.approx(0.3173105078629141, abs=1e-10)
 
 
 def test_quad_form_zero_covariance_is_degenerate():
     with pytest.raises(DegenerateTestError):
-        quad_form_test(np.array([1.0]), np.array([1.0]), np.array([[0.0]]))
+        quad_form_test(np.array([[1.0]]), np.array([[1.0]]), np.array([[[0.0]]]))
 
 
 def test_quad_form_uses_rank_of_singular_covariance():
     # duplicated coordinate: covariance rank 1, the duplicate adds nothing
-    stat1, df1, _ = quad_form_test(np.array([1.5]), np.array([0.0]), np.array([[2.0]]))
-    cov2 = np.array([[2.0, 2.0], [2.0, 2.0]])
-    stat2, df2, _ = quad_form_test(np.array([1.5, 1.5]), np.zeros(2), cov2)
-    assert df1 == df2 == 1
-    assert stat2 == pytest.approx(stat1, rel=1e-10)
+    stat1, df1, _ = quad_form_test(np.array([[1.5]]), np.array([[0.0]]), np.array([[[2.0]]]))
+    cov2 = np.array([[[2.0, 2.0], [2.0, 2.0]]])
+    stat2, df2, _ = quad_form_test(np.array([[1.5, 1.5]]), np.zeros((1, 2)), cov2)
+    assert df1[0] == df2[0] == 1
+    assert stat2[0] == pytest.approx(stat1[0], rel=1e-10)
 
 
 def test_quad_form_is_invariant_to_coordinate_scaling():
@@ -152,31 +144,33 @@ def test_quad_form_is_invariant_to_coordinate_scaling():
     cov = a @ a.T
     mean = rng.normal(size=3)
     t = rng.normal(size=3)
-    stat, df, p = quad_form_test(t, mean, cov)
+    stat, df, p = quad_form_test(t[None], mean[None], cov[None])
     scale = np.diag([2.0, 0.5, 7.0])
-    stat2, df2, p2 = quad_form_test(scale @ t, scale @ mean, scale @ cov @ scale)
-    assert df2 == df
-    assert stat2 == pytest.approx(stat, rel=1e-9)
-    assert p2 == pytest.approx(p, rel=1e-9)
+    stat2, df2, p2 = quad_form_test((scale @ t)[None], (scale @ mean)[None],
+                                    (scale @ cov @ scale)[None])
+    assert df2[0] == df[0]
+    assert stat2[0] == pytest.approx(stat[0], rel=1e-9)
+    assert p2[0] == pytest.approx(p[0], rel=1e-9)
 
 
 # ------------------------------------------------------------------- max abs
 
 
 def test_max_abs_two_sided_normal_tail():
-    stat, p = max_abs_test(np.array([0.5 + 2.0 * 1.959964]), np.array([0.5]), np.array([[4.0]]))
-    assert stat == pytest.approx(1.959964, abs=1e-12)
-    assert p == pytest.approx(2 * 0.024999999096442402, abs=1e-10)
+    stat, p = max_abs_test(np.array([[0.5 + 2.0 * 1.959964]]), np.array([[0.5]]),
+                           np.array([[[4.0]]]))
+    assert stat[0] == pytest.approx(1.959964, abs=1e-12)
+    assert p[0] == pytest.approx(2 * 0.024999999096442402, abs=1e-10)
 
 
 def test_max_abs_requires_scalar_statistic():
     with pytest.raises(UnsupportedConfigurationError):
-        max_abs_test(np.zeros(2), np.zeros(2), np.eye(2))
+        max_abs_test(np.zeros((1, 2)), np.zeros((1, 2)), np.eye(2)[None])
 
 
 def test_max_abs_degenerate_variance():
     with pytest.raises(DegenerateTestError):
-        max_abs_test(np.array([1.0]), np.array([1.0]), np.array([[0.0]]))
+        max_abs_test(np.array([[1.0]]), np.array([[1.0]]), np.array([[[0.0]]]))
 
 
 # ------------------------------------------------------------------ contingency
@@ -246,18 +240,18 @@ def test_contingency_requires_dichotomized_gof():
 def test_fluctuation_process_is_a_bridge():
     node, rng = random_node(31, 40)
     gof = node_gof(node, use_scores=True, dichotomize=False)
-    proc = bridge(gof, ncol(rng.normal(size=40)))
-    assert proc.cumulative.shape == (41, 2)
-    assert np.allclose(proc.cumulative[0], 0.0, atol=1e-14)
-    assert np.allclose(proc.cumulative[-1], 0.0, atol=1e-10)
+    cumulative = bridge(gof, ncol(rng.normal(size=40)))[0][0]
+    assert cumulative.shape == (41, 2)
+    assert np.allclose(cumulative[0], 0.0, atol=1e-14)
+    assert np.allclose(cumulative[-1], 0.0, atol=1e-10)
 
 
 def test_fluctuation_process_centers_dichotomized_input():
     node, rng = random_node(32, 30)
     gof = node_gof(node, use_scores=True, dichotomize=True)
-    proc = bridge(gof, ncol(rng.normal(size=30)))
+    cumulative = bridge(gof, ncol(rng.normal(size=30)))[0][0]
     # sign indicators do not sum to zero, centering must close the bridge
-    assert np.allclose(proc.cumulative[-1], 0.0, atol=1e-10)
+    assert np.allclose(cumulative[-1], 0.0, atol=1e-10)
 
 
 def test_fluctuation_process_rejects_constant_gof():
@@ -269,16 +263,16 @@ def test_fluctuation_process_rejects_constant_gof():
 def test_suplm_hand_oracle():
     gof = GofMatrix(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None], dichotomized=False)
     col = ncol([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    stat, peak = suplm_statistic(bridge(gof, col), min_segment=1)
+    stat, peak = scan(gof, col, min_segment=1)
     assert stat == pytest.approx(6.0, abs=1e-12)
     assert peak == 3
     # the boundary values are 1.2, 3, 6, 3, 1.2; trimming to [2, 4] keeps 6
-    stat2, peak2 = suplm_statistic(bridge(gof, col), min_segment=2)
+    stat2, peak2 = scan(gof, col, min_segment=2)
     assert stat2 == pytest.approx(6.0, abs=1e-12)
     assert peak2 == 3
     # trimming away everything raises through the degenerate path downstream
     with pytest.raises(DegenerateTestError):
-        suplm_statistic(bridge(gof, col), min_segment=4)
+        scan(gof, col, min_segment=4)
 
 
 def test_suplm_matches_termwise_recomputation():
@@ -286,7 +280,7 @@ def test_suplm_matches_termwise_recomputation():
     gof = node_gof(node, use_scores=True, dichotomize=False)
     col = ncol(rng.normal(size=60))
     ms = 9
-    stat, peak = suplm_statistic(bridge(gof, col), ms)
+    stat, peak = scan(gof, col, ms)
 
     # independent recomputation straight from the definition
     s = gof.values - gof.values.mean(axis=0)
@@ -504,15 +498,15 @@ def test_suplm_scans_only_tie_block_ends():
     # rows 3..5 share one value: boundaries 3 and 4 fall inside the block
     gof = GofMatrix(np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])[:, None], dichotomized=False)
     col = ncol([1.0, 2.0, 3.0, 3.0, 3.0, 4.0])
-    proc = bridge(gof, col)
-    assert proc.tie_ends.tolist() == [True, True, True, False, False, True, True]
+    cumulative, tie_ends, _ = bridge(gof, col)
+    assert tie_ends[0].tolist() == [True, True, True, False, False, True, True]
     # boundary values are 1.2, 3, 6, 3, 1.2; the peak 6 at boundary 3 lies
     # inside the block, so the largest value at a block end is 3 at 2
-    stat, peak = suplm_statistic(proc, min_segment=1)
-    assert stat == pytest.approx(3.0, abs=1e-12)
-    assert peak == 2
+    stat, peak = suplm_statistic(cumulative, tie_ends, min_segment=1)
+    assert stat[0] == pytest.approx(3.0, abs=1e-12)
+    assert peak[0] == 2
     with pytest.raises(DegenerateTestError):
-        suplm_statistic(proc, min_segment=3)
+        suplm_statistic(cumulative, tie_ends, min_segment=3)
 
 
 def tied_study(seed, n, distinct):
@@ -576,7 +570,7 @@ def perfect_node(n):
 
 def linear_route(engine):
     def call(gof, col):
-        design = col.values[:, None]
+        design = col.values[None, :, None]
         return engine(linear_statistic(gof, design), *conditional_moments(gof, design))
 
     return call
@@ -587,7 +581,7 @@ def contingency(gof, col):
 
 
 def max_route(gof, col):
-    return suplm_statistic(bridge(gof, col), resolve_min_segment(gof.n))
+    return scan(gof, col, resolve_min_segment(gof.n))
 
 
 ALTERNATING = (np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0]))

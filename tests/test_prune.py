@@ -15,16 +15,7 @@ from lmtrees.prune import prune_at
 from lmtrees.tree import GrowControl, grow, iter_nodes, leaves, predict_tree, route_rows
 from lmtrees.tree import tree_to_json
 
-from helpers import all_pruned_costs, hand_node, stump_data
-
-
-def null_data(seed, n=120):
-    rng = np.random.default_rng(seed)
-    cols = (
-        SplitColumn("z1", NUMERIC, rng.uniform(-1, 1, n)),
-        SplitColumn("z2", NUMERIC, rng.normal(size=n)),
-    )
-    return Dataset(rng.normal(size=n), rng.uniform(-1, 1, n), cols)
+from helpers import all_pruned_costs, hand_node, null_data, stump_data
 
 
 # -------------------------------------------------------- cost-complexity path
@@ -270,7 +261,7 @@ def test_cv_prune_mostly_returns_root_under_the_null():
     reps = 40
     root_plain = root_one_se = 0
     for rep in range(reps):
-        data = null_data(2000 + rep)
+        data = null_data(2000 + rep, n=120)
         plain = cv_prune(data, strategy, control, folds=5, seed=rep)
         conservative = cv_prune(data, strategy, control, folds=5, seed=rep, one_se=True)
         root_plain += len(leaves(plain.tree)) == 1

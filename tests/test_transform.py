@@ -76,10 +76,11 @@ def test_linear_mode_uses_raw_values():
     y, x = rng.normal(size=40), rng.normal(size=40)
     col = ncol(rng.uniform(-1, 1, 40))
     gof = make_gof(fit_ols(y, x), y, x, use_scores=True, dichotomize=False)
-    design = col.values.reshape(-1, 1)
-    expected = quad_form_test(linear_statistic(gof, design), *conditional_moments(gof, design))
+    design = col.values.reshape(1, -1, 1)
+    (stat,), (df,), (p,) = quad_form_test(linear_statistic(gof, design),
+                                          *conditional_moments(gof, design))
     outcome = run_alone(parse_strategy("ctree"), y, x, col)
-    assert (outcome.statistic, outcome.df, outcome.p_value) == expected
+    assert (outcome.statistic, outcome.df, outcome.p_value) == (stat, df, p)
 
 
 def test_quartile_bins_of_one_to_eight():

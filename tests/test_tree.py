@@ -18,6 +18,7 @@ from lmtrees import inference
 from lmtrees import tree as tree_module
 from lmtrees.inference import parse_strategy
 from lmtrees.linmod import LinearFit, fit_ols, predict
+from lmtrees.prune import cv_prune
 from lmtrees.tree import (
     TREE_FORMAT,
     GrowControl,
@@ -35,7 +36,7 @@ from lmtrees.tree import (
     tree_to_json,
 )
 
-from helpers import assert_fits_follow_routing, hand_node, ncol, stump_data, tree_depth
+from helpers import assert_fits_follow_routing, hand_node, ncol, null_data, stump_data, tree_depth
 
 
 def ols_rss(y, x):
@@ -186,8 +187,30 @@ def test_categorical_split_single_level_and_level_cap():
     assert best_split_point(y, x, one, 3) is None
     many_levels = tuple(f"l{i}" for i in range(17))
     wide = SplitColumn("g", CATEGORICAL, np.arange(n, dtype=float) % 17, levels=many_levels)
-    with pytest.raises(DataError):
-        best_split_point(y, x, wide, 1)
+    assert best_split_point(y, x, wide, 1) is None
+
+
+def test_a_chosen_column_of_too_many_levels_ends_its_node(tmp_path, capsys):
+    # the response follows a 20-level column, beside a numeric one that carries nothing
+    rng = np.random.default_rng(61)
+    n, codes = 400, np.arange(400) % 20
+    x = rng.uniform(-1, 1, n)
+    y = 3.0 * (codes % 2) + x + 0.3 * rng.normal(size=n)
+    levels = tuple(f"l{i}" for i in range(20))
+    data = Dataset(y, x, (SplitColumn("g", CATEGORICAL, codes.astype(float), levels=levels),
+                          SplitColumn("z", NUMERIC, rng.normal(size=n))))
+    control = GrowControl()
+    tree = grow(data, "mob", control)
+    assert min(tree.outcomes, key=lambda o: o.p_value).variable == "g"
+    assert tree.is_leaf
+    result = cv_prune(data, parse_strategy("mob"), control, folds=5)
+    assert result.tree.is_leaf
+    schema = CsvSchema("y", "x", (("g", CATEGORICAL), ("z", NUMERIC)))
+    write_csv(data, str(tmp_path / "wide.csv"), schema)
+    code = cli_main(["fit", "--data", str(tmp_path / "wide.csv"), "--response", "y",
+                     "--regressor", "x", "--split", "g,z", "--categorical", "g"])
+    assert code == 0
+    assert "1 leaves" in capsys.readouterr().out
 
 
 # The former split search, kept as an oracle for the shared candidate-set
@@ -345,15 +368,6 @@ def test_split_search_matches_former_search(case):
 # ----------------------------------------------------------------- tree growth
 
 
-def null_data(seed, n=150):
-    rng = np.random.default_rng(seed)
-    cols = (
-        SplitColumn("z1", NUMERIC, rng.uniform(-1, 1, n)),
-        SplitColumn("z2", NUMERIC, rng.normal(size=n)),
-    )
-    return Dataset(rng.normal(size=n), rng.uniform(-1, 1, n), cols)
-
-
 @pytest.mark.parametrize("name", ["ctree", "mob", "guide"])
 def test_grow_recovers_threshold_stump(name):
     data = stump_data()
@@ -486,7 +500,7 @@ def test_grow_holds_size_under_the_null():
     reps = 30
     splits = 0
     for rep in range(reps):
-        tree = grow(null_data(seed=1000 + rep), "ctree", GrowControl(alpha=0.05))
+        tree = grow(null_data(seed=1000 + rep, n=150), "ctree", GrowControl(alpha=0.05))
         if not tree.is_leaf:
             splits += 1
     # ~5% expected false-split rate; allow generous slack for 30 replicates
