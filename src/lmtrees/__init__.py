@@ -40,9 +40,7 @@ from .sim import (
     ScenarioConfig,
     adjusted_rand_index,
     aggregate_records,
-    gen_stump,
-    gen_stump_continuous,
-    gen_tree,
+    generate,
     run_study,
     true_partition,
 )

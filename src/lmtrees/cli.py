@@ -66,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--pruning", choices=("pre", "post"), default="pre")
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--folds", type=int, default=10)
-    simulate.add_argument("--threads", type=int, default=1,
-                          help="deprecated: no effect, runs are serial")
     simulate.add_argument("--alpha", type=float, default=0.05)
     simulate.add_argument("--multiplicity", choices=("bonferroni", "none"), default="bonferroni")
     simulate.add_argument("--out-long", default=None)
@@ -150,7 +148,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         pruning=args.pruning,
         seed=seed,
         folds=args.folds,
-        threads=args.threads,
     )
     rows = aggregate_records(records)
     if args.out_long:
@@ -185,6 +182,11 @@ def _cmd_prune(args: argparse.Namespace) -> int:
             f"tree was grown on {tree.n} rows but {args.data} has {data.n}; wrong dataset?"
         )
     if args.method == "cc":
+        if control.prepruning:
+            # cv_prune grows without the gate, which can give more leaves than the tree read
+            raise ValueError(
+                f"--method cc needs a tree fitted with --no-preprune; {args.tree} was prepruned"
+            )
         result = cv_prune(data, strategy, control, folds=args.folds, seed=seed, one_se=args.one_se)
     else:
         result = ic_prune(tree, criterion=args.method, split_df=args.split_df)

@@ -150,11 +150,10 @@ class ColumnMatrix:
     row's stable sort, computed on first use (the CART presort)."""
 
     def __init__(self, cols: Sequence[SplitColumn], n: int) -> None:
-        self.cols = tuple(cols)
         # the reshape keeps a matrix of no columns two-dimensional
-        values = np.array([col.values for col in self.cols], dtype=float)
-        self.values = values.reshape(len(self.cols), n)
-        self.numeric = np.array([col.kind != CATEGORICAL for col in self.cols], dtype=bool)
+        values = np.array([col.values for col in cols], dtype=float)
+        self.values = values.reshape(len(cols), n)
+        self.numeric = np.array([col.kind != CATEGORICAL for col in cols], dtype=bool)
 
     @cached_property
     def orders(self) -> np.ndarray:

@@ -3,17 +3,24 @@
 Data-generating processes
 -------------------------
 All scenarios draw one regressor ``x ~ U(-1, 1)``, ten candidate split
-variables, and standard normal noise, then set per-row coefficients:
+variables, and standard normal noise; ``y = beta0 + beta1 * x + noise``
+with per-row coefficients from the scenario's regime table:
 
-* ``stump``: two regimes split at ``z1 <= xi``.  The intercept jumps
-  from ``-delta`` to ``+delta`` and/or the slope from ``+delta`` to
-  ``-delta``; whichever coefficient does not vary is pinned (intercept
-  0, slope 1).
-* ``tree``: three regimes.  Rows with ``z2 <= xi`` share coefficients
-  ``(0, +delta)``; the rest split once more at ``z1 <= xi`` into
-  intercepts ``-delta`` and ``+delta``, all with slope ``-delta``.
-* ``stump_continuous``: the stump with the jump replaced by a linear
-  drift, intercept ``+delta * z1`` and slope ``-delta * z1``.
+========  ================================  ===========  ===========
+scenario  regime                            ``beta0``    ``beta1``
+========  ================================  ===========  ===========
+stump     0: ``z1 <= xi``                   ``-delta``   ``+delta``
+stump     1: ``z1 > xi``                    ``+delta``   ``-delta``
+tree      0: ``z2 <= xi``                   ``0``        ``+delta``
+tree      1: ``z2 > xi``, ``z1 <= xi``      ``-delta``   ``-delta``
+tree      2: ``z2 > xi``, ``z1 > xi``       ``+delta``   ``-delta``
+========  ================================  ===========  ===========
+
+``stump_continuous`` replaces the stump's jump by a linear drift,
+``beta0 = delta * z1`` and ``beta1 = -delta * z1``.  The variation
+pins the coefficient that does not vary: ``intercept`` sets every slope
+to 1, ``slope`` every intercept to 0 (the tree varies ``both``).  The
+regimes are the truth :func:`true_partition` returns.
 
 ``z1`` (and ``z2``) are uniform on (-1, 1); the remaining variables
 alternate uniform and standard normal by position.  Within one grid
@@ -39,9 +46,6 @@ from .tree import GrowControl, grow, leaves, partition_labels
 __all__ = [
     "ScenarioConfig",
     "ReplicationRecord",
-    "gen_stump",
-    "gen_tree",
-    "gen_stump_continuous",
     "generate",
     "true_partition",
     "adjusted_rand_index",
@@ -100,75 +104,43 @@ class ReplicationRecord:
     leaf_count: int | None
 
 
-def _draw_columns(config: ScenarioConfig, rng: RngStream) -> tuple[np.ndarray, list[np.ndarray]]:
-    # fixed draw order: x, then z1..zJ, then the noise is drawn by the caller
-    n = config.n
+def _regimes(config: ScenarioConfig, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Each row's regime: the stump's 0/1 at ``z1 <= xi``; the tree's 0
+    at ``z2 <= xi``, then 1/2 at ``z1 <= xi``."""
+    if config.scenario == "stump":
+        return (z1 > config.xi).astype(np.int64)
+    if config.scenario == "tree":
+        return np.where(z2 <= config.xi, 0, np.where(z1 <= config.xi, 1, 2)).astype(np.int64)
+    raise ValueError(f"scenario {config.scenario!r} has no finite regime partition")
+
+
+def generate(config: ScenarioConfig, rng: RngStream) -> Dataset:
+    """One dataset of ``config``'s scenario, drawn from ``rng`` in a fixed
+    order: x, then z1..zJ, then the noise."""
+    n, d = config.n, float(config.delta)
     x = rng.uniform(-1.0, 1.0, n)
-    columns = []
-    for j in range(1, config.j_noise + 2):
-        if j == 1 or j % 2 == 0:
-            columns.append(rng.uniform(-1.0, 1.0, n))
-        else:
-            columns.append(rng.standard_normal(n))
-    return x, columns
-
-
-def _assemble(config: ScenarioConfig, x, columns, beta0, beta1, rng) -> Dataset:
-    eps = rng.standard_normal(config.n)
-    y = beta0 + beta1 * x + eps
+    columns = [
+        rng.uniform(-1.0, 1.0, n) if j == 1 or j % 2 == 0 else rng.standard_normal(n)
+        for j in range(1, config.j_noise + 2)
+    ]
+    if config.scenario == "stump_continuous":
+        beta0, beta1 = d * columns[0], -d * columns[0]
+    else:
+        # (intercept, slope) of each regime, in _regimes' numbering
+        table = {"stump": [(-d, d), (d, -d)], "tree": [(0.0, d), (-d, -d), (d, -d)]}
+        beta0, beta1 = np.array(table[config.scenario]).T[:, _regimes(config, *columns[:2])]
+    if config.variation == "intercept":
+        beta1 = np.ones(n)
+    elif config.variation == "slope":
+        beta0 = np.zeros(n)
+    y = beta0 + beta1 * x + rng.standard_normal(n)
     z = tuple(SplitColumn(f"z{j + 1}", NUMERIC, values) for j, values in enumerate(columns))
     return Dataset(y, x, z)
 
 
-def gen_stump(config: ScenarioConfig, rng: RngStream) -> Dataset:
-    """Two-regime data split at ``z1 <= xi``."""
-    x, columns = _draw_columns(config, rng)
-    right = columns[0] > config.xi
-    sign = np.where(right, 1.0, -1.0)
-    beta0 = sign * config.delta if config.variation in ("intercept", "both") else np.zeros(config.n)
-    beta1 = -sign * config.delta if config.variation in ("slope", "both") else np.ones(config.n)
-    return _assemble(config, x, columns, beta0, beta1, rng)
-
-
-def gen_tree(config: ScenarioConfig, rng: RngStream) -> Dataset:
-    """Three-regime data split at ``z2 <= xi`` and then ``z1 <= xi``."""
-    x, columns = _draw_columns(config, rng)
-    upper = columns[1] > config.xi
-    right = columns[0] > config.xi
-    beta0 = np.where(upper, np.where(right, config.delta, -config.delta), 0.0)
-    beta1 = np.where(upper, -config.delta, config.delta)
-    return _assemble(config, x, columns, beta0, beta1, rng)
-
-
-def gen_stump_continuous(config: ScenarioConfig, rng: RngStream) -> Dataset:
-    """Stump counterpart with coefficients drifting linearly in ``z1``."""
-    x, columns = _draw_columns(config, rng)
-    z1 = columns[0]
-    beta0 = config.delta * z1 if config.variation in ("intercept", "both") else np.zeros(config.n)
-    beta1 = -config.delta * z1 if config.variation in ("slope", "both") else np.ones(config.n)
-    return _assemble(config, x, columns, beta0, beta1, rng)
-
-
-_GENERATORS = {
-    "stump": gen_stump,
-    "tree": gen_tree,
-    "stump_continuous": gen_stump_continuous,
-}
-
-
-def generate(config: ScenarioConfig, rng: RngStream) -> Dataset:
-    return _GENERATORS[config.scenario](config, rng)
-
-
 def true_partition(config: ScenarioConfig, data: Dataset) -> np.ndarray:
     """Regime labels implied by the generating coefficients."""
-    z1 = data.column("z1").values
-    if config.scenario == "stump":
-        return (z1 > config.xi).astype(np.int64)
-    if config.scenario == "tree":
-        z2 = data.column("z2").values
-        return np.where(z2 <= config.xi, 0, np.where(z1 <= config.xi, 1, 2)).astype(np.int64)
-    raise ValueError(f"scenario {config.scenario!r} has no finite regime partition")
+    return _regimes(config, data.column("z1").values, data.column("z2").values)
 
 
 def adjusted_rand_index(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
@@ -218,15 +190,11 @@ def _run_replication(
     seed: int,
     folds: int,
 ) -> list[ReplicationRecord]:
-    data_rng = RngStream(seed, 0).substream(
-        "data", cell.scenario, cell.variation, float(cell.xi), float(cell.delta), cell.n, rep
-    )
-    data = generate(cell, data_rng)
+    key = (cell.scenario, cell.variation, float(cell.xi), float(cell.delta), cell.n, rep)
+    data = generate(cell, RngStream(seed, 0).substream("data", *key))
     if cell.scenario == "tree":
         truth = true_partition(cell, data)
-        fold_seed = RngStream(seed, 0).substream(
-            "cv", cell.scenario, cell.variation, float(cell.xi), float(cell.delta), cell.n, rep
-        ).stream
+        fold_seed = RngStream(seed, 0).substream("cv", *key).stream
     else:
         fit = fit_ols(data.y, data.x)
     records = []

@@ -52,6 +52,9 @@ def test_unknown_flag_is_usage_error():
         main(["simulate", "--bogus-flag", "1"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--threads", "1"])  # removed: it had no effect
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main([])  # a subcommand is required
     assert exc.value.code == 2
 
@@ -211,17 +214,6 @@ def test_simulate_rejects_no_replications(tmp_path, capsys, reps):
     assert not out.exists()
 
 
-def test_simulate_threads_do_not_change_files(tmp_path):
-    one = tmp_path / "t1.csv"
-    two = tmp_path / "t2.csv"
-    base = SIM_ARGS[:-2] + ["--strategies", "ctree,guide", "--seed", "2"]
-    assert main(base + ["--threads", "1", "--out-long", str(one)]) == 0
-    # the flag is deprecated: any value but 1 warns and changes nothing
-    with pytest.warns(FutureWarning, match="threads"):
-        assert main(base + ["--threads", "2", "--out-long", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
-
-
 def test_simulate_grid_crosses_variations_and_deltas(tmp_path, capsys):
     code = main(
         [
@@ -379,6 +371,22 @@ def test_prune_rejects_a_negative_split_df(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "split_df" in err
+
+
+def test_prune_cc_refuses_a_prepruned_tree(tmp_path, capsys):
+    # cc grows again without the gate, so from a gated tree it could add leaves
+    data_path, tree_path, out = tmp_path / "d.csv", tmp_path / "t.json", tmp_path / "p.json"
+    stump_csv(data_path, seed=9, n=160)
+    assert main(FIT_ARGS + ["--data", str(data_path), "--out", str(tree_path)]) == 0
+    capsys.readouterr()
+    prune = ["prune", "--tree", str(tree_path), "--data", str(data_path), "--out", str(out)]
+    assert main(prune + ["--method", "cc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--no-preprune" in err
+    assert not out.exists()
+    # the information criteria only collapse nodes, so a gated tree is fine
+    for method in ("aic", "bic"):
+        assert main(prune + ["--method", method]) == 0
 
 
 def mixed_csv(path, seed=21, n=240):

@@ -57,11 +57,10 @@ PUBLIC_NAMES = [
     "GofMatrix", "GrowControl", "InsufficientDataError", "LinearFit", "PruneResult",
     "ReplicationRecord", "RngStream", "STRATEGIES", "ScenarioConfig", "Split", "SplitColumn",
     "StrategyConfig", "TestOutcome", "TreeNode", "adjusted_rand_index", "aggregate_records",
-    "best_split_point", "cost_complexity_path", "cv_prune", "fit_ols", "gen_stump",
-    "gen_stump_continuous", "gen_tree", "grow", "ic_prune", "leaves", "load_csv", "make_gof",
-    "parse_strategy", "partition_labels", "predict", "predict_tree", "prune_at", "run_strategy",
-    "run_study", "select_variable", "suplm_pvalue", "tree_from_json", "tree_to_json",
-    "true_partition", "write_csv",
+    "best_split_point", "cost_complexity_path", "cv_prune", "fit_ols", "generate", "grow",
+    "ic_prune", "leaves", "load_csv", "make_gof", "parse_strategy", "partition_labels", "predict",
+    "predict_tree", "prune_at", "run_strategy", "run_study", "select_variable", "suplm_pvalue",
+    "tree_from_json", "tree_to_json", "true_partition", "write_csv",
 ]
 
 

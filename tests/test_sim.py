@@ -127,6 +127,45 @@ def test_split_columns_alternate_uniform_and_normal():
     assert np.all(np.abs(data.x) <= 1.0)
 
 
+# the module docstring's regime tables: (intercept, slope) by true_partition label
+DOCUMENTED_TABLES = {
+    "stump": lambda d: {0: (-d, d), 1: (d, -d)},
+    "tree": lambda d: {0: (0.0, d), 1: (-d, -d), 2: (d, -d)},
+}
+
+
+@pytest.mark.parametrize("scenario, variation", [
+    ("stump", "intercept"), ("stump", "slope"), ("stump", "both"), ("tree", "both"),
+    ("stump_continuous", "intercept"), ("stump_continuous", "slope"),
+    ("stump_continuous", "both"),
+])
+def test_generate_replays_the_documented_draws_exactly(scenario, variation):
+    for xi, delta in itertools.product((0.0, 0.4), (0.0, 1.5)):
+        config = cell(scenario=scenario, variation=variation, xi=xi, delta=delta, n=60)
+        data = generate(config, RngStream(7, 0).substream("data", "oracle"))
+        replay = RngStream(7, 0).substream("data", "oracle")
+        x = replay.uniform(-1.0, 1.0, 60)
+        columns = [replay.uniform(-1.0, 1.0, 60) if j == 1 or j % 2 == 0
+                   else replay.standard_normal(60) for j in range(1, 11)]
+        eps = replay.standard_normal(60)
+        assert np.array_equal(data.x, x)
+        assert [c.name for c in data.z] == [f"z{j}" for j in range(1, 11)]
+        for col, values in zip(data.z, columns):
+            assert np.array_equal(col.values, values)
+        if scenario == "stump_continuous":
+            beta0, beta1 = delta * columns[0], -delta * columns[0]
+        else:
+            table = DOCUMENTED_TABLES[scenario](delta)
+            labels = true_partition(config, data)
+            beta0 = np.array([table[label][0] for label in labels])
+            beta1 = np.array([table[label][1] for label in labels])
+        if variation == "intercept":
+            beta1 = np.ones(60)
+        elif variation == "slope":
+            beta0 = np.zeros(60)
+        assert np.array_equal(data.y, beta0 + beta1 * x + eps)
+
+
 def test_generate_is_deterministic_per_stream():
     config = cell(n=100)
     a = generate(config, RngStream(5, 0).substream("data", "stump", 3))
