@@ -44,7 +44,7 @@ from .sim import (
     run_study,
     true_partition,
 )
-from .transform import DegenerateTestError, GofMatrix, make_gof
+from .transform import GofMatrix, make_gof
 from .tree import (
     GrowControl,
     Split,

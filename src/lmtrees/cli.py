@@ -199,7 +199,7 @@ def _cmd_prune(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(tree_to_json(result.tree, schema, strategy, control))
         print(f"wrote {args.out}")
-    if args.path_out and result.alpha_path:
+    if args.path_out:
         with open(args.path_out, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["alpha", "leaves", "cv_loss"])
@@ -212,6 +212,8 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "prune" and args.path_out and args.method != "cc":
+        parser.error("--path-out writes the cost-complexity knot table and needs --method cc")
     handlers = {"fit": _cmd_fit, "simulate": _cmd_simulate, "prune": _cmd_prune}
     try:
         return handlers[args.command](args)

@@ -18,16 +18,14 @@ split mode).  Dispatch on the split mode picks the engine:
 ``column_entries`` tests a node's columns in blocks, one array pass per
 route.  The engines are internal: each takes a block's inputs stacked on
 a leading axis and returns arrays.  An entry that can discriminate
-nothing is marked (df 0, statistic 0, p 1, boundary -1) and its outcome
-is degenerate, with p = 1; an engine raises ``DegenerateTestError`` only
-when all its entries are marked.  Every engine is invariant to
+nothing is marked (df 0, statistic 0, p 1, boundary -1), never raised;
+its outcome is ``degenerate``, with p = 1.  Every engine is invariant to
 rescaling the gof columns; p-values are raw, and the selection gate
 optionally applies a Bonferroni factor across the tested columns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -36,11 +34,10 @@ import numpy as np
 from .dataset import ColumnMatrix, Dataset, SplitColumn
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
-from .transform import DegenerateTestError, GofMatrix, design_groups, eig_pinv_parts, make_gof
+from .transform import GofMatrix, design_groups, eig_pinv_parts, make_gof
 
 __all__ = [
     "UnsupportedConfigurationError",
-    "DegenerateTestError",
     "StrategyConfig",
     "TestOutcome",
     "STRATEGIES",
@@ -190,8 +187,8 @@ def linear_statistic(gof: GofMatrix, design: np.ndarray) -> np.ndarray:
 
 def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``(mean, covariance)`` of the linear statistic under random
-    row permutations (stacked as the designs are); fewer than two rows
-    raise ``DegenerateTestError``.  For unit weights they are
+    row permutations (stacked as the designs are) of two or more rows.
+    For unit weights they are
 
         mean = vec(colsum(design) * rowmean(gof)')
         cov  = n/(n-1) * V ox S  -  1/(n-1) * V ox (c c')
@@ -202,8 +199,6 @@ def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray,
     """
     design = np.asarray(design, dtype=float)
     n, lead = design.shape[-2], design.shape[:-2]
-    if n < 2:
-        raise DegenerateTestError("permutation moments need at least two rows")
     v_h = gof.covariance
     csum = design.sum(axis=-2)
     s = np.swapaxes(design, -1, -2) @ design
@@ -233,8 +228,6 @@ def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
     d = np.asarray(statistic, dtype=float) - mean
     eigval, eigvec, keep = eig_pinv_parts(covariance)
     df = keep.sum(axis=-1)
-    if not df.any():
-        raise DegenerateTestError("covariance of the linear statistic has rank zero")
     stat = np.zeros(d.shape[0])
     for j in np.flatnonzero(df):
         proj = eigvec[j][:, keep[j]].T @ d[j]
@@ -249,15 +242,9 @@ def max_abs_test(statistic: np.ndarray, mean: np.ndarray,
     every higher-dimensional case.  A zero or non-finite variance, or a
     zero statistic, is degenerate."""
     d = np.asarray(statistic, dtype=float) - mean
-    if d.shape[-1] != 1:
-        raise UnsupportedConfigurationError(
-            f"max-abs test requires a one-dimensional statistic, got {d.shape[-1]}"
-        )
     var = np.asarray(covariance, dtype=float).reshape(*d.shape[:-1], -1)[..., 0]
     spread = (var > 0.0) & np.isfinite(var)
     stat = np.where(spread, np.abs(d[..., 0]) / np.sqrt(np.where(spread, var, 1.0)), 0.0)
-    if not stat.any():
-        raise DegenerateTestError("the linear statistic has no spread about its permutation mean")
     return stat, [2.0 * normal_sf(s) if s else 1.0 for s in stat.tolist()]
 
 
@@ -275,8 +262,6 @@ def fluctuation_process(gof: GofMatrix, values: np.ndarray,
     boundaries that end a block of tied values; ``k_eff`` is the rank."""
     n = gof.n
     white, rank = gof.whitened
-    if rank == 0:
-        raise DegenerateTestError("gof covariance is numerically zero")
     cumulative = np.zeros((*order.shape[:-1], n + 1, gof.k))
     np.cumsum(np.take(white, order, axis=0), axis=-2, out=cumulative[..., 1:, :])
     vs = np.take(values, order + n * np.arange(order.size // n).reshape(*order.shape[:-1], 1))
@@ -294,14 +279,13 @@ def suplm_statistic(cumulative: np.ndarray, tie_ends: np.ndarray,
     which the sorted column value changes, with at least
     ``min_segment`` rows on each side; the weight at boundary ``i`` is
     ``((i/n) * (1 - i/n))**-1``.  Returns the statistics and the boundaries
-    where the maxima are attained (ties keep the smallest)."""
+    where the maxima are attained (ties keep the smallest); a process
+    without an admissible cut is marked with statistic 0 and boundary -1."""
     n = tie_ends.shape[-1] - 1
-    if min_segment < 1:
-        raise UnsupportedConfigurationError("min_segment must be at least 1")
     lo, hi = min_segment, n - min_segment
+    if lo > hi:
+        return np.zeros(tie_ends.shape[:-1]), np.full(tie_ends.shape[:-1], -1)
     ends = tie_ends[..., lo : hi + 1]
-    if not ends.any():
-        raise DegenerateTestError(f"segments of {min_segment} leave no cut in {n} rows")
     frac = np.arange(lo, hi + 1) / n
     path = cumulative[..., lo : hi + 1, :]
     norm = sum(path[..., j] * path[..., j] for j in range(path.shape[-1]))
@@ -394,7 +378,7 @@ def chisq_statistic(gof: GofMatrix, design: np.ndarray) -> tuple[float, int]:
     ones, columns follow the design.  Empty design columns are dropped;
     a column of constant sign contributes nothing.  Statistics and
     degrees of freedom add across gof columns; fewer than two non-empty
-    bins or zero summed df raise ``DegenerateTestError``.  The binned
+    bins, or no gof column of both signs, give ``(0.0, 0)``.  The binned
     route counts its tables from the bin codes and shares the arithmetic.
     """
     if not gof.dichotomized:
@@ -410,8 +394,6 @@ def _pearson_tables(observed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     of n rows and no empty bin, each table summed in its flattened order."""
     row_totals = observed.sum(axis=-1)
     used = (row_totals > 0.0).all(axis=-1) & (observed.shape[-1] > 1)
-    if not used.any():
-        raise DegenerateTestError("fewer than two non-empty bins, or no gof column with both signs")
     expected = row_totals[..., None] * observed.sum(axis=-2)[..., None, :] / n
     # an unused table may expect zero counts; a used one never does
     cells = (observed - expected) ** 2 / np.where(expected > 0.0, expected, 1.0)
@@ -425,26 +407,26 @@ def _pearson_tables(observed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 
 def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
                  orders: np.ndarray | None, numeric: np.ndarray):
-    """``(columns, statistics, df, p-values, law)`` of one block's columns
-    (the rows of ``values``) per route and design width; df 0 marks a
-    degenerate test, and a stack degenerate throughout yields nothing."""
+    """``(columns, statistics, df, p-values, law)`` per route and design
+    width of a block's columns (the rows of ``values``); df 0 is degenerate."""
     n, mode = gof.n, config.split_mode
     direct = np.flatnonzero(numeric) if mode != MODE_CAT else np.arange(0)
-    with contextlib.suppress(DegenerateTestError):
-        if direct.size and mode == MODE_MAX:
-            cumulative, tie_ends, k_eff = fluctuation_process(gof, values[direct], orders[direct])
-            ms = resolve_min_segment(n, config.min_segment)
-            stat, peak = suplm_statistic(cumulative, tie_ends, ms)
-            p = suplm_pvalue(stat, k_eff, ms, n)
-            yield direct, stat, np.where(peak >= 0, k_eff, 0), p, LAW_SUPLM
-        elif direct.size:
-            designs = values[direct][:, :, None]
-            t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs)
-            if gof.k == 1:
-                stat, p = max_abs_test(t, mean, cov)
-                yield direct, stat, (stat != 0.0).astype(int), p, LAW_NORMAL
-            else:
-                yield direct, *quad_form_test(t, mean, cov), LAW_CHI2
+    if direct.size and mode == MODE_MAX:
+        cumulative, tie_ends, k_eff = fluctuation_process(gof, values[direct], orders[direct])
+        ms = resolve_min_segment(n, config.min_segment)
+        stat, peak = suplm_statistic(cumulative, tie_ends, ms)
+        df = np.where(peak >= 0, k_eff, 0)
+        # the null law needs k_eff >= 1 and a cut in the trimming window
+        if df.any():
+            yield direct, stat, df, suplm_pvalue(stat, k_eff, ms, n), LAW_SUPLM
+    elif direct.size:
+        designs = values[direct][:, :, None]
+        t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs)
+        if gof.k == 1:
+            stat, p = max_abs_test(t, mean, cov)
+            yield direct, stat, (stat != 0.0).astype(int), p, LAW_NORMAL
+        else:
+            yield direct, *quad_form_test(t, mean, cov), LAW_CHI2
     # a numeric column of fewer than four rows has no quartile bins
     binned = np.flatnonzero(~numeric | ((mode == MODE_CAT) & (n >= 4)))
     if binned.size == 0:
@@ -452,13 +434,12 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
     bin_orders = orders[binned] if numeric[binned].any() else None
     signs = gof.values if config.dichotomize else None
     for group, arrays in design_groups(values[binned], numeric[binned], bin_orders, signs):
-        with contextlib.suppress(DegenerateTestError):
-            if config.dichotomize:
-                stat, df = _pearson_tables(arrays, n)
-                yield binned[group], stat, df, _chi2_pvalues(stat, df), LAW_CHI2
-            else:
-                t, (mean, cov) = linear_statistic(gof, arrays), conditional_moments(gof, arrays)
-                yield binned[group], *quad_form_test(t, mean, cov), LAW_CHI2
+        if config.dichotomize:
+            stat, df = _pearson_tables(arrays, n)
+            yield binned[group], stat, df, _chi2_pvalues(stat, df), LAW_CHI2
+        else:
+            t, (mean, cov) = linear_statistic(gof, arrays), conditional_moments(gof, arrays)
+            yield binned[group], *quad_form_test(t, mean, cov), LAW_CHI2
 
 
 def column_entries(config: StrategyConfig, gof: GofMatrix, columns: ColumnMatrix,

@@ -242,7 +242,9 @@ def run_study(
 
     Dataset and fold seeds depend on the cell and replication but not
     on the strategy, so all strategies face identical data.  Results
-    are returned in (cell, replication, strategy) order.  ``threads`` is
+    are returned in (cell, replication, strategy) order; a repeated
+    strategy name or (scenario, variation, xi, delta) cell, which
+    ``aggregate_records`` would count twice, raises.  ``threads`` is
     deprecated and warns unless 1: replications run serially, as the
     Python-bound work only slowed down in a thread pool.
     """
@@ -250,6 +252,10 @@ def run_study(
         warnings.warn("threads has no effect and will be removed", FutureWarning, stacklevel=2)
     if pruning not in ("pre", "post"):
         raise ValueError("pruning must be 'pre' or 'post'")
+    for kind, keys in (("strategy", [name for name, _ in strategies]),
+                       ("cell", [(c.scenario, c.variation, c.xi, c.delta) for c in cells])):
+        if repeats := [key for i, key in enumerate(keys) if key in keys[:i]]:
+            raise ValueError(f"repeated {kind} {repeats[0]!r}: its records would count twice")
     if control is None:
         control = GrowControl()
     return [

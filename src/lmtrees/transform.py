@@ -7,8 +7,6 @@ level or quartile bin (breaks read at the node's presort), then per width
 counts their sign-by-code tables or builds their one-hot designs, and
 ``make_split_transform`` builds one column's.  The linear route pairs the
 gof matrix with the raw column and the max route orders the rows by it.
-``DegenerateTestError`` is the one signal by which every split test, and
-the design builder here, says that its input can discriminate nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .linmod import LinearFit, residuals
 
 __all__ = [
     "TransformError",
-    "DegenerateTestError",
     "GofMatrix",
     "make_gof",
     "quartile_breaks",
@@ -37,10 +34,6 @@ _EIG_RTOL = 1e-12
 
 class TransformError(ValueError):
     """Raised when a transform cannot be built for a column."""
-
-
-class DegenerateTestError(ValueError):
-    """The test cannot discriminate anything on this input (p = 1)."""
 
 
 @dataclass(frozen=True)
@@ -160,12 +153,10 @@ def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | 
 
 def make_split_transform(col: SplitColumn) -> np.ndarray:
     """One-hot design of a split column for the binned route, as
-    ``design_groups`` builds it; a numeric column of fewer than four rows
-    has no quartiles and raises ``DegenerateTestError``."""
-    if col.kind != CATEGORICAL and col.n < 4:
-        raise DegenerateTestError(f"column {col.name!r} has too few rows for quartile bins")
-    if col.n == 0:
-        raise TransformError(f"column {col.name!r} is empty")
+    ``design_groups`` builds it; an empty column, or a numeric one of fewer
+    than four rows (no quartiles), raises ``TransformError``."""
+    if col.n < (1 if col.kind == CATEGORICAL else 4):
+        raise TransformError(f"column {col.name!r} has too few rows for its bins")
     block = ColumnMatrix([col], col.n)
     ((_, designs),) = design_groups(block.values, block.numeric, block.orders, None)
     return designs[0]

@@ -214,6 +214,21 @@ def test_simulate_rejects_no_replications(tmp_path, capsys, reps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--strategies", "mob,mob,guide", "repeated strategy 'mob'"),
+    ("--xi", "0,0", "repeated cell ('stump', 'both', 0.0, 1.0)"),
+])
+def test_simulate_refuses_repeated_strategies_and_cells(tmp_path, capsys, flag, value, message):
+    # each repeat would be aggregated into its first, doubling its reps
+    out = tmp_path / "agg.csv"
+    args = ["simulate", "--scenario", "stump", "--reps", "3", "--n", "60", "--seed", "0",
+            "--strategies", "mob,guide", "--out-agg", str(out), flag, value]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_simulate_grid_crosses_variations_and_deltas(tmp_path, capsys):
     code = main(
         [
@@ -387,6 +402,18 @@ def test_prune_cc_refuses_a_prepruned_tree(tmp_path, capsys):
     # the information criteria only collapse nodes, so a gated tree is fine
     for method in ("aic", "bic"):
         assert main(prune + ["--method", method]) == 0
+
+
+def test_prune_path_out_needs_the_cc_method(tmp_path, capsys):
+    # only cost-complexity pruning has a knot table to write
+    knots = tmp_path / "k.csv"
+    for method in ("aic", "bic"):
+        with pytest.raises(SystemExit) as exc:
+            main(["prune", "--tree", str(tmp_path / "absent.json"), "--data",
+                  str(tmp_path / "absent.csv"), "--method", method, "--path-out", str(knots)])
+        assert exc.value.code == 2
+        assert "--path-out" in capsys.readouterr().err
+    assert not knots.exists()
 
 
 def mixed_csv(path, seed=21, n=240):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lmtrees import inference
 from lmtrees.dataset import CATEGORICAL, NUMERIC, Dataset, RngStream, SplitColumn, order_permutation
 from lmtrees.inference import (
-    DegenerateTestError,
     StrategyConfig,
     UnsupportedConfigurationError,
     argmin_outcome,
@@ -31,7 +30,7 @@ from lmtrees.inference import (
     STRATEGIES,
 )
 from lmtrees.linmod import fit_ols
-from lmtrees.transform import GofMatrix, make_gof, make_split_transform
+from lmtrees.transform import GofMatrix, TransformError, make_gof, make_split_transform
 
 from helpers import enumeration_moments, ncol, run_alone
 
@@ -125,8 +124,8 @@ def test_quad_form_scalar_example():
 
 
 def test_quad_form_zero_covariance_is_degenerate():
-    with pytest.raises(DegenerateTestError):
-        quad_form_test(np.array([[1.0]]), np.array([[1.0]]), np.array([[[0.0]]]))
+    stat, df, p = quad_form_test(np.array([[1.0]]), np.array([[1.0]]), np.array([[[0.0]]]))
+    assert (stat.tolist(), df.tolist(), p) == ([0.0], [0], [1.0])
 
 
 def test_quad_form_uses_rank_of_singular_covariance():
@@ -163,14 +162,9 @@ def test_max_abs_two_sided_normal_tail():
     assert p[0] == pytest.approx(2 * 0.024999999096442402, abs=1e-10)
 
 
-def test_max_abs_requires_scalar_statistic():
-    with pytest.raises(UnsupportedConfigurationError):
-        max_abs_test(np.zeros((1, 2)), np.zeros((1, 2)), np.eye(2)[None])
-
-
 def test_max_abs_degenerate_variance():
-    with pytest.raises(DegenerateTestError):
-        max_abs_test(np.array([[1.0]]), np.array([[1.0]]), np.array([[[0.0]]]))
+    stat, p = max_abs_test(np.array([[1.0]]), np.array([[1.0]]), np.array([[[0.0]]]))
+    assert (stat.tolist(), p) == ([0.0], [1.0])
 
 
 # ------------------------------------------------------------------ contingency
@@ -216,8 +210,7 @@ def test_contingency_adds_across_gof_columns():
 
 def test_contingency_constant_sign_column_contributes_nothing():
     gof, design = dich_gof([15, 15], [0, 0])  # all zeros: one empty sign row
-    with pytest.raises(DegenerateTestError):
-        chisq_statistic(gof, design)
+    assert chisq_statistic(gof, design) == (0.0, 0)
 
 
 def test_contingency_drops_empty_bins():
@@ -255,9 +248,11 @@ def test_fluctuation_process_centers_dichotomized_input():
 
 
 def test_fluctuation_process_rejects_constant_gof():
+    # rank 0: every process is zero, and the max route marks the column
     gof = GofMatrix(np.ones((12, 1)), dichotomized=True)
-    with pytest.raises(DegenerateTestError):
-        bridge(gof, ncol(np.arange(12.0)))
+    cumulative, _, k_eff = bridge(gof, ncol(np.arange(12.0)))
+    assert k_eff == 0
+    assert not cumulative.any()
 
 
 def test_suplm_hand_oracle():
@@ -270,9 +265,8 @@ def test_suplm_hand_oracle():
     stat2, peak2 = scan(gof, col, min_segment=2)
     assert stat2 == pytest.approx(6.0, abs=1e-12)
     assert peak2 == 3
-    # trimming away everything raises through the degenerate path downstream
-    with pytest.raises(DegenerateTestError):
-        scan(gof, col, min_segment=4)
+    # trimming away every boundary marks the scan: statistic 0, boundary -1
+    assert scan(gof, col, min_segment=4) == (0.0, -1)
 
 
 def test_suplm_matches_termwise_recomputation():
@@ -505,8 +499,9 @@ def test_suplm_scans_only_tie_block_ends():
     stat, peak = suplm_statistic(cumulative, tie_ends, min_segment=1)
     assert stat[0] == pytest.approx(3.0, abs=1e-12)
     assert peak[0] == 2
-    with pytest.raises(DegenerateTestError):
-        suplm_statistic(cumulative, tie_ends, min_segment=3)
+    # boundary 3 is the only admissible one and falls inside the block
+    stat, peak = suplm_statistic(cumulative, tie_ends, min_segment=3)
+    assert (stat.tolist(), peak.tolist()) == ([0.0], [-1])
 
 
 def tied_study(seed, n, distinct):
@@ -568,52 +563,79 @@ def perfect_node(n):
     return 1.0 + 2.0 * x, x
 
 
-def linear_route(engine):
-    def call(gof, col):
+# the value each field of an entry takes when the entry is marked degenerate
+MARKS = {"statistic": 0.0, "df": 0, "p": 1.0, "boundary": -1}
+
+
+def linear_route(engine, fields):
+    def call(config, gof, col):
         design = col.values[None, :, None]
-        return engine(linear_statistic(gof, design), *conditional_moments(gof, design))
+        return dict(zip(fields, engine(linear_statistic(gof, design),
+                                       *conditional_moments(gof, design))))
 
     return call
 
 
-def contingency(gof, col):
-    return chisq_statistic(gof, make_split_transform(col))
+def contingency(config, gof, col):
+    return dict(zip(("statistic", "df"), chisq_statistic(gof, make_split_transform(col))))
 
 
-def max_route(gof, col):
-    return scan(gof, col, resolve_min_segment(gof.n))
+def three_row_bins(config, gof, col):
+    # no quartiles, so no design: the binned route never tests the column
+    with pytest.raises(TransformError):
+        make_split_transform(col)
+    return {}
+
+
+def suplm_scan(config, gof, col):
+    stat, peak = scan(gof, col, resolve_min_segment(gof.n, config.min_segment))
+    return {"statistic": stat, "boundary": peak}
+
+
+def fluctuation_rank(config, gof, col):
+    # a rank-0 gof: zero processes, whose scan finds statistic 0 at rank 0
+    cumulative, tie_ends, k_eff = bridge(gof, col)
+    stat, _ = suplm_statistic(cumulative, tie_ends, resolve_min_segment(gof.n, config.min_segment))
+    return {"statistic": stat, "df": k_eff}
 
 
 ALTERNATING = (np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
 
 DEGENERATE_INPUTS = [
-    # strategy, node rows (y, x), column, and the engine call that must raise on its gof
-    pytest.param("ctree", perfect_node(8), ncol(np.arange(8.0)), linear_route(quad_form_test),
-                 id="quad_form_rank_zero"),
-    pytest.param("residuals,nodich,lin", perfect_node(8), ncol(np.arange(8.0)),
-                 linear_route(max_abs_test), id="max_abs_zero_variance"),
+    # strategy, node rows (y, x), column, and the engine call that must mark its entry
+    pytest.param(parse_strategy("ctree"), perfect_node(8), ncol(np.arange(8.0)),
+                 linear_route(quad_form_test, ("statistic", "df", "p")), id="quad_form_rank_zero"),
+    pytest.param(parse_strategy("residuals,nodich,lin"), perfect_node(8), ncol(np.arange(8.0)),
+                 linear_route(max_abs_test, ("statistic", "p")), id="max_abs_zero_variance"),
     # variance 4/3, but the statistic equals its permutation mean exactly
-    pytest.param("residuals,nodich,lin", ALTERNATING, ncol([1.0, 1.0, 2.0, 2.0]),
-                 linear_route(max_abs_test), id="max_abs_zero_statistic"),
-    pytest.param("guide", random_node(73, 30)[0], ncol(np.zeros(30)), contingency,
-                 id="chisq_one_bin"),
-    pytest.param("guide", perfect_node(8), ncol(np.arange(8.0)), contingency,
+    pytest.param(parse_strategy("residuals,nodich,lin"), ALTERNATING, ncol([1.0, 1.0, 2.0, 2.0]),
+                 linear_route(max_abs_test, ("statistic", "p")), id="max_abs_zero_statistic"),
+    pytest.param(parse_strategy("guide"), random_node(73, 30)[0], ncol(np.zeros(30)),
+                 contingency, id="chisq_one_bin"),
+    pytest.param(parse_strategy("guide"), perfect_node(8), ncol(np.arange(8.0)), contingency,
                  id="chisq_constant_sign"),
-    pytest.param("ctree+cat", (np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0])),
-                 ncol([1.0, 2.0, 5.0]), lambda gof, col: make_split_transform(col),
-                 id="bins_of_three_rows"),
-    pytest.param("mob", random_node(74, 40)[0], ncol([0.0] * 39 + [1.0]), max_route,
-                 id="suplm_no_tie_end"),
-    pytest.param("mob", perfect_node(30), ncol(np.arange(30.0)), bridge,
-                 id="fluctuation_zero_gof"),
+    pytest.param(parse_strategy("ctree+cat"),
+                 (np.array([0.3, -1.0, 2.0]), np.array([0.0, 1.0, 3.0])), ncol([1.0, 2.0, 5.0]),
+                 three_row_bins, id="bins_of_three_rows"),
+    pytest.param(parse_strategy("mob"), random_node(74, 40)[0], ncol([0.0] * 39 + [1.0]),
+                 suplm_scan, id="suplm_no_tie_end"),
+    # segments of 16 in 30 rows: the trimming window holds no boundary
+    pytest.param(parse_strategy("mob", min_segment=16), random_node(75, 30)[0],
+                 ncol(np.arange(30.0)), suplm_scan, id="suplm_empty_window"),
+    pytest.param(parse_strategy("mob"), perfect_node(30), ncol(np.arange(30.0)),
+                 fluctuation_rank, id="fluctuation_zero_gof"),
+    # zero residuals all dichotomize to one: a constant gof on the max route
+    pytest.param(parse_strategy("residuals,dich,max"), perfect_node(30), ncol(np.arange(30.0)),
+                 fluctuation_rank, id="max_route_rank_zero"),
 ]
 
 
-@pytest.mark.parametrize("name,node,col,engine", DEGENERATE_INPUTS)
-def test_degenerate_input_raises_in_its_engine_and_ends_at_p_one(name, node, col, engine):
-    config = parse_strategy(name)
-    with pytest.raises(DegenerateTestError):
-        engine(node_gof(node, config.use_scores, config.dichotomize), col)
+@pytest.mark.parametrize("config,node,col,engine", DEGENERATE_INPUTS)
+def test_degenerate_input_raises_in_its_engine_and_ends_at_p_one(config, node, col, engine):
+    # no engine raises on such input: each marks its entries and returns
+    for field, values in engine(config, node_gof(node, config.use_scores, config.dichotomize),
+                                col).items():
+        assert np.ravel(values).tolist() == [MARKS[field]], field
     out = run_alone(config, *node, col)
     assert (out.law, out.statistic, out.p_value, out.df) == ("degenerate", 0.0, 1.0, 0)
 

@@ -27,7 +27,7 @@ from lmtrees.inference import argmin_outcome, parse_strategy, resolve_min_segmen
 from lmtrees.inference import suplm_pvalue
 from lmtrees.linmod import InsufficientDataError, fit_ols
 from lmtrees.special import chi2_sf, normal_sf
-from lmtrees.transform import DegenerateTestError, GofMatrix, design_groups, make_gof
+from lmtrees.transform import GofMatrix, design_groups, make_gof
 from lmtrees.tree import GrowControl, TreeNode, best_split_point, grow, iter_nodes, tree_to_json
 
 from helpers import assert_fits_follow_routing, stable_orders
@@ -39,6 +39,10 @@ MAX_NAMES = tuple(name for name in NAMES if parse_strategy(name).split_mode == "
 
 
 # ---------------------------------------------------------------- the oracle
+
+
+class DegenerateTestError(ValueError):
+    """The per-column path's signal that a test can discriminate nothing."""
 
 
 def former_eig_pinv_parts(sym):

@@ -295,6 +295,22 @@ def test_run_study_is_reproducible_and_ordered():
     assert shifted != first
 
 
+def test_run_study_refuses_repeated_strategies_and_cells():
+    # aggregate_records groups by name and cell: a repeat would double its reps
+    config = cell(n=60, replications=2, j_noise=2)
+    with pytest.raises(ValueError, match="repeated strategy 'mob'"):
+        run_study([config], strat_list("mob", "guide", "mob"), seed=1)
+    # a repeated cell differs only in fields outside the grouping key
+    twin = cell(n=80, replications=3, j_noise=2)
+    with pytest.raises(ValueError, match=r"repeated cell \('stump', 'intercept', 0.0, 1.0\)"):
+        run_study([config, cell(xi=0.5, n=60, replications=2, j_noise=2), twin],
+                  strat_list("ctree"), seed=1)
+    # distinct names of one configuration are distinct strategies
+    records = run_study([config], [("a", parse_strategy("mob")), ("b", parse_strategy("mob"))],
+                        seed=1)
+    assert [row["reps"] for row in aggregate_records(records)] == [2, 2]
+
+
 def test_run_study_threads_do_not_change_output():
     config = cell(n=80, replications=6, j_noise=2)
     serial = run_study([config], strat_list("ctree", "mob"), seed=2, threads=1)
