@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import DataError, Dataset, RngStream
 from .inference import StrategyConfig
 from .linmod import predict
-from .tree import GrowControl, TreeNode, grow, iter_nodes, route_rows
+from .tree import GrowControl, TreeNode, _NodeCache, grow, iter_nodes, route_rows
 
 __all__ = ["PruneResult", "cost_complexity_path", "prune_at", "cv_prune", "ic_prune"]
 
@@ -155,7 +155,8 @@ def _candidate_alphas(knots: list[float]) -> list[float]:
 
 
 def cv_prune(data: Dataset, strategy: StrategyConfig, control: GrowControl, folds: int = 10,
-             seed: int = 0, one_se: bool = False) -> PruneResult:
+             seed: int = 0, one_se: bool = False, *,
+             _cache: _NodeCache | None = None) -> PruneResult:
     """Cost-complexity pruning tuned by k-fold cross-validation.
 
     The main tree is grown without prepruning and its path knots define
@@ -171,7 +172,7 @@ def cv_prune(data: Dataset, strategy: StrategyConfig, control: GrowControl, fold
     if folds < 2:
         raise ValueError("need at least two folds")
     control = replace(control, prepruning=False)
-    path = _Path(grow(data, strategy, control))
+    path = _Path(grow(data, strategy, control, _cache=_cache))
     candidates = _candidate_alphas(path.knots)
     fold_ids = np.empty(data.n, dtype=np.int64)
     fold_ids[RngStream(seed, 0).permutation(data.n)] = np.arange(data.n) % folds
@@ -181,7 +182,7 @@ def cv_prune(data: Dataset, strategy: StrategyConfig, control: GrowControl, fold
         if test.size == 0:
             continue
         try:
-            fold_tree = grow(data, strategy, control, rows=train)
+            fold_tree = grow(data, strategy, control, rows=train, _cache=_cache)
         except ValueError as exc:
             warnings.warn(f"fold {f} skipped: {exc}")
             continue

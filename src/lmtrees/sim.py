@@ -41,7 +41,7 @@ from .dataset import NUMERIC, Dataset, RngStream, SplitColumn
 from .inference import StrategyConfig, select_variable
 from .linmod import fit_ols
 from .prune import cv_prune
-from .tree import GrowControl, grow, leaves, partition_labels
+from .tree import GrowControl, _NodeCache, grow, leaves, partition_labels
 
 __all__ = [
     "ScenarioConfig",
@@ -194,6 +194,7 @@ def _run_replication(
     data = generate(cell, RngStream(seed, 0).substream("data", *key))
     if cell.scenario == "tree":
         truth = true_partition(cell, data)
+        cache = _NodeCache(data)  # every strategy's trees share it; dropped with the replication
         fold_seed = RngStream(seed, 0).substream("cv", *key).stream
     else:
         fit = fit_ols(data.y, data.x)
@@ -201,9 +202,10 @@ def _run_replication(
     for name, strat in strategies:
         if cell.scenario == "tree":
             if pruning == "post":
-                tree = cv_prune(data, strat, control, folds=folds, seed=fold_seed).tree
+                tree = cv_prune(data, strat, control, folds=folds, seed=fold_seed,
+                                _cache=cache).tree
             else:
-                tree = grow(data, strat, replace(control, prepruning=True))
+                tree = grow(data, strat, replace(control, prepruning=True), _cache=cache)
             p_values = dict(tree.p_values)
             chosen = tree.split.variable if tree.split is not None else None
             ari = float(adjusted_rand_index(truth, partition_labels(tree, data)))

@@ -13,7 +13,10 @@ once per dataset.  The split columns are stacked and sorted once per dataset
 them, fold trees of cross-validation included.  A node carries its
 columns' orders as node-local positions; a split hands each child its
 part of them by one stable partition (``partition_orders``), never a
-sort.
+sort.  Trees grown on one dataset may share a node cache (``sim`` keeps
+one per replication, for every strategy and fold tree): a row set reached
+again reuses its gather, fit, cut search and child orders, none of which
+depends on the strategy.
 """
 
 from __future__ import annotations
@@ -242,28 +245,67 @@ def _goes_left(split: Split, col: SplitColumn, values: np.ndarray, unseen_left: 
     return np.isin(values, [code[lab] for lab in split.left_levels or () if lab in code])
 
 
+class _NodeCache(dict):
+    """What the trees grown on one dataset can share of a node: by row set
+    (``rows.tobytes()``) the gathered response and regressor with their
+    fit, by ``(row set,)`` a root's column orders, and by (row set, chosen
+    column, ``min_node_size``) the cut, its left mask and, once a child is
+    tested, the children's orders.  Each depends on the rows alone, never
+    on the strategy or the tree."""
+
+    def __init__(self, data: Dataset) -> None:
+        super().__init__()
+        self.data = data
+
+
 def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
-         rows: np.ndarray | None = None) -> TreeNode:
+         rows: np.ndarray | None = None, *, _cache: _NodeCache | None = None) -> TreeNode:
     """Grow a tree by test-based variable selection and RSS point search.
 
     A node is split when it is shallower than ``max_depth``, holds at
     least twice ``min_node_size`` rows, the selection gate names a
     variable (or, without prepruning, any non-degenerate test exists),
     and that variable admits a cut.  Test degeneracies never abort the
-    recursion; they terminate the node.  ``rows`` (increasing) grows the
-    tree on those rows of ``data`` alone, as on ``data.take(rows)``;
-    ``route_rows(tree, data, rows)`` gives each node's rows.
+    recursion; they terminate the node.  ``rows`` (strictly increasing)
+    grows the tree on those rows of ``data`` alone, as on ``data.take(rows)``;
+    ``route_rows(tree, data, rows)`` gives each node's rows.  A ``_cache``
+    made for ``data`` shares node work among the trees grown with it.
     """
     if isinstance(strategy, str):
         strategy = parse_strategy(strategy)
     strategy = control.apply_to(strategy)
+    if _cache is not None and _cache.data is not data:
+        raise ValueError("a node cache serves only the dataset it was made for")
+    if rows is not None:
+        rows = np.asarray(rows)
+        if not (rows.ndim == 1 and rows.dtype.kind in "iu" and np.all(rows[1:] > rows[:-1])
+                and (rows.size == 0 or 0 <= rows[0] and rows[-1] < data.n)):
+            raise ValueError(f"rows must be a strictly increasing 1-D integer index set "
+                             f"into the {data.n} rows")
+        rows = rows.astype(np.intp, copy=False)
     counter = itertools.count()
     names = [col.name for col in data.z]
 
+    def shared(key: bytes | tuple | None, make: Callable[[], list]) -> list:
+        if _cache is None:
+            return make()
+        return _cache[key] if key in _cache else _cache.setdefault(key, make())
+
+    def gathered(rows: np.ndarray) -> list:
+        y, x = data.y[rows], data.x[rows]
+        return [y, x, fit_ols(y, x)]
+
+    def cut(rows: np.ndarray, orders: np.ndarray, y: np.ndarray, x: np.ndarray, j: int) -> list:
+        col = data.z[j].take(rows)
+        split = best_split_point(y, x, col, control.min_node_size, orders[j])
+        # growth sees every level of the split, so none is unseen
+        mask = None if split is None else _goes_left(split, col, col.values, unseen_left=False)
+        return [split, mask, None]
+
     def build(rows: np.ndarray, orders: np.ndarray | None, depth: int) -> TreeNode:
         node_id = next(counter)
-        y, x = data.y[rows], data.x[rows]
-        fit = fit_ols(y, x)
+        key = None if _cache is None else rows.tobytes()  # a copy of the rows, made only to share
+        y, x, fit = shared(key, lambda: gathered(rows))
         outcomes: tuple[TestOutcome, ...] = ()
         split = None
         children: tuple[TreeNode, ...] = ()
@@ -275,15 +317,13 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
                 chosen = best.variable if best is not None else None
             if chosen is not None:
                 j = names.index(chosen)
-                col = data.z[j].take(rows)
-                candidate = best_split_point(y, x, col, control.min_node_size, orders[j])
-                if candidate is not None:
-                    # growth sees every level of the split, so none is unseen
-                    mask = _goes_left(candidate, col, col.values, unseen_left=False)
-                    split = candidate
+                found = shared((key, j, control.min_node_size), lambda: cut(rows, orders, y, x, j))
+                split, mask, parts = found
+                if split is not None:
                     # children at the depth limit are never tested and need no orders
-                    deeper = depth + 1 < control.max_depth
-                    left, right = partition_orders(orders, mask) if deeper else (None, None)
+                    if parts is None and depth + 1 < control.max_depth:
+                        parts = found[2] = partition_orders(orders, mask)
+                    left, right = parts or (None, None)
                     children = (build(rows[mask], left, depth + 1),
                                 build(rows[~mask], right, depth + 1))
         return TreeNode(
@@ -296,8 +336,11 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
             children=children,
         )
 
-    tree = build(np.arange(data.n) if rows is None else np.asarray(rows),
-                 data.columns.orders_of(rows), 0)
+    root = np.arange(data.n) if rows is None else rows
+    # a fold tree's root orders, as its nodes' work, depend on its rows alone
+    orders = shared(None if _cache is None else (root.tobytes(),),
+                    lambda: [data.columns.orders_of(rows)])[0]
+    tree = build(root, orders, 0)
     del build  # a reference cycle that would hold the data until the next gc
     return tree
 

@@ -250,13 +250,20 @@ ALL_STRATEGIES = "ctree,mob,guide,guide+scores,ctree+max,ctree+cat,ctree+dich,mo
 
 # sha256 of the long and aggregate CSVs, recorded before the node's split
 # columns were tested in column blocks (numpy 2.4 with OpenBLAS 0.3 on
-# x86-64); a faster engine must write the same bytes
+# x86-64), the pre-pruned tree run before a replication's trees shared
+# their node work; a faster engine must write the same bytes
 GOLDEN_RUNS = {
     "stump": (
         ["--scenario", "stump", "--variation", "intercept,slope", "--xi", "0,0.8",
          "--delta", "0,1", "--reps", "2", "--n", "120", "--seed", "11"],
         "5b83a9a1990c951cb95121c6eae9dffab1593428a5548f80f51ff6209fc820ae",
         "3e9a976b82ca620450882af341d13a2e67eb936cde4c6cc8e181e3fb23f96b5e",
+    ),
+    "tree_pre": (
+        ["--scenario", "tree", "--variation", "both", "--xi", "0,0.8", "--delta", "0,1",
+         "--reps", "2", "--n", "200", "--pruning", "pre", "--seed", "13"],
+        "ee0600cc3060753058011cef0b172dcd8805615c37f180e820d5f52f4305f525",
+        "f0ae5cadfee8ef8252b790cc6294f7c260541b1880f72369c566ddec8b55140d",
     ),
     "tree_post": (
         ["--scenario", "tree", "--variation", "both", "--xi", "0", "--delta", "1", "--reps", "1",

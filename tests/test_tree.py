@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from lmtrees.cli import main as cli_main
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn
-from lmtrees.dataset import write_csv
+from lmtrees.dataset import RngStream, write_csv
 from lmtrees import inference
 from lmtrees import tree as tree_module
-from lmtrees.inference import parse_strategy
+from lmtrees.inference import STRATEGIES, parse_strategy
 from lmtrees.linmod import LinearFit, fit_ols, predict
 from lmtrees.prune import cv_prune
+from lmtrees.sim import ScenarioConfig, generate
 from lmtrees.tree import (
     TREE_FORMAT,
     GrowControl,
@@ -33,6 +34,7 @@ from lmtrees.tree import (
     predict_tree,
     route_rows,
     tree_from_json,
+    tree_to_dict,
     tree_to_json,
 )
 
@@ -526,6 +528,82 @@ def test_grow_is_deterministic():
     first = tree_to_json(grow(data, "guide", control), schema, strategy, control)
     second = tree_to_json(grow(data, "guide", control), schema, strategy, control)
     assert first == second
+
+
+def cache_data(source):
+    """The tree DGP, or a hand-built dataset with a four-valued numeric
+    column (ties) and a categorical one beside a continuous column."""
+    if source == "tree_dgp":
+        return generate(ScenarioConfig("tree", "both", xi=0.0, delta=1.0, n=200), RngStream(4, 0))
+    rng = np.random.default_rng(5)
+    n = 200
+    few, codes = rng.integers(0, 4, n).astype(float), rng.integers(0, 3, n)
+    x, z = rng.uniform(-1, 1, n), rng.normal(size=n)
+    y = 1.5 * (few >= 2) + (1.0 + (codes == 1)) * x + 0.5 * (z > 0) + 0.3 * rng.normal(size=n)
+    cols = (ncol(few, "few"), SplitColumn("g", CATEGORICAL, codes, levels=("a", "b", "c")),
+            ncol(z, "z"))
+    return Dataset(y, x, cols)
+
+
+@pytest.mark.parametrize("source", ["tree_dgp", "mixed"])
+def test_trees_grown_on_a_shared_node_cache_equal_trees_grown_alone(source):
+    data = cache_data(source)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    control = GrowControl(alpha=0.05, min_node_size=15, max_depth=4)
+    # another min_node_size finds other cuts on the same row sets
+    other = GrowControl(alpha=0.5, min_node_size=24, max_depth=3, prepruning=False)
+
+    def grown(name, ctl, **cache):
+        return tree_to_dict(grow(data, name, ctl, **cache), schema, parse_strategy(name), ctl)
+
+    def pruned(name, **cache):
+        result = cv_prune(data, parse_strategy(name), control, folds=4, seed=2, **cache)
+        return (tree_to_dict(result.tree, schema, parse_strategy(name), control),
+                result.chosen_alpha, result.alpha_path)
+
+    for name in STRATEGIES:
+        cache = tree_module._NodeCache(data)
+        for filler in STRATEGIES:
+            if filler != name:
+                grow(data, filler, control, _cache=cache)
+                cv_prune(data, parse_strategy(filler), control, folds=4, seed=2, _cache=cache)
+        assert grown(name, control, _cache=cache) == grown(name, control)
+        assert pruned(name, _cache=cache) == pruned(name)
+        assert grown(name, other, _cache=cache) == grown(name, other)
+
+
+def test_a_node_cache_serves_only_its_dataset():
+    data, twin = stump_data(seed=3, n=120), stump_data(seed=3, n=120)
+    cache = tree_module._NodeCache(data)
+    grow(data, "mob", GrowControl(), _cache=cache)
+    with pytest.raises(ValueError, match="only the dataset it was made for"):
+        grow(twin, "mob", GrowControl(), _cache=cache)
+    with pytest.raises(ValueError, match="only the dataset it was made for"):
+        cv_prune(twin, parse_strategy("mob"), GrowControl(), folds=3, _cache=cache)
+
+
+@pytest.mark.parametrize("rows", [
+    np.arange(60)[::-1],  # decreasing
+    np.repeat(np.arange(30), 2),  # sorted with repeats
+    np.arange(60, dtype=float),
+    np.arange(60).reshape(2, 30),
+    np.arange(-1, 59),
+    np.arange(61, 121),  # past the last of the 120 rows
+    np.ones(120, dtype=bool),
+])
+def test_grow_refuses_a_malformed_index_set(rows):
+    with pytest.raises(ValueError, match="strictly increasing 1-D integer index set"):
+        grow(stump_data(seed=3, n=120), "mob", GrowControl(), rows=rows)
+
+
+def test_grow_takes_any_increasing_integer_index_set():
+    data, control = stump_data(seed=3, n=120), GrowControl(alpha=0.5, max_depth=2)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    as_dicts = [tree_to_dict(grow(data, "guide", control, rows=rows), schema,
+                             parse_strategy("guide"), control)
+                for rows in (np.arange(0, 120, 2), np.arange(0, 120, 2, dtype=np.uint32),
+                             list(range(0, 120, 2)))]
+    assert as_dicts[0] == as_dicts[1] == as_dicts[2]
 
 
 # -------------------------------------------------------------------- routing
