@@ -307,32 +307,31 @@ class _NullTableCache:
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
     def _build_trim_max(self, k: int) -> np.ndarray:
-        grid = NULL_TABLE_GRID
-        half = grid // 2
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([NULL_TABLE_SEED, k], dtype=np.uint64))
-        )
+        grid, half, batch = NULL_TABLE_GRID, NULL_TABLE_GRID // 2, 64
+        rng = np.random.Generator(np.random.Philox(key=np.array([NULL_TABLE_SEED, k], np.uint64)))
         out = np.empty((NULL_TABLE_REPLICATES, half), dtype=np.float32)
-        t = np.arange(1, grid) / grid
+        t = (np.arange(1, grid) / grid)[:, None]
         weight = 1.0 / (t * (1.0 - t))
-        done = 0
-        batch = 500
-        while done < NULL_TABLE_REPLICATES:
+        # cache-sized batches: drawn path-major into one reused buffer, which
+        # reads the stream in the same order whatever the batch size, then
+        # laid out path-minor as (k, grid, paths), so that each step is a
+        # vector op across paths that keeps each path's order of arithmetic
+        draws, walk = np.empty((batch, grid, k)), np.empty((k, grid, batch))
+        for done in range(0, NULL_TABLE_REPLICATES, batch):
             b = min(batch, NULL_TABLE_REPLICATES - done)
-            # steps, walk and bridge share one array per batch to keep the
-            # resident peak low
-            walk = rng.standard_normal((b, grid, k))
-            walk /= math.sqrt(grid)
-            np.cumsum(walk, axis=1, out=walk)
-            bridge = walk[:, : grid - 1, :]
-            bridge -= t[None, :, None] * walk[:, -1:, :]
-            w = np.einsum("igk,igk->ig", bridge, bridge) * weight[None, :]
-            m = out[done : done + b]
+            rng.standard_normal(out=draws[:b])
+            path = walk[..., :b]
+            np.divide(draws[:b].transpose(2, 1, 0), math.sqrt(grid), out=path)
+            np.cumsum(path, axis=1, out=path)
+            bridge = path[:, :-1]
+            bridge -= t * path[:, -1:]
+            w = np.einsum("kgp,kgp->gp", bridge, bridge) * weight
             # fold boundary g onto grid - 2 - g, then take running maxima
-            # from the centre outwards: column j is the sup over [j, grid - 2 - j]
-            np.maximum(w[:, :half], w[:, grid - 2 : half - 2 : -1], out=m)
-            np.maximum.accumulate(m[:, ::-1], axis=1, out=m[:, ::-1])
-            done += b
+            # from the centre outwards: row j is the sup over [j, grid - 2 - j];
+            # rounding is monotone, so one cast to float32 at the end suffices
+            m = np.maximum(w[:half], w[grid - 2 : half - 2 : -1])
+            np.maximum.accumulate(m[::-1], axis=0, out=m[::-1])
+            out[done : done + b] = m.T
         return out
 
     def table(self, k: int, trim_index: int) -> np.ndarray:

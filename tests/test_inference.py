@@ -1,6 +1,8 @@
 """Split-variable testing engines against hand oracles and enumeration."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,8 +361,13 @@ def _former_trim_max(k):
     return out
 
 
+# the build draws 64 paths a batch: 40 fit in one partial batch, 128 fill
+# two exactly, and 129 leave a last batch of one path
 @pytest.mark.parametrize(
-    "k,reps", [(1, 300), (2, 300), (1, 1200), (2, 1200)], ids=["1", "2", "1-1200", "2-1200"]
+    "k,reps",
+    [(1, 300), (2, 300), (1, 1200), (2, 1200),
+     (1, 40), (2, 40), (1, 128), (2, 128), (1, 129), (2, 129)],
+    ids=["1", "2", "1-1200", "2-1200", "1-40", "2-40", "1-128", "2-128", "1-129", "2-129"],
 )
 def test_null_table_fold_matches_former_loop(monkeypatch, k, reps):
     # 1 200 replicates span several build batches but one former batch
@@ -369,6 +376,35 @@ def test_null_table_fold_matches_former_loop(monkeypatch, k, reps):
     former = _former_trim_max(k)
     assert built.dtype == np.float32 and built.shape == (reps, inference.NULL_TABLE_GRID // 2)
     assert np.array_equal(built, former)
+
+
+# sha256 of the full-size 20 000 x 500 float32 trim maxima: a change to
+# any bit moves supLM p-values, and so mob's and ctree+max's trees
+NULL_TABLE_SHA256 = {
+    1: "e1814c8a26c3fbb4642654d94e5adfc9f4905c3e2262c74758db614e02946874",
+    2: "8d124cdf1751a64c0feea13f4f739df5325248dadc8b997d2ad59d70ed148661",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_null_table_full_size_bits(k):
+    # suplm_pvalue builds the process's table for k, or reuses it
+    suplm_pvalue(1.0, k, 25, 250)
+    built = inference._NULL_TABLES._trim_max[k]
+    assert hashlib.sha256(built.tobytes()).hexdigest() == NULL_TABLE_SHA256[k]
+
+
+def test_null_table_build_temporaries_stay_bounded(monkeypatch):
+    # the build's buffers and per-batch arrays, beyond the table it returns,
+    # take a few MB whatever the replicate count (batches of 500 paths take 20)
+    monkeypatch.setattr(inference, "NULL_TABLE_REPLICATES", 2000)
+    tracemalloc.start()
+    try:
+        built = inference._NullTableCache()._build_trim_max(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - built.nbytes < 8e6, f"{peak - built.nbytes} bytes of temporaries"
 
 
 def test_suplm_trim_index_avoids_float_rounding():
