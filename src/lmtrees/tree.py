@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterator
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable, Iterator, get_args, get_type_hints
 
 import numpy as np
 
@@ -407,29 +407,45 @@ def _node_to_dict(node: TreeNode) -> dict:
     return payload
 
 
+# the settings keys the format gained after its first files, with the value older files imply
+_ADDED_KEYS = {StrategyConfig: {"multiplicity": "bonferroni"}}
+# each settings block's fields, the keys asdict writes, with their declared types
+_FIELD_TYPES = {cls: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+                for cls in (StrategyConfig, GrowControl)}
+
+
+def _typed(value, hint, key: str):
+    # value if it has the JSON type of hint, a type or union (a bool is no number, an int a float)
+    if isinstance(value, hint) and type(value) is not bool:
+        return value
+    kinds = get_args(hint) or (hint,)
+    if type(value) in kinds:
+        return value
+    if type(value) is int and float in kinds:
+        return float(value)
+    raise TypeError(f"{key!r} is {type(value).__name__}, not {'/'.join(k.__name__ for k in kinds)}")
+
+
 def _node_from_dict(payload: dict) -> TreeNode:
-    children = tuple(_node_from_dict(c) for c in payload["children"])
-    raw = payload.get("split")
+    def get(key: str, hint, block: dict = payload):
+        return _typed(block[key], hint, key)
+
+    children = tuple(_node_from_dict(c) for c in get("children", list))
+    raw = get("split", dict | None)
     if raw is None:
         split = None
     elif "point" in raw:
-        split = Split(variable=raw["variable"], point=float(raw["point"]))
+        split = Split(variable=get("variable", str, raw), point=get("point", float, raw))
     else:
-        split = Split(variable=raw["variable"], left_levels=tuple(raw["left_levels"]),
-                      right_levels=tuple(raw["right_levels"]))
-    return TreeNode(
-        id=int(payload["id"]),
-        depth=int(payload["depth"]),
-        fit=LinearFit(
-            beta0=float(payload["coefficients"]["intercept"]),
-            beta1=float(payload["coefficients"]["slope"]),
-            n=int(payload["n"]),
-            rss=float(payload["rss"]),
-        ),
-        p_values={k: float(v) for k, v in payload["p_values"].items()},
-        split=split,
-        children=children,
-    )
+        left, right = (tuple(_typed(level, str, key) for level in get(key, list, raw))
+                       for key in ("left_levels", "right_levels"))
+        split = Split(variable=get("variable", str, raw), left_levels=left, right_levels=right)
+    coefficients = get("coefficients", dict)
+    fit = LinearFit(beta0=get("intercept", float, coefficients),
+                    beta1=get("slope", float, coefficients), n=get("n", int), rss=get("rss", float))
+    p_values = {k: _typed(v, float, "p_values") for k, v in get("p_values", dict).items()}
+    return TreeNode(id=get("id", int), depth=get("depth", int), fit=fit, p_values=p_values,
+                    split=split, children=children)
 
 
 def _schema_to_dict(schema: CsvSchema) -> dict:
@@ -441,32 +457,15 @@ def _schema_to_dict(schema: CsvSchema) -> dict:
 
 
 def _schema_from_dict(payload: dict) -> CsvSchema:
-    return CsvSchema(
-        response=payload["response"],
-        regressor=payload["regressor"],
-        splits=tuple((s["name"], s["kind"]) for s in payload["splits"]),
-    )
+    splits = tuple((_typed(s["name"], str, "name"), _typed(s["kind"], str, "kind"))
+                   for s in _typed(payload["splits"], list, "splits"))
+    return CsvSchema(_typed(payload["response"], str, "response"),
+                     _typed(payload["regressor"], str, "regressor"), splits)
 
 
-def _strategy_from_dict(payload: dict) -> StrategyConfig:
-    return StrategyConfig(
-        use_scores=bool(payload["use_scores"]),
-        dichotomize=bool(payload["dichotomize"]),
-        split_mode=payload["split_mode"],
-        alpha=float(payload["alpha"]),
-        min_segment=payload["min_segment"],
-        multiplicity=payload.get("multiplicity", "bonferroni"),
-    )
-
-
-def _control_from_dict(payload: dict) -> GrowControl:
-    return GrowControl(
-        alpha=float(payload["alpha"]),
-        min_node_size=int(payload["min_node_size"]),
-        min_segment=payload["min_segment"],
-        max_depth=int(payload["max_depth"]),
-        prepruning=bool(payload["prepruning"]),
-    )
+def _settings_from_dict(cls: type, payload: dict):
+    payload = {**_ADDED_KEYS.get(cls, {}), **payload}
+    return cls(**{key: _typed(payload[key], hint, key) for key, hint in _FIELD_TYPES[cls].items()})
 
 
 def tree_to_dict(
@@ -482,9 +481,10 @@ def tree_to_dict(
 
 
 def tree_from_dict(payload: dict) -> tuple[TreeNode, CsvSchema, StrategyConfig, GrowControl]:
-    """Rebuild a tree and its settings; a payload that is not a
-    well-formed ``lmtrees-tree/1`` document, a node that is neither a
-    leaf nor split in two, or a node id used twice raises ``DataError``."""
+    """Rebuild a tree and its settings; ``DataError`` unless the payload is a
+    well-formed ``lmtrees-tree/1`` document: each key present (older files
+    may lack ``multiplicity``) and of its JSON type, each node a leaf or split
+    in two, and no node id used twice."""
     if not isinstance(payload, dict):
         raise DataError(f"a tree file holds a JSON object, not {type(payload).__name__}")
     if payload.get("format") != TREE_FORMAT:
@@ -493,8 +493,8 @@ def tree_from_dict(payload: dict) -> tuple[TreeNode, CsvSchema, StrategyConfig, 
         loaded = (
             _node_from_dict(payload["root"]),
             _schema_from_dict(payload["schema"]),
-            _strategy_from_dict(payload["strategy"]),
-            _control_from_dict(payload["control"]),
+            _settings_from_dict(StrategyConfig, payload["strategy"]),
+            _settings_from_dict(GrowControl, payload["control"]),
         )
     except KeyError as exc:
         raise DataError(f"malformed tree file: missing key {exc.args[0]!r}") from None

@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,23 @@ def test_malformed_csv_is_domain_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"line {data.n + 2}" in err
+
+
+def test_exit_codes_as_a_shell_sees_them(tmp_path):
+    # python -m lmtrees.cli in a fresh process, with the source on PYTHONPATH
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "lmtrees.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    stump_csv(tmp_path / "d.csv", n=60)
+    fitted = run(*FIT_ARGS, "--data", "d.csv")
+    assert fitted.returncode == 0 and fitted.stdout.startswith("fitted tree on 60 rows")
+    missing = run(*FIT_ARGS, "--data", "missing.csv")
+    assert missing.returncode == 1 and missing.stderr.startswith("error:")
+    unknown = run(*FIT_ARGS, "--data", "d.csv", "--bogus-flag")
+    assert unknown.returncode == 2 and "unrecognized arguments: --bogus-flag" in unknown.stderr
 
 
 def test_categorical_outside_split_is_domain_error(tmp_path, capsys):
@@ -217,6 +238,7 @@ def test_simulate_rejects_no_replications(tmp_path, capsys, reps):
 @pytest.mark.parametrize("flag,value,message", [
     ("--strategies", "mob,mob,guide", "repeated strategy 'mob'"),
     ("--xi", "0,0", "repeated cell ('stump', 'both', 0.0, 1.0)"),
+    ("--strategies", ",", "no strategies given"),
 ])
 def test_simulate_refuses_repeated_strategies_and_cells(tmp_path, capsys, flag, value, message):
     # each repeat would be aggregated into its first, doubling its reps
@@ -369,6 +391,8 @@ def test_prune_rejects_malformed_tree_file(tmp_path, capsys):
     # a well-formed file loads and writes back the same bytes
     assert tree_to_json(*tree_from_json(text)) == text
     valid = json.loads(text)
+    root, wrong_type = valid["root"], "malformed tree file: wrong type"
+    variable = root["split"]["variable"]
     cases = [
         ("{not json", "error:"),
         (json.dumps({"format": "lmtrees-tree/1"}), "missing key 'root'"),
@@ -376,6 +400,16 @@ def test_prune_rejects_malformed_tree_file(tmp_path, capsys):
         (json.dumps({**valid, "root": []}), "wrong type"),
         (json.dumps({**valid, "schema": {**valid["schema"], "splits": 3}}), "wrong type"),
         (json.dumps([valid]), "JSON object"),
+        # values a coercing reader misread: as True, True, 2, 0, ('a', 'b') and 0.001
+        (json.dumps({**valid, "control": {**valid["control"], "prepruning": "false"}}), wrong_type),
+        (json.dumps({**valid, "strategy": {**valid["strategy"], "use_scores": "false"}}),
+         wrong_type),
+        (json.dumps({**valid, "control": {**valid["control"], "max_depth": 2.9}}), wrong_type),
+        (json.dumps({**valid, "root": {**root, "id": 0.9}}), wrong_type),
+        (json.dumps({**valid, "root": {**root, "split": {
+            "variable": variable, "left_levels": "ab", "right_levels": ["c"]}}}), wrong_type),
+        (json.dumps({**valid, "root": {**root, "p_values": {
+            **root["p_values"], variable: "0.001"}}}), wrong_type),
     ]
     bad = tmp_path / "bad.json"
     for content, message in cases:
@@ -383,7 +417,7 @@ def test_prune_rejects_malformed_tree_file(tmp_path, capsys):
         code = main(["prune", "--method", "bic", "--tree", str(bad), "--data", str(data_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and err.count(message) == 1
 
 
 def test_prune_rejects_a_negative_split_df(tmp_path, capsys):

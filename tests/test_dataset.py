@@ -154,6 +154,20 @@ def test_dataset_validates_lengths_and_names():
         data.column("nope")
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: SplitColumn("z", NUMERIC, np.zeros((2, 2))), "'z' must be one-dimensional"),
+    (lambda: Dataset(np.zeros((2, 1)), np.zeros(2), ()), "must be one-dimensional"),
+    (lambda: Dataset(np.zeros(3), np.zeros(2), ()), "lengths differ"),
+    (lambda: Dataset(np.zeros(2), np.array([0.0, np.inf]), ()), "must be finite"),
+    (lambda: CsvSchema("y", "x", (("y", NUMERIC),)), "must name distinct columns"),
+    (lambda: CsvSchema("y", "x", (("z", "ordinal"),)), "unknown split kind 'ordinal'"),
+], ids=["column_2d", "response_2d", "unequal_lengths", "regressor_non_finite",
+        "schema_repeated_role", "schema_unknown_kind"])
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
 def test_dataset_take_subsets_all_columns():
     data = Dataset(
         np.array([1.0, 2.0, 3.0]),
@@ -195,6 +209,15 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     orig = data.column("grp")
     got = back.column("grp")
     assert list(got.labels(got.values)) == list(orig.labels(orig.values))
+
+
+def test_write_csv_without_a_schema_names_the_roles_y_and_x(tmp_path):
+    data = make_dataset()
+    path = str(tmp_path / "data.csv")
+    write_csv(data, path)
+    back = load_csv(path, schema_for(data))
+    assert np.array_equal(back.y, data.y) and np.array_equal(back.x, data.x)
+    assert np.array_equal(back.column("grp").values, data.column("grp").values)
 
 
 def test_csv_round_trip_survives_awkward_floats(tmp_path):

@@ -499,6 +499,13 @@ def test_parse_strategy_accepts_triples_and_overrides():
         assert "mob" in str(err) and "guide" in str(err)
 
 
+def test_config_and_outcome_validation():
+    with pytest.raises(UnsupportedConfigurationError, match="min_segment must be at least 1"):
+        StrategyConfig(use_scores=True, dichotomize=False, split_mode=MODE_LIN, min_segment=0)
+    with pytest.raises(ValueError, match=r"p-value outside \[0, 1\]"):
+        inference.TestOutcome("z1", 1.0, 1.5, "chi2", 1)
+
+
 def test_constant_column_degeneracy_per_engine():
     data = make_data()
     zeros = ncol(np.zeros(data.n), name="flat")

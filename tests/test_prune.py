@@ -406,6 +406,26 @@ def test_cv_prune_validates_folds():
         cv_prune(data, parse_strategy("ctree"), GrowControl(), folds=1)
 
 
+def test_cv_prune_skips_a_fold_whose_tree_cannot_grow():
+    # x is 0 but on row 7, so the fold that holds row 7 out (fold 9 at seed 0)
+    # trains on a constant regressor
+    rng = np.random.default_rng(0)
+    x = np.zeros(30)
+    x[7] = 1.0
+    data = Dataset(rng.normal(size=30), x, (SplitColumn("z", NUMERIC, rng.normal(size=30)),))
+    with pytest.warns(UserWarning, match="fold 9 skipped: regressor is constant within the node"):
+        res = cv_prune(data, parse_strategy("ctree"), GrowControl(), folds=10, seed=0)
+    assert len(leaves(res.tree)) == 1
+
+
+def test_cv_prune_needs_more_than_half_the_folds():
+    # five rows leave folds 5 to 9 empty; they are skipped without a warning
+    rng = np.random.default_rng(1)
+    data = Dataset(rng.normal(size=5), rng.uniform(-1, 1, 5), ())
+    with pytest.raises(DataError, match="only 5 of 10 folds usable"):
+        cv_prune(data, parse_strategy("ctree"), GrowControl(), folds=10, seed=0)
+
+
 # -------------------------------------------------------------------- AIC / BIC
 
 

@@ -105,6 +105,8 @@ def test_gamma_argument_validation():
         regularized_gamma_p(1.0, -0.5)
     with pytest.raises(ValueError):
         regularized_gamma_q(-1.0, 1.0)
+    with pytest.raises(ValueError, match="argument must be nonnegative"):
+        regularized_gamma_q(1.0, -1.0)
 
 
 @pytest.mark.parametrize("z,expected", NORMAL_SF_CASES)

@@ -65,6 +65,8 @@ def test_gof_matrix_validation():
         GofMatrix(np.array([[np.nan]]), dichotomized=False)
     with pytest.raises(TransformError):
         GofMatrix(np.array([[0.5]]), dichotomized=True)  # not 0/1
+    with pytest.raises(TransformError, match="2-d array"):
+        GofMatrix(np.array([0.5, 1.0]), dichotomized=False)
 
 
 # ------------------------------------------------------------- numeric modes

@@ -33,6 +33,7 @@ from lmtrees.tree import (
     partition_labels,
     predict_tree,
     route_rows,
+    tree_from_dict,
     tree_from_json,
     tree_to_dict,
     tree_to_json,
@@ -139,6 +140,23 @@ def test_numeric_split_handles_tied_values():
     split = best_split_point(y, x, ncol(z), min_node_size=3)
     assert split.point in (0.5, 1.5)
     assert split.point == 0.5
+
+
+@pytest.mark.parametrize("low", [1.0, float(np.nextafter(1.0, 2.0))], ids=["even", "odd"])
+def test_numeric_split_between_adjacent_doubles_cuts_at_the_lower(low):
+    # no double lies strictly between two adjacent ones: their midpoint
+    # rounds to one of them (to the upper when the lower's last bit is
+    # odd), so the cut falls on the lower and its rows still go left
+    z = np.repeat([low, np.nextafter(low, 2.0)], 10)
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-1, 1, 20)
+    y = (z > low) * 2.0 + 0.1 * rng.normal(size=20)
+    split = best_split_point(y, x, ncol(z), min_node_size=3)
+    assert split.point == low
+    data = Dataset(y, x, (ncol(z),))
+    tree = grow(data, "mob", GrowControl(alpha=1.0, min_node_size=3, max_depth=1))
+    assert tree.split == split
+    assert np.array_equal(partition_labels(tree, data), np.where(z == low, 1, 2))
 
 
 def oracle_categorical_split(y, x, codes, levels, min_node_size):
@@ -857,6 +875,67 @@ def test_stored_node_fits_retest_to_the_grown_outcomes(name, levels):
 def test_tree_from_json_rejects_unknown_format():
     with pytest.raises(DataError):
         tree_from_json(json.dumps({"format": "something-else/9", "root": {}}))
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_tree_file_reads_back_to_the_same_bytes(name):
+    # numeric and categorical splits, and min_segment set in both settings blocks
+    data = levelled_data(42)
+    control = GrowControl(alpha=0.5, min_node_size=20, min_segment=15, max_depth=3,
+                          prepruning=False)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    tree = grow(data, name, control)
+    splits = [node.split for node in iter_nodes(tree) if node.split is not None]
+    assert {split.point is None for split in splits} == {False, True}
+    text = tree_to_json(tree, schema, control.apply_to(parse_strategy(name)), control)
+    assert tree_to_json(*tree_from_json(text)) == text
+
+
+def stored_mob_tree():
+    data = stump_data(seed=40, n=300, delta=2.0)
+    control = GrowControl(alpha=0.2, min_node_size=25, max_depth=3)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    strategy = parse_strategy("mob", multiplicity="none")
+    return json.loads(tree_to_json(grow(data, strategy, control), schema, strategy, control))
+
+
+def test_a_tree_file_without_multiplicity_reads_it_as_bonferroni():
+    # files written before the strategy block held multiplicity
+    payload = stored_mob_tree()
+    del payload["strategy"]["multiplicity"]
+    _, _, strategy, _ = tree_from_dict(payload)
+    assert strategy == parse_strategy("mob")
+
+
+@pytest.mark.parametrize("block,key", [
+    ("strategy", f.name) for f in fields(inference.StrategyConfig) if f.name != "multiplicity"
+] + [("control", f.name) for f in fields(GrowControl)])
+def test_a_tree_file_without_a_settings_key_is_rejected(block, key):
+    payload = stored_mob_tree()
+    del payload[block][key]
+    with pytest.raises(DataError, match=f"^malformed tree file: missing key '{key}'$"):
+        tree_from_dict(payload)
+
+
+def test_an_integer_counts_as_a_float_in_a_tree_file():
+    payload = stored_mob_tree()
+    payload["control"]["alpha"] = 1
+    alpha = tree_from_dict(payload)[3].alpha
+    assert alpha == 1.0 and type(alpha) is float
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("control", "alpha", True),  # a boolean is no number
+    ("control", "min_node_size", False),
+    ("control", "min_segment", 12.0),
+    ("strategy", "split_mode", 1),
+    ("strategy", "dichotomize", 0),
+])
+def test_a_settings_value_of_another_json_type_is_rejected(block, key, value):
+    payload = stored_mob_tree()
+    payload[block][key] = value
+    with pytest.raises(DataError, match=f"^malformed tree file: wrong type \\('{key}' is "):
+        tree_from_dict(payload)
 
 
 def leaf_payloads(payload):
