@@ -16,9 +16,9 @@ import hashlib
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -43,6 +43,29 @@ CATEGORICAL = "categorical"
 
 class DataError(ValueError):
     """Raised for malformed input data or schema violations."""
+
+
+def typed(value, hint, key: str):
+    """``value`` if it has the type ``hint`` (a class or union), else ``TypeError`` naming
+    ``key``, for settings and tree files alike: a bool is no number, an int counts as a
+    float and is made one, and ``None`` passes only where ``hint`` allows it."""
+    if isinstance(value, hint) and type(value) is not bool:
+        return value
+    kinds = get_args(hint) or (hint,)
+    if type(value) in kinds:
+        return value
+    if type(value) is int and float in kinds:
+        return float(value)
+    raise TypeError(f"{key!r} is {type(value).__name__}, not {'/'.join(k.__name__ for k in kinds)}")
+
+
+_field_types = cache(get_type_hints)  # a dataclass's field types, resolved once
+
+
+def typed_fields(obj) -> None:
+    """Put each field of the frozen dataclass ``obj`` through :func:`typed`, in place."""
+    for key, hint in _field_types(type(obj)).items():
+        object.__setattr__(obj, key, typed(getattr(obj, key), hint, key))
 
 
 @dataclass(frozen=True)
@@ -175,7 +198,7 @@ class CsvSchema:
 
     ``splits`` lists ``(name, kind)`` pairs in the order the variables
     should be indexed; that order also breaks p-value ties during
-    variable selection.
+    variable selection.  Every name and kind is a string (:func:`typed`).
     """
 
     response: str
@@ -183,8 +206,10 @@ class CsvSchema:
     splits: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "splits", tuple((str(n), str(k)) for n, k in self.splits))
-        names = [self.response, self.regressor] + [n for n, _ in self.splits]
+        splits = tuple((typed(n, str, "name"), typed(k, str, "kind")) for n, k in self.splits)
+        object.__setattr__(self, "splits", splits)
+        names = [typed(self.response, str, "response"), typed(self.regressor, str, "regressor"),
+                 *(n for n, _ in splits)]
         if len(set(names)) != len(names):
             raise DataError("column roles must name distinct columns")
         for _, kind in self.splits:

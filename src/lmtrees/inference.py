@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import ColumnMatrix, Dataset, SplitColumn
+from .dataset import ColumnMatrix, Dataset, SplitColumn, typed_fields
 from .linmod import LinearFit
 from .special import chi2_sf, normal_sf
 from .transform import GofMatrix, design_groups, eig_pinv_parts, make_gof
@@ -101,6 +101,7 @@ class StrategyConfig:
     multiplicity: str = "bonferroni"
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         if self.split_mode not in MODES:
             raise UnsupportedConfigurationError(f"unknown split_mode {self.split_mode!r}")
         if not 0.0 < self.alpha <= 1.0:

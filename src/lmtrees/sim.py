@@ -31,13 +31,14 @@ replication, so strategy comparisons are paired.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import NUMERIC, Dataset, RngStream, SplitColumn
+from .dataset import NUMERIC, Dataset, RngStream, SplitColumn, typed_fields
 from .inference import StrategyConfig, select_variable
 from .linmod import fit_ols
 from .prune import cv_prune
@@ -72,6 +73,10 @@ class ScenarioConfig:
     j_noise: int = 9
 
     def __post_init__(self) -> None:
+        typed_fields(self)
+        for key in ("xi", "delta"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.variation not in VARIATIONS:

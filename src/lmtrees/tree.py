@@ -24,12 +24,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterator, get_args, get_type_hints
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .dataset import (NUMERIC, CsvSchema, DataError, Dataset, SplitColumn, order_permutation,
-                      partition_orders)
+                      partition_orders, typed, typed_fields)
 from .inference import StrategyConfig, TestOutcome, argmin_outcome, parse_strategy, select_variable
 from .linmod import LinearFit, fit_ols, predict
 
@@ -70,6 +70,7 @@ class GrowControl:
     prepruning: bool = True
 
     def __post_init__(self) -> None:
+        typed_fields(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if self.min_node_size < 3:
@@ -409,41 +410,39 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 # the settings keys the format gained after its first files, with the value older files imply
 _ADDED_KEYS = {StrategyConfig: {"multiplicity": "bonferroni"}}
-# each settings block's fields, the keys asdict writes, with their declared types
-_FIELD_TYPES = {cls: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
-                for cls in (StrategyConfig, GrowControl)}
 
 
-def _typed(value, hint, key: str):
-    # value if it has the JSON type of hint, a type or union (a bool is no number, an int a float)
-    if isinstance(value, hint) and type(value) is not bool:
-        return value
-    kinds = get_args(hint) or (hint,)
-    if type(value) in kinds:
-        return value
-    if type(value) is int and float in kinds:
-        return float(value)
-    raise TypeError(f"{key!r} is {type(value).__name__}, not {'/'.join(k.__name__ for k in kinds)}")
+def _known(block, key: str, keys) -> dict:
+    # block, the JSON object under key, refused if it holds a key the writer never writes there
+    unknown = sorted(typed(block, dict, key).keys() - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return block
 
 
-def _node_from_dict(payload: dict) -> TreeNode:
+def _node_from_dict(payload) -> TreeNode:
+    payload = _known(payload, "node", ("id", "depth", "n", "coefficients", "rss", "p_values",
+                                       "split", "children"))
+
     def get(key: str, hint, block: dict = payload):
-        return _typed(block[key], hint, key)
+        return typed(block[key], hint, key)
 
     children = tuple(_node_from_dict(c) for c in get("children", list))
     raw = get("split", dict | None)
     if raw is None:
         split = None
     elif "point" in raw:
+        _known(raw, "split", ("variable", "point"))
         split = Split(variable=get("variable", str, raw), point=get("point", float, raw))
     else:
-        left, right = (tuple(_typed(level, str, key) for level in get(key, list, raw))
+        _known(raw, "split", ("variable", "left_levels", "right_levels"))
+        left, right = (tuple(typed(level, str, key) for level in get(key, list, raw))
                        for key in ("left_levels", "right_levels"))
         split = Split(variable=get("variable", str, raw), left_levels=left, right_levels=right)
-    coefficients = get("coefficients", dict)
+    coefficients = _known(payload["coefficients"], "coefficients", ("intercept", "slope"))
     fit = LinearFit(beta0=get("intercept", float, coefficients),
                     beta1=get("slope", float, coefficients), n=get("n", int), rss=get("rss", float))
-    p_values = {k: _typed(v, float, "p_values") for k, v in get("p_values", dict).items()}
+    p_values = {k: typed(v, float, "p_values") for k, v in get("p_values", dict).items()}
     return TreeNode(id=get("id", int), depth=get("depth", int), fit=fit, p_values=p_values,
                     split=split, children=children)
 
@@ -456,16 +455,17 @@ def _schema_to_dict(schema: CsvSchema) -> dict:
     }
 
 
-def _schema_from_dict(payload: dict) -> CsvSchema:
-    splits = tuple((_typed(s["name"], str, "name"), _typed(s["kind"], str, "kind"))
-                   for s in _typed(payload["splits"], list, "splits"))
-    return CsvSchema(_typed(payload["response"], str, "response"),
-                     _typed(payload["regressor"], str, "regressor"), splits)
+def _schema_from_dict(payload) -> CsvSchema:
+    payload = _known(payload, "schema", ("response", "regressor", "splits"))
+    splits = [_known(s, "splits", ("name", "kind")) for s in typed(payload["splits"], list, "splits")]
+    return CsvSchema(payload["response"], payload["regressor"],
+                     tuple((s["name"], s["kind"]) for s in splits))
 
 
-def _settings_from_dict(cls: type, payload: dict):
-    payload = {**_ADDED_KEYS.get(cls, {}), **payload}
-    return cls(**{key: _typed(payload[key], hint, key) for key, hint in _FIELD_TYPES[cls].items()})
+def _settings_from_dict(cls: type, payload, key: str):
+    names = [f.name for f in fields(cls)]
+    block = {**_ADDED_KEYS.get(cls, {}), **_known(payload, key, names)}
+    return cls(**{name: block[name] for name in names})
 
 
 def tree_to_dict(
@@ -482,19 +482,20 @@ def tree_to_dict(
 
 def tree_from_dict(payload: dict) -> tuple[TreeNode, CsvSchema, StrategyConfig, GrowControl]:
     """Rebuild a tree and its settings; ``DataError`` unless the payload is a
-    well-formed ``lmtrees-tree/1`` document: each key present (older files
-    may lack ``multiplicity``) and of its JSON type, each node a leaf or split
-    in two, and no node id used twice."""
+    well-formed ``lmtrees-tree/1`` document: each key the writer writes
+    present (older files may lack ``multiplicity``) and of its JSON type, no
+    other key, each node a leaf or split in two, and no node id used twice."""
     if not isinstance(payload, dict):
         raise DataError(f"a tree file holds a JSON object, not {type(payload).__name__}")
     if payload.get("format") != TREE_FORMAT:
         raise DataError(f"unsupported tree format {payload.get('format')!r}")
     try:
+        _known(payload, "tree file", ("format", "schema", "strategy", "control", "root"))
         loaded = (
             _node_from_dict(payload["root"]),
             _schema_from_dict(payload["schema"]),
-            _settings_from_dict(StrategyConfig, payload["strategy"]),
-            _settings_from_dict(GrowControl, payload["control"]),
+            _settings_from_dict(StrategyConfig, payload["strategy"], "strategy"),
+            _settings_from_dict(GrowControl, payload["control"], "control"),
         )
     except KeyError as exc:
         raise DataError(f"malformed tree file: missing key {exc.args[0]!r}") from None

@@ -239,6 +239,8 @@ def test_simulate_rejects_no_replications(tmp_path, capsys, reps):
     ("--strategies", "mob,mob,guide", "repeated strategy 'mob'"),
     ("--xi", "0,0", "repeated cell ('stump', 'both', 0.0, 1.0)"),
     ("--strategies", ",", "no strategies given"),
+    ("--xi", "nan", "xi must be finite"),
+    ("--delta", "0,inf", "delta must be finite"),
 ])
 def test_simulate_refuses_repeated_strategies_and_cells(tmp_path, capsys, flag, value, message):
     # each repeat would be aggregated into its first, doubling its reps
@@ -393,6 +395,8 @@ def test_prune_rejects_malformed_tree_file(tmp_path, capsys):
     valid = json.loads(text)
     root, wrong_type = valid["root"], "malformed tree file: wrong type"
     variable = root["split"]["variable"]
+    misspelled = {("multiplicty" if k == "multiplicity" else k): v
+                  for k, v in valid["strategy"].items()}
     cases = [
         ("{not json", "error:"),
         (json.dumps({"format": "lmtrees-tree/1"}), "missing key 'root'"),
@@ -410,6 +414,9 @@ def test_prune_rejects_malformed_tree_file(tmp_path, capsys):
             "variable": variable, "left_levels": "ab", "right_levels": ["c"]}}}), wrong_type),
         (json.dumps({**valid, "root": {**root, "p_values": {
             **root["p_values"], variable: "0.001"}}}), wrong_type),
+        # a misspelled key is refused, not read as the default of the key it misspells
+        (json.dumps({**valid, "strategy": misspelled}),
+         "malformed tree file: unknown key 'multiplicty'"),
     ]
     bad = tmp_path / "bad.json"
     for content, message in cases:

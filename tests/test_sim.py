@@ -213,6 +213,30 @@ def test_scenario_config_validation():
             cell(replications=reps)
 
 
+@pytest.mark.parametrize("kw,error,message", [
+    (dict(n=250.5), TypeError, "^'n' is float, not int$"),
+    (dict(replications=2.5), TypeError, "^'replications' is float, not int$"),
+    (dict(j_noise=9.0), TypeError, "^'j_noise' is float, not int$"),
+    (dict(delta=True), TypeError, "^'delta' is bool, not float$"),
+    (dict(xi=float("nan")), ValueError, "^xi must be finite$"),
+    (dict(delta=float("-inf")), ValueError, "^delta must be finite$"),
+], ids=["n", "replications", "j_noise", "delta_bool", "xi_nan", "delta_inf"])
+def test_scenario_config_refuses_a_wrong_type_or_a_non_finite_cell(kw, error, message):
+    with pytest.raises(error, match=message):
+        cell(**kw)
+
+
+def test_an_integer_xi_and_delta_are_recorded_as_floats(tmp_path):
+    config = cell(xi=0, delta=1, n=60, replications=1, j_noise=2)
+    assert config == cell(xi=0.0, delta=1.0, n=60, replications=1, j_noise=2)
+    assert type(config.xi) is float and type(config.delta) is float
+    path = tmp_path / "long.csv"
+    write_records_csv(run_study([config], strat_list("mob")), str(path))
+    with path.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {(row["xi"], row["delta"]) for row in rows} == {("0.0", "1.0")}
+
+
 # ------------------------------------------------------------------------- ARI
 
 

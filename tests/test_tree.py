@@ -938,6 +938,52 @@ def test_a_settings_value_of_another_json_type_is_rejected(block, key, value):
         tree_from_dict(payload)
 
 
+@pytest.mark.parametrize("path", [
+    (), ("schema",), ("schema", "splits", 0), ("strategy",), ("control",), ("root",),
+    ("root", "children", 1), ("root", "coefficients"), ("root", "split"),
+], ids=lambda path: "/".join(map(str, path)) or "document")
+def test_a_key_the_writer_never_writes_is_rejected(path):
+    payload = stored_mob_tree()
+    block = payload
+    for key in path:
+        block = block[key]
+    block["extra"] = None
+    with pytest.raises(DataError, match="^malformed tree file: unknown key 'extra'$"):
+        tree_from_dict(payload)
+
+
+def test_a_level_split_with_an_unknown_key_is_rejected():
+    payload = stored_mob_tree()
+    variable = payload["root"]["split"]["variable"]
+    payload["root"]["split"] = {"variable": variable, "left_levels": ["a"], "right_levels": ["b"],
+                                "levels": ["a", "b"]}
+    with pytest.raises(DataError, match="^malformed tree file: unknown key 'levels'$"):
+        tree_from_dict(payload)
+
+
+ALPHAS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | st.just(1)
+MIN_SEGMENTS = st.none() | st.integers(min_value=1, max_value=10**9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    strategy=st.builds(inference.StrategyConfig, use_scores=st.booleans(),
+                       dichotomize=st.booleans(), split_mode=st.sampled_from(inference.MODES),
+                       alpha=ALPHAS, min_segment=MIN_SEGMENTS,
+                       multiplicity=st.sampled_from(("bonferroni", "none"))),
+    control=st.builds(GrowControl, alpha=ALPHAS, min_node_size=st.integers(3, 10**9),
+                      min_segment=MIN_SEGMENTS, max_depth=st.integers(1, 10**9),
+                      prepruning=st.booleans()),
+)
+def test_any_accepted_settings_round_trip_through_a_tree_file(strategy, control):
+    tree = hand_node(0, 0, 40, 3.0, children=(hand_node(1, 1, 20, 1.0), hand_node(2, 1, 20, 1.0)))
+    schema = CsvSchema("y", "x", (("z1", NUMERIC),))
+    text = tree_to_json(tree, schema, strategy, control)
+    loaded = tree_from_json(text)
+    assert loaded[2:] == (strategy, control)
+    assert tree_to_json(*loaded) == text
+
+
 def leaf_payloads(payload):
     if not payload["children"]:
         return [payload]
@@ -1015,3 +1061,24 @@ def test_grow_control_validation():
     with pytest.raises(ValueError):
         GrowControl(min_segment=0)
     GrowControl(alpha=1.0, min_node_size=3, max_depth=1, min_segment=1)
+
+
+@pytest.mark.parametrize("build,key", [
+    (lambda: GrowControl(prepruning="no"), "prepruning"),
+    (lambda: GrowControl(max_depth=2.9), "max_depth"),
+    (lambda: GrowControl(min_node_size=20.5), "min_node_size"),
+    (lambda: parse_strategy("mob", min_segment=2.5), "min_segment"),
+    (lambda: parse_strategy("mob", use_scores="no"), "use_scores"),
+    (lambda: parse_strategy("mob", alpha=True), "alpha"),
+    (lambda: CsvSchema("y", "x", ((5, NUMERIC),)), "name"),
+], ids=["prepruning", "max_depth", "min_node_size", "min_segment", "use_scores", "alpha",
+        "schema_name"])
+def test_a_settings_value_of_another_type_is_refused(build, key):
+    # the tree reader's rule: a bool is no number, a float no int, a string no bool
+    with pytest.raises(TypeError, match=f"^'{key}' is "):
+        build()
+
+
+def test_an_integer_alpha_is_made_a_float():
+    for alpha in (GrowControl(alpha=1).alpha, parse_strategy("mob", alpha=1).alpha):
+        assert alpha == 1.0 and type(alpha) is float
