@@ -47,15 +47,13 @@ class DataError(ValueError):
 
 def typed(value, hint, key: str):
     """``value`` if it has the type ``hint`` (a class or union), else ``TypeError`` naming
-    ``key``, for settings and tree files alike: a bool is no number, an int counts as a
-    float and is made one, and ``None`` passes only where ``hint`` allows it."""
-    if isinstance(value, hint) and type(value) is not bool:
-        return value
+    ``key``, for settings and tree files alike: a bool is no number, an int or any float
+    (a numpy one too) is made an exact float, and ``None`` passes only where ``hint`` allows it."""
     kinds = get_args(hint) or (hint,)
-    if type(value) in kinds:
-        return value
-    if type(value) is int and float in kinds:
+    if float in kinds and (isinstance(value, float) or type(value) is int):
         return float(value)
+    if type(value) in kinds or isinstance(value, hint) and type(value) is not bool:
+        return value
     raise TypeError(f"{key!r} is {type(value).__name__}, not {'/'.join(k.__name__ for k in kinds)}")
 
 

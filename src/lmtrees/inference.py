@@ -301,16 +301,17 @@ class _NullTableCache:
     """Sorted Monte-Carlo samples of the limiting sup functional: one set
     of bridge paths per dimension ``k``, fixed seed; each trimming reads
     its sup law off the per-path running maxima, whatever the order of
-    requests."""
+    requests.  Those float32 maxima are kept as runs of equal values: each
+    run's last key ``path * grid / 2 + trimming - 1``, ascending, and value."""
 
     def __init__(self) -> None:
-        self._trim_max: dict[int, np.ndarray] = {}
+        self._run_ends: dict[int, np.ndarray] = {}
+        self._run_values: dict[int, np.ndarray] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
 
-    def _build_trim_max(self, k: int) -> np.ndarray:
+    def _build_runs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         grid, half, batch = NULL_TABLE_GRID, NULL_TABLE_GRID // 2, 64
         rng = np.random.Generator(np.random.Philox(key=np.array([NULL_TABLE_SEED, k], np.uint64)))
-        out = np.empty((NULL_TABLE_REPLICATES, half), dtype=np.float32)
         t = (np.arange(1, grid) / grid)[:, None]
         weight = 1.0 / (t * (1.0 - t))
         # cache-sized batches: drawn path-major into one reused buffer, which
@@ -318,6 +319,9 @@ class _NullTableCache:
         # laid out path-minor as (k, grid, paths), so that each step is a
         # vector op across paths that keeps each path's order of arithmetic
         draws, walk = np.empty((batch, grid, k)), np.empty((k, grid, batch))
+        w, m = np.empty((grid - 1, batch)), np.empty((half, batch))
+        block = np.empty((batch, half), np.float32)
+        ends, keys, values = np.ones((batch, half), bool), [], []  # ends' last column is never cleared
         for done in range(0, NULL_TABLE_REPLICATES, batch):
             b = min(batch, NULL_TABLE_REPLICATES - done)
             rng.standard_normal(out=draws[:b])
@@ -326,22 +330,30 @@ class _NullTableCache:
             np.cumsum(path, axis=1, out=path)
             bridge = path[:, :-1]
             bridge -= t * path[:, -1:]
-            w = np.einsum("kgp,kgp->gp", bridge, bridge) * weight
+            np.multiply(np.einsum("kgp,kgp->gp", bridge, bridge, out=w[:, :b]), weight, out=w[:, :b])
             # fold boundary g onto grid - 2 - g, then take running maxima
             # from the centre outwards: row j is the sup over [j, grid - 2 - j];
             # rounding is monotone, so one cast to float32 at the end suffices
-            m = np.maximum(w[:half], w[grid - 2 : half - 2 : -1])
-            np.maximum.accumulate(m[::-1], axis=0, out=m[::-1])
-            out[done : done + b] = m.T
-        return out
+            np.maximum(w[:half, :b], w[grid - 2 : half - 2 : -1, :b], out=m[:, :b])
+            np.maximum.accumulate(m[::-1, :b], axis=0, out=m[::-1, :b])
+            block[:b] = m[:, :b].T
+            np.not_equal(block[:b, :-1], block[:b, 1:], out=ends[:b, :-1])
+            at = np.flatnonzero(ends[:b])
+            keys.append(at.astype(np.int32) + done * half)
+            values.append(block.ravel()[at])
+        return np.concatenate(keys), np.concatenate(values)
+
+    def column(self, k: int, trim_index: int) -> np.ndarray:
+        if k not in self._run_ends:
+            self._run_ends[k], self._run_values[k] = self._build_runs(k)
+        ends = self._run_ends[k]
+        wanted = np.arange(trim_index - 1, ends[-1] + 1, NULL_TABLE_GRID // 2, dtype=np.int32)
+        return self._run_values[k][np.searchsorted(ends, wanted)]  # the run ending there or next
 
     def table(self, k: int, trim_index: int) -> np.ndarray:
-        key = (k, trim_index)
-        if key not in self._tables:
-            if k not in self._trim_max:
-                self._trim_max[k] = self._build_trim_max(k)
-            self._tables[key] = np.sort(self._trim_max[k][:, trim_index - 1].astype(float))
-        return self._tables[key]
+        if (k, trim_index) not in self._tables:
+            self._tables[k, trim_index] = np.sort(self.column(k, trim_index).astype(float))
+        return self._tables[k, trim_index]
 
 
 _NULL_TABLES = _NullTableCache()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
-from lmtrees.inference import parse_strategy, run_strategy
+from lmtrees.inference import NULL_TABLE_GRID, parse_strategy, run_strategy
 from lmtrees.linmod import LinearFit, fit_ols
 from lmtrees.special import _gamma_p_series, _gamma_q_contfrac
 from lmtrees.transform import make_gof
@@ -16,6 +16,17 @@ from lmtrees.tree import Split, TreeNode, iter_nodes, route_rows
 def stable_orders(values):
     """Each row's stable sort, as the presort of ``ColumnMatrix``."""
     return np.argsort(values, axis=1, kind="stable")
+
+
+def dense_trim_max(cache, k):
+    """The (paths, grid / 2) float32 running maxima of ``cache``'s null
+    paths for ``k``, read back one trimming at a time by the column read
+    that ``table`` sorts."""
+    half = NULL_TABLE_GRID // 2
+    out = np.empty((cache.column(k, 1).size, half), dtype=np.float32)
+    for trim in range(1, half + 1):
+        out[:, trim - 1] = cache.column(k, trim)
+    return out
 
 
 def ncol(values, name="z1"):

@@ -34,7 +34,7 @@ from lmtrees.inference import (
 from lmtrees.linmod import fit_ols
 from lmtrees.transform import GofMatrix, TransformError, make_gof, make_split_transform
 
-from helpers import enumeration_moments, ncol, run_alone
+from helpers import dense_trim_max, enumeration_moments, ncol, run_alone
 
 
 def bridge(gof, col):
@@ -372,7 +372,7 @@ def _former_trim_max(k):
 def test_null_table_fold_matches_former_loop(monkeypatch, k, reps):
     # 1 200 replicates span several build batches but one former batch
     monkeypatch.setattr(inference, "NULL_TABLE_REPLICATES", reps)
-    built = inference._NullTableCache()._build_trim_max(k)
+    built = dense_trim_max(inference._NullTableCache(), k)
     former = _former_trim_max(k)
     assert built.dtype == np.float32 and built.shape == (reps, inference.NULL_TABLE_GRID // 2)
     assert np.array_equal(built, former)
@@ -390,21 +390,31 @@ NULL_TABLE_SHA256 = {
 def test_null_table_full_size_bits(k):
     # suplm_pvalue builds the process's table for k, or reuses it
     suplm_pvalue(1.0, k, 25, 250)
-    built = inference._NULL_TABLES._trim_max[k]
+    built = dense_trim_max(inference._NULL_TABLES, k)
     assert hashlib.sha256(built.tobytes()).hexdigest() == NULL_TABLE_SHA256[k]
 
 
 def test_null_table_build_temporaries_stay_bounded(monkeypatch):
-    # the build's buffers and per-batch arrays, beyond the table it returns,
-    # take a few MB whatever the replicate count (batches of 500 paths take 20)
+    # the build's buffers, per-batch arrays and the run store it keeps take
+    # a few MB in all; a dense float32 table alone would take 4 MB here
     monkeypatch.setattr(inference, "NULL_TABLE_REPLICATES", 2000)
     tracemalloc.start()
     try:
-        built = inference._NullTableCache()._build_trim_max(2)
+        inference._NullTableCache().column(2, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - built.nbytes < 8e6, f"{peak - built.nbytes} bytes of temporaries"
+    assert peak < 8e6, f"{peak} bytes at the build's peak"
+
+
+def test_null_table_full_size_stores_stay_small():
+    # a dense float32 table of 20 000 paths x 500 trimmings takes 40 MB per
+    # k, but each path's running maxima take about 29 distinct values
+    for k in (1, 2):
+        suplm_pvalue(1.0, k, 25, 250)
+    cache = inference._NULL_TABLES
+    held = sum(store[k].nbytes for store in (cache._run_ends, cache._run_values) for k in (1, 2))
+    assert held < 12e6, f"{held} bytes in the two run stores"
 
 
 def test_suplm_trim_index_avoids_float_rounding():

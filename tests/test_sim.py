@@ -226,15 +226,25 @@ def test_scenario_config_refuses_a_wrong_type_or_a_non_finite_cell(kw, error, me
         cell(**kw)
 
 
+def _recorded_xi_and_delta(tmp_path, config):
+    path = tmp_path / "long.csv"
+    write_records_csv(run_study([config], strat_list("mob")), str(path))
+    with path.open(newline="") as handle:
+        return {(row["xi"], row["delta"]) for row in csv.DictReader(handle)}
+
+
 def test_an_integer_xi_and_delta_are_recorded_as_floats(tmp_path):
     config = cell(xi=0, delta=1, n=60, replications=1, j_noise=2)
     assert config == cell(xi=0.0, delta=1.0, n=60, replications=1, j_noise=2)
     assert type(config.xi) is float and type(config.delta) is float
-    path = tmp_path / "long.csv"
-    write_records_csv(run_study([config], strat_list("mob")), str(path))
-    with path.open(newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert {(row["xi"], row["delta"]) for row in rows} == {("0.0", "1.0")}
+    assert _recorded_xi_and_delta(tmp_path, config) == {("0.0", "1.0")}
+
+
+def test_a_numpy_float_xi_and_delta_are_recorded_as_floats(tmp_path):
+    # np.float64 subclasses float; kept as it is, its repr would be the cell
+    config = cell(xi=np.float64(0.0), delta=np.float64(1.0), n=60, replications=1, j_noise=2)
+    assert type(config.xi) is float and type(config.delta) is float
+    assert _recorded_xi_and_delta(tmp_path, config) == {("0.0", "1.0")}
 
 
 # ------------------------------------------------------------------------- ARI

@@ -1071,8 +1071,10 @@ def test_grow_control_validation():
     (lambda: parse_strategy("mob", use_scores="no"), "use_scores"),
     (lambda: parse_strategy("mob", alpha=True), "alpha"),
     (lambda: CsvSchema("y", "x", ((5, NUMERIC),)), "name"),
+    (lambda: GrowControl(max_depth=np.int64(3)), "max_depth"),
+    (lambda: GrowControl(prepruning=np.bool_(True)), "prepruning"),
 ], ids=["prepruning", "max_depth", "min_node_size", "min_segment", "use_scores", "alpha",
-        "schema_name"])
+        "schema_name", "numpy_int", "numpy_bool"])
 def test_a_settings_value_of_another_type_is_refused(build, key):
     # the tree reader's rule: a bool is no number, a float no int, a string no bool
     with pytest.raises(TypeError, match=f"^'{key}' is "):
@@ -1082,3 +1084,9 @@ def test_a_settings_value_of_another_type_is_refused(build, key):
 def test_an_integer_alpha_is_made_a_float():
     for alpha in (GrowControl(alpha=1).alpha, parse_strategy("mob", alpha=1).alpha):
         assert alpha == 1.0 and type(alpha) is float
+
+
+def test_a_numpy_float_alpha_is_made_a_float():
+    for alpha in (GrowControl(alpha=np.float64(0.05)).alpha,
+                  parse_strategy("mob", alpha=np.float64(0.05)).alpha):
+        assert alpha == 0.05 and type(alpha) is float
