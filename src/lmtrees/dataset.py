@@ -54,7 +54,8 @@ def typed(value, hint, key: str):
         return float(value)
     if type(value) in kinds or isinstance(value, hint) and type(value) is not bool:
         return value
-    raise TypeError(f"{key!r} is {type(value).__name__}, not {'/'.join(k.__name__ for k in kinds)}")
+    name = lambda t: f"{t.__module__}.{t.__qualname__}".removeprefix("builtins.")
+    raise TypeError(f"{key!r} is {name(type(value))}, not {'/'.join(map(name, kinds))}")
 
 
 _field_types = cache(get_type_hints)  # a dataclass's field types, resolved once
@@ -178,7 +179,7 @@ class ColumnMatrix:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        return np.argsort(self.values, axis=1, kind="stable")
+        return _stable_argsort(self.values)
 
     def orders_of(self, rows: np.ndarray | None = None) -> np.ndarray:
         """``orders`` restricted to ``rows`` (increasing), in positions
@@ -341,7 +342,16 @@ def order_permutation(col: SplitColumn) -> np.ndarray:
     keep their relative order, which pins down the fluctuation test's path."""
     if col.kind != NUMERIC:
         raise DataError(f"column {col.name!r} is not numeric, cannot order")
-    return np.argsort(col.values, kind="stable")
+    return _stable_argsort(col.values)
+
+
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """Each row's stable argsort: the default sort's, unique without ties; tied rows re-sorted."""
+    orders = np.argsort(values, axis=-1)
+    ranked = np.take_along_axis(values, orders, axis=-1)
+    tied = (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1)
+    orders[tied] = np.argsort(values[tied], axis=-1, kind="stable")
+    return orders
 
 
 def partition_orders(orders: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -186,7 +186,8 @@ def linear_statistic(gof: GofMatrix, design: np.ndarray) -> np.ndarray:
     return np.swapaxes(cross, -1, -2).reshape(*design.shape[:-2], -1)
 
 
-def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def conditional_moments(gof: GofMatrix, design: np.ndarray,
+                        counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``(mean, covariance)`` of the linear statistic under random
     row permutations (stacked as the designs are) of two or more rows.
     For unit weights they are
@@ -194,15 +195,15 @@ def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray,
         mean = vec(colsum(design) * rowmean(gof)')
         cov  = n/(n-1) * V ox S  -  1/(n-1) * V ox (c c')
 
-    with ``V`` the maximum-likelihood covariance of the gof rows,
-    ``S = design' design``, ``c = colsum(design)``, and ``ox`` the
-    Kronecker product arranged to match the column-major vectorization.
+    with ``V`` the maximum-likelihood covariance of the gof rows, ``S = design' design``,
+    ``c = colsum(design)``, and ``ox`` the Kronecker product matching the vectorization;
+    one-hot designs' code ``counts`` give ``c`` and ``S``, their diagonal, with no sum.
     """
     design = np.asarray(design, dtype=float)
     n, lead = design.shape[-2], design.shape[:-2]
     v_h = gof.covariance
-    csum = design.sum(axis=-2)
-    s = np.swapaxes(design, -1, -2) @ design
+    csum, s = ((design.sum(axis=-2), np.swapaxes(design, -1, -2) @ design) if counts is None
+               else (counts, counts[..., None] * np.eye(counts.shape[-1])))
     mean = (gof.values.mean(axis=0)[:, None] * csum[..., None, :]).reshape(*lead, -1)
     q, p = v_h.shape[0], s.shape[-1]
 
@@ -211,8 +212,7 @@ def conditional_moments(gof: GofMatrix, design: np.ndarray) -> tuple[np.ndarray,
         return (v_h[:, None, :, None] * m[..., None, :, None, :]).reshape(*lead, q * p, q * p)
 
     outer = csum[..., :, None] * csum[..., None, :]
-    cov = (n / (n - 1)) * kron(s) - (1.0 / (n - 1)) * kron(outer)
-    return mean, cov
+    return mean, (n / (n - 1)) * kron(s) - (1.0 / (n - 1)) * kron(outer)
 
 
 def _chi2_pvalues(stat: np.ndarray, df: np.ndarray) -> list[float]:
@@ -445,12 +445,12 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
         return
     bin_orders = orders[binned] if numeric[binned].any() else None
     signs = gof.values if config.dichotomize else None
-    for group, arrays in design_groups(values[binned], numeric[binned], bin_orders, signs):
+    for group, *arrays in design_groups(values[binned], numeric[binned], bin_orders, signs):
         if config.dichotomize:
-            stat, df = _pearson_tables(arrays, n)
+            stat, df = _pearson_tables(*arrays, n)
             yield binned[group], stat, df, _chi2_pvalues(stat, df), LAW_CHI2
         else:
-            t, (mean, cov) = linear_statistic(gof, arrays), conditional_moments(gof, arrays)
+            t, (mean, cov) = linear_statistic(gof, arrays[0]), conditional_moments(gof, *arrays)
             yield binned[group], *quad_form_test(t, mean, cov), LAW_CHI2
 
 

@@ -119,10 +119,10 @@ def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | 
     grouped by the number w of codes taken: levels of a categorical row,
     right-closed quartile bins ``(-inf, q1], (q1, q2], ...`` of a
     ``numeric`` one, read at its stable sort in ``orders`` (``None`` with
-    no numeric row); coincident quartiles merge.  Yields each group's rows
-    and their (g, n, w) one-hot designs with ``signs`` None, else their
-    (g, k, 2, w) tables of rows by sign in each column of the dichotomized
-    gof ``signs`` (n, k) and by code, counted; codes go in increasing order."""
+    no numeric row); coincident quartiles merge.  Yields each group's rows and their
+    (g, n, w) one-hot designs and (g, w) code counts with ``signs`` None, else their
+    (g, k, 2, w) tables of rows by sign in each column of the dichotomized gof
+    ``signs`` (n, k) and by code, counted; codes go in increasing order."""
     codes = np.zeros(values.shape, dtype=np.intp)
     codes[~numeric] = values[~numeric]
     if numeric.any():
@@ -144,11 +144,11 @@ def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | 
     for w in np.unique(widths):
         rows = np.flatnonzero(widths == w)
         kept = np.nonzero(taken[rows])[1].reshape(rows.shape[0], w)
+        grouped = counts[rows[:, None], kept].astype(float)
         if signs is None:
-            yield rows, (codes[rows][:, :, None] == kept[:, None, :]).astype(float)
+            yield rows, (codes[rows][:, :, None] == kept[:, None, :]).astype(float), grouped[..., 0]
         else:
-            tables = np.ascontiguousarray(counts[rows[:, None], kept].swapaxes(1, 2), float)
-            yield rows, tables.reshape(-1, signs.shape[1], 2, w)
+            yield rows, np.ascontiguousarray(grouped.swapaxes(1, 2)).reshape(len(rows), -1, 2, w)
 
 
 def make_split_transform(col: SplitColumn) -> np.ndarray:
@@ -158,5 +158,5 @@ def make_split_transform(col: SplitColumn) -> np.ndarray:
     if col.n < (1 if col.kind == CATEGORICAL else 4):
         raise TransformError(f"column {col.name!r} has too few rows for its bins")
     block = ColumnMatrix([col], col.n)
-    ((_, designs),) = design_groups(block.values, block.numeric, block.orders, None)
+    ((_, designs, _),) = design_groups(block.values, block.numeric, block.orders, None)
     return designs[0]

@@ -14,12 +14,14 @@ from lmtrees import dataset
 from lmtrees.dataset import (
     CATEGORICAL,
     NUMERIC,
+    ColumnMatrix,
     CsvSchema,
     DataError,
     Dataset,
     RngStream,
     SplitColumn,
     _parse_float,
+    _stable_argsort,
     derive_stream_id,
     empirical_quartiles,
     load_csv,
@@ -88,6 +90,73 @@ def test_order_permutation_rejects_categorical():
     c = SplitColumn("g", CATEGORICAL, np.array([0, 1, 0]), levels=("a", "b"))
     with pytest.raises(DataError):
         order_permutation(c)
+
+
+def assert_stable_presort(values, rows=None):
+    # the presort of a (J, n) matrix, and of the index set ``rows``, is the
+    # stable argsort of each row, bytes and dtype; a numeric row's order
+    # is order_permutation's
+    want = np.argsort(values, axis=-1, kind="stable")
+    got = _stable_argsort(values)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    cols = [SplitColumn(f"z{j}", NUMERIC, row) for j, row in enumerate(values)]
+    matrix = ColumnMatrix(cols, values.shape[1])
+    assert matrix.orders.tobytes() == want.tobytes()
+    for row, column in zip(want, cols):
+        assert np.array_equal(order_permutation(column), row)
+    if rows is not None:
+        sub = np.argsort(values[:, rows], axis=-1, kind="stable")
+        assert matrix.orders_of(rows).tobytes() == sub.tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [[2.0, 1.0, 2.0, 1.0, 3.0, 2.0]],  # ties
+    [[0.0, -0.0, 1.0, -0.0, 0.0, -1.0]],  # signed zeros, which compare equal
+    [[-2.5] * 6, [0.0, -0.0] * 3],  # constant rows
+    [[4.0, 0.0, 2.0, 0.0, 4.0, 1.0]],  # level codes
+    [[0.5, -3.0, 7.0, 1e-300, -1e300, 2.0]],  # no tie
+    [[2.0, 1.0, 2.0, 1.0, 3.0, 2.0], [0.5, -3.0, 7.0, 1e-300, -1e300, 2.0]],  # tied and not
+], ids=["ties", "signed_zeros", "constant", "codes", "distinct", "mixed"])
+def test_presort_equals_the_stable_argsort(rows):
+    values = np.array(rows)
+    assert_stable_presort(values, rows=np.array([0, 2, 3, 5]))
+
+
+@pytest.mark.parametrize("j,n", [(2, 0), (2, 1), (2, 2), (0, 0), (0, 5)])
+def test_presort_of_few_rows_or_no_columns(j, n):
+    values = np.array([[1.0, -0.0], [0.0, 0.0]])[:j, :n] if n <= 2 else np.empty((j, n))
+    assert_stable_presort(values.reshape(j, n), rows=np.arange(0, n, 2))
+
+
+def test_presort_of_a_categorical_column_orders_its_codes_stably():
+    codes = SplitColumn("g", CATEGORICAL, np.array([1, 0, 2, 0, 1, 1]), levels=("a", "b", "c"))
+    matrix = ColumnMatrix([codes, col([3.0, 1.0, 2.0, 1.0, 0.0, 5.0])], 6)
+    want = np.argsort(matrix.values, axis=-1, kind="stable")
+    assert matrix.orders.tobytes() == want.tobytes()
+    assert matrix.orders[0].tolist() == [1, 3, 0, 4, 5, 2]
+
+
+def test_presort_re_sorts_a_row_the_default_sort_reorders():
+    # numpy's default sort does not keep tied values in row order: it
+    # reorders the five-value row where it dispatches x86-simd-sort (AVX2,
+    # AVX-512) and the forty-value row with its scalar introsort as well
+    first, second = np.array([2.0, 2.0, 0.0, 1.0, 1.0]), np.array([1.0, 0.0] * 20)
+    assert not np.array_equal(np.argsort(second), np.argsort(second, kind="stable"))
+    assert _stable_argsort(first).tolist() == [2, 3, 4, 0, 1]
+    assert _stable_argsort(second).tolist() == list(range(1, 40, 2)) + list(range(0, 40, 2))
+    assert_stable_presort(first[None])
+    assert_stable_presort(second[None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), j=st.integers(0, 4), n=st.integers(0, 30),
+       pool=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=5))
+def test_presort_of_small_matrices_with_duplicates(data, j, n, pool):
+    # every entry drawn from a pool of at most five values, so rows repeat
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=j * n, max_size=j * n))
+    values = np.array(pool)[np.array(picks, dtype=np.intp)].reshape(j, n)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assert_stable_presort(values, rows=np.flatnonzero(np.array(keep, dtype=bool)))
 
 
 # ------------------------------------------------------------- split column

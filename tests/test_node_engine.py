@@ -305,7 +305,7 @@ def test_one_node_mixing_design_widths_matches_the_per_column_path(name):
     numeric = np.array([col.kind == NUMERIC for col in data.z])
     values = data.columns.values[:, rows]
     groups = list(design_groups(values, numeric, stable_orders(values), None))
-    widths = {designs.shape[2] for _, designs in groups}
+    widths = {designs.shape[2] for _, designs, _ in groups}
     levels = {len(np.unique(col.values[rows])) for col in data.z if col.kind == CATEGORICAL}
     assert {1, 2, 3, 6} <= widths and levels == {2, 3, 6} and len(groups) > 3
     config = parse_strategy(name)

@@ -215,7 +215,7 @@ def test_quartile_breaks_equal_the_per_column_quartiles_bit_for_bit():
             assert np.array_equal(got[i], want)
             assert got[i][want != 0.0].tobytes() == want[want != 0.0].tobytes()
             # the block's design of each column is the one built alone
-            (design,) = [d[list(r).index(i)] for r, d in rows if i in r]
+            (design,) = [d[list(r).index(i)] for r, d, _ in rows if i in r]
             assert np.array_equal(design, make_split_transform(c))
             assert np.array_equal(design, _former_one_hot(c))
 
@@ -241,7 +241,7 @@ def test_presort_bins_equal_the_np_quantile_bins_on_signed_zero_ties():
         breaks = quartile_breaks(values, orders)
         assert np.array_equal(breaks, np.quantile(values, (0.25, 0.5, 0.75), axis=-1).T)
         assert np.array_equal((breaks[:, :, None] < values[:, None, :]).sum(axis=1), codes)
-        for rows, designs in design_groups(values, np.ones(j, dtype=bool), orders, None):
+        for rows, designs, _ in design_groups(values, np.ones(j, dtype=bool), orders, None):
             for i, design in zip(rows, designs):
                 kept = np.unique(codes[i])
                 assert np.array_equal(design, (codes[i][:, None] == kept).astype(float))
@@ -253,7 +253,7 @@ def test_a_median_between_tied_zeros_keeps_the_sign_of_the_stable_order():
     # the stable order reads the median between the two -0.0 entries
     assert breaks.tobytes() == np.array([[-0.25, -0.0, 0.0]]).tobytes()
     assert np.array_equal(breaks, np.quantile(values, (0.25, 0.5, 0.75), axis=-1).T)
-    ((_, (design,)),) = design_groups(values, np.array([True]), stable_orders(values), None)
+    ((_, (design,), _),) = design_groups(values, np.array([True]), stable_orders(values), None)
     assert np.array_equal(design, [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(np_quantile_codes(values), [[1, 1, 1, 0]])
     assert np.array_equal(make_split_transform(ncol(values[0])), design)
@@ -264,13 +264,41 @@ def test_design_groups_stack_the_designs_of_each_width():
     codes = np.stack([rng.integers(0, w, 40) for w in (1, 3, 6, 3, 2, 6, 4)])
     codes[2, codes[2] == 1] = 2  # width 2 with a gap
     seen = []
-    for rows, designs in design_groups(codes.astype(float), np.zeros(7, dtype=bool), None, None):
+    for rows, designs, _ in design_groups(codes.astype(float), np.zeros(7, dtype=bool), None, None):
         assert designs.shape == (rows.shape[0], 40, len(np.unique(codes[rows[0]])))
         for row, design in zip(rows, designs):
             levels = np.unique(codes[row])
             assert np.array_equal(design, (codes[row][:, None] == levels).astype(float))
         seen += rows.tolist()
     assert sorted(seen) == list(range(codes.shape[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 200),
+    j=st.integers(1, 7),
+    k=st.sampled_from([1, 2]),
+    levels=st.integers(1, 17),
+)
+def test_moments_from_the_code_counts_equal_the_moments_from_the_designs(seed, n, j, k, levels):
+    # numeric rows of one to four bins and categorical rows of up to 17
+    # levels with gaps, stacked by width: each group's code counts are its
+    # designs' column sums, and the moments read off them keep every bit
+    rng = np.random.default_rng(seed)
+    numeric = rng.uniform(size=j) < 0.5
+    values = np.where(numeric[:, None], np.round(rng.normal(size=(j, n)), int(rng.integers(0, 2))),
+                      rng.integers(0, levels, (j, n)) * int(rng.integers(1, 3)))
+    gof = GofMatrix(rng.normal(size=(n, k)) * 10.0 ** int(rng.integers(-3, 4)), dichotomized=False)
+    seen = []
+    for rows, designs, counts in design_groups(values, numeric, stable_orders(values), None):
+        assert counts.shape == designs.shape[::2] and counts.dtype == np.float64
+        assert counts.tobytes() == designs.sum(axis=-2).tobytes()
+        for got, want in zip(conditional_moments(gof, designs, counts),
+                             conditional_moments(gof, designs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        seen += rows.tolist()
+    assert sorted(seen) == list(range(j))
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,7 +322,7 @@ def test_sign_tables_counted_from_the_codes_equal_the_design_counts(seed, n, j, 
     designs = list(design_groups(values, numeric, orders, None))
     tables = list(design_groups(values, numeric, orders, signs))
     assert len(tables) == len(designs)
-    for (rows, design), (table_rows, table) in zip(designs, tables):
+    for (rows, design, _), (table_rows, table) in zip(designs, tables):
         assert np.array_equal(rows, table_rows)
         ones = signs.T @ design
         want = np.stack((design.sum(axis=-2)[:, None, :] - ones, ones), axis=-2)
