@@ -179,7 +179,12 @@ class ColumnMatrix:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        return _stable_argsort(self.values)
+        if self.numeric.all():
+            return _stable_argsort(self.values)
+        # level codes as the smallest unsigned integers, which numpy's stable sort radix-sorts
+        return np.array([_stable_argsort(row) if numeric else np.argsort(
+            row.astype(np.min_scalar_type(int(row.max(initial=0)))), kind="stable")
+            for row, numeric in zip(self.values, self.numeric)])
 
     def orders_of(self, rows: np.ndarray | None = None) -> np.ndarray:
         """``orders`` restricted to ``rows`` (increasing), in positions

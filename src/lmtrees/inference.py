@@ -204,7 +204,7 @@ def conditional_moments(gof: GofMatrix, design: np.ndarray,
     v_h = gof.covariance
     csum, s = ((design.sum(axis=-2), np.swapaxes(design, -1, -2) @ design) if counts is None
                else (counts, counts[..., None] * np.eye(counts.shape[-1])))
-    mean = (gof.values.mean(axis=0)[:, None] * csum[..., None, :]).reshape(*lead, -1)
+    mean = (gof.mean[:, None] * csum[..., None, :]).reshape(*lead, -1)
     q, p = v_h.shape[0], s.shape[-1]
 
     def kron(m: np.ndarray) -> np.ndarray:
@@ -225,14 +225,14 @@ def quad_form_test(statistic: np.ndarray, mean: np.ndarray,
     (g, m, m) covariances against chi-square with the numerical rank as df,
     as ``(statistics, df, p-values)``.  The stack shares one ``eigh`` call;
     its projections and dots stay one BLAS call each, as batched they
-    change last bits."""
+    change last bits; so would the kept eigenvectors read in any layout but C-ordered rows."""
     d = np.asarray(statistic, dtype=float) - mean
     eigval, eigvec, keep = eig_pinv_parts(covariance)
-    df = keep.sum(axis=-1)
+    df, rows_t = keep.sum(axis=-1), np.ascontiguousarray(np.swapaxes(eigvec, -1, -2))
     stat = np.zeros(d.shape[0])
-    for j in np.flatnonzero(df):
-        proj = eigvec[j][:, keep[j]].T @ d[j]
-        stat[j] = proj @ (proj / eigval[j][keep[j]])
+    for j, lo in zip(np.flatnonzero(df).tolist(), (d.shape[-1] - df[df > 0]).tolist()):
+        proj = rows_t[j, lo:] @ d[j]
+        stat[j] = proj @ (proj / eigval[j, lo:])
     return stat, df, _chi2_pvalues(stat, df)
 
 

@@ -210,13 +210,13 @@ def _run_replication(
                 tree = cv_prune(data, strat, control, folds=folds, seed=fold_seed,
                                 _cache=cache).tree
             else:
-                tree = grow(data, strat, replace(control, prepruning=True), _cache=cache)
+                tree = grow(data, strat, control, _cache=cache)
             p_values = dict(tree.p_values)
             chosen = tree.split.variable if tree.split is not None else None
             ari = float(adjusted_rand_index(truth, partition_labels(tree, data)))
             leaf_count = len(leaves(tree))
         else:
-            outcomes, chosen = select_variable(control.apply_to(strat), fit, data)
+            outcomes, chosen = select_variable(strat, fit, data)
             p_values = {o.variable: o.p_value for o in outcomes}
             ari = leaf_count = None
         records.append(
@@ -263,8 +263,10 @@ def run_study(
                        ("cell", [(c.scenario, c.variation, c.xi, c.delta) for c in cells])):
         if repeats := [key for i, key in enumerate(keys) if key in keys[:i]]:
             raise ValueError(f"repeated {kind} {repeats[0]!r}: its records would count twice")
-    if control is None:
-        control = GrowControl()
+    control = GrowControl() if control is None else control
+    if pruning == "pre":  # the pre-pruned arm's control and each strategy under it, made once
+        control = replace(control, prepruning=True)
+    strategies = [(name, control.apply_to(strat)) for name, strat in strategies]
     return [
         record
         for cell in cells

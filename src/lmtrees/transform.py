@@ -62,8 +62,12 @@ class GofMatrix:
         return int(self.values.shape[0])
 
     @cached_property
+    def mean(self) -> np.ndarray:
+        return self.values.mean(axis=0)
+
+    @cached_property
     def centred(self) -> np.ndarray:
-        return self.values - self.values.mean(axis=0)
+        return self.values - self.mean
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -82,8 +86,8 @@ class GofMatrix:
 
 def eig_pinv_parts(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of symmetric matrices (stacked on
-    leading axes, one LAPACK call each) and the mask of the eigenvalues
-    above ``dim * max eigenvalue * 1e-12``, the numerical range."""
+    leading axes, one LAPACK call each) and the mask of the eigenvalues above
+    ``dim * max eigenvalue * 1e-12``, the numerical range: the last ones (``eigh`` ascends)."""
     sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
     eigval, eigvec = np.linalg.eigh(sym)
     lam_max = eigval.max(axis=-1, initial=0.0)
@@ -109,8 +113,13 @@ def quartile_breaks(values: np.ndarray, orders: np.ndarray) -> np.ndarray:
     read at the rows' stable sorts ``orders``: its bytes but a zero's sign."""
     t, lo = np.modf((values.shape[-1] - 1) * np.array((0.25, 0.5, 0.75)))
     at = orders[:, np.concatenate((lo, lo + 1)).astype(np.intp)]
-    a, b = np.take_along_axis(values, at, axis=1).reshape(-1, 2, 3).swapaxes(0, 1)
+    a, b = values[np.arange(len(values))[:, None], at].reshape(-1, 2, 3).swapaxes(0, 1)
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
+def _quartile_codes(values: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    q1, q2, q3 = quartile_breaks(values, orders).T[:, :, None]
+    return (q1 < values).astype(np.intp) + (q2 < values) + (q3 < values)  # bin = quartiles below
 
 
 def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | None,
@@ -123,13 +132,12 @@ def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | 
     (g, n, w) one-hot designs and (g, w) code counts with ``signs`` None, else their
     (g, k, 2, w) tables of rows by sign in each column of the dichotomized gof
     ``signs`` (n, k) and by code, counted; codes go in increasing order."""
-    codes = np.zeros(values.shape, dtype=np.intp)
-    codes[~numeric] = values[~numeric]
-    if numeric.any():
-        # each value's bin is the number of quartiles below it
-        bins = values[numeric]
-        q1, q2, q3 = quartile_breaks(bins, orders[numeric]).T[:, :, None]
-        codes[numeric] = (q1 < bins).astype(np.intp) + (q2 < bins) + (q3 < bins)
+    if numeric.all():  # coded whole, with no masked copies
+        codes = _quartile_codes(values, orders)
+    else:
+        codes = np.where(numeric[:, None], 0.0, values).astype(np.intp)
+        if numeric.any():
+            codes[numeric] = _quartile_codes(values[numeric], orders[numeric])
     width = int(codes.max(initial=0)) + 1
     # each value's cell: (column, code), then its gof column and sign
     per = 1 if signs is None else 2 * signs.shape[1]
@@ -141,7 +149,7 @@ def design_groups(values: np.ndarray, numeric: np.ndarray, orders: np.ndarray | 
     counts = np.bincount(cell.ravel(), minlength=len(codes) * width * per).reshape(-1, width, per)
     taken = counts.any(axis=-1)
     widths = taken.sum(axis=1)
-    for w in np.unique(widths):
+    for w in np.flatnonzero(np.bincount(widths)):
         rows = np.flatnonzero(widths == w)
         kept = np.nonzero(taken[rows])[1].reshape(rows.shape[0], w)
         grouped = counts[rows[:, None], kept].astype(float)

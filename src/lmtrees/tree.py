@@ -156,7 +156,10 @@ def _best_cut(yc: np.ndarray, xc: np.ndarray, left_sums: Callable[[np.ndarray], 
     # left_sums maps the 6 x n per-row moments to the left sums of every
     # candidate; the last candidate holds all rows, so each right side is
     # that total minus the left, written beside it to score both in one pass
-    left = left_sums(np.stack((np.ones_like(xc), xc, yc, xc * xc, yc * yc, xc * yc)))
+    moments = np.empty((6, xc.shape[0]))
+    moments[0], moments[1], moments[2], moments[5] = 1.0, xc, yc, xc * yc
+    np.multiply(moments[1:3], moments[1:3], out=moments[3:5])
+    left = left_sums(moments)
     sides = np.empty((6, 2, left.shape[1]))
     sides[:, 0] = left
     np.subtract(left[:, -1:], left, out=sides[:, 1])
@@ -173,7 +176,7 @@ def _best_numeric_split(yc: np.ndarray, xc: np.ndarray, col: SplitColumn, order:
                         min_node_size: int) -> Split | None:
     # candidate i puts the first i + 1 sorted rows on the left
     vs = col.values[order]
-    admissible = np.append(vs[:-1] != vs[1:], False)
+    admissible = np.concatenate((vs[:-1] != vs[1:], [False]))
     best = _best_cut(yc[order], xc[order], lambda m: np.cumsum(m, axis=1), admissible,
                      min_node_size)
     if best is None:

@@ -9,7 +9,7 @@ from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
 from lmtrees.inference import NULL_TABLE_GRID, parse_strategy, run_strategy
 from lmtrees.linmod import LinearFit, fit_ols
 from lmtrees.special import _gamma_p_series, _gamma_q_contfrac
-from lmtrees.transform import make_gof
+from lmtrees.transform import eig_pinv_parts, make_gof
 from lmtrees.tree import Split, TreeNode, iter_nodes, route_rows
 
 
@@ -27,6 +27,33 @@ def dense_trim_max(cache, k):
     for trim in range(1, half + 1):
         out[:, trim - 1] = cache.column(k, trim)
     return out
+
+
+def masked_quad_form(statistic, mean, covariance):
+    """``quad_form_test``'s statistics and df with the kept eigenpairs read
+    by boolean mask, one copy of each per stack entry, as the engine once
+    read them."""
+    d = statistic - mean
+    eigval, eigvec, keep = eig_pinv_parts(covariance)
+    stat = np.zeros(d.shape[0])
+    for j in np.flatnonzero(keep.any(axis=-1)):
+        proj = eigvec[j][:, keep[j]].T @ d[j]
+        stat[j] = proj @ (proj / eigval[j][keep[j]])
+    return stat, keep.sum(axis=-1)
+
+
+def rank_deficient_covariances(rng, g, m):
+    """(g, m, m) symmetric positive semi-definite matrices, each of a rank
+    drawn from 0 to m and a scale from 1e-4 to 1e4."""
+    factors = rng.normal(size=(g, m, m)) * 10.0 ** rng.integers(-4, 5, (g, 1, 1))
+    factors *= np.arange(m) < rng.integers(0, m + 1, (g, 1, 1))
+    return factors @ np.swapaxes(factors, -1, -2)
+
+
+def groups_by_row(groups):
+    """Each row's arrays of ``design_groups``' output, as bytes and shapes."""
+    return {row: [(a[i].shape, a[i].tobytes()) for a in arrays]
+            for rows, *arrays in groups for i, row in enumerate(rows.tolist())}
 
 
 def ncol(values, name="z1"):

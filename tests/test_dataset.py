@@ -136,6 +136,26 @@ def test_presort_of_a_categorical_column_orders_its_codes_stably():
     assert matrix.orders[0].tolist() == [1, 3, 0, 4, 5, 2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    j=st.integers(1, 5),
+    levels=st.sampled_from([1, 2, 5, 256, 257, 65537]),
+)
+def test_presort_of_level_codes_equals_the_stable_argsort(seed, n, j, levels):
+    # level rows are sorted as uint8, uint16 or uint32 codes, numeric rows
+    # as floats; every row's order is the stable argsort of its floats
+    rng = np.random.default_rng(seed)
+    names = tuple(str(level) for level in range(levels))
+    cols = [col(np.round(rng.normal(size=n), 1), f"z{i}") if rng.uniform() < 0.5 else
+            SplitColumn(f"g{i}", CATEGORICAL, rng.integers(0, levels, n), levels=names)
+            for i in range(j)]
+    matrix = ColumnMatrix(cols, n)
+    want = np.argsort(matrix.values, axis=-1, kind="stable")
+    assert matrix.orders.dtype == want.dtype and matrix.orders.tobytes() == want.tobytes()
+
+
 def test_presort_re_sorts_a_row_the_default_sort_reorders():
     # numpy's default sort does not keep tied values in row order: it
     # reorders the five-value row where it dispatches x86-simd-sort (AVX2,

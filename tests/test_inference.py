@@ -32,9 +32,12 @@ from lmtrees.inference import (
     STRATEGIES,
 )
 from lmtrees.linmod import fit_ols
-from lmtrees.transform import GofMatrix, TransformError, make_gof, make_split_transform
+from lmtrees.special import chi2_sf
+from lmtrees.transform import (GofMatrix, TransformError, design_groups, make_gof,
+                               make_split_transform)
 
-from helpers import dense_trim_max, enumeration_moments, ncol, run_alone
+from helpers import (dense_trim_max, enumeration_moments, masked_quad_form, ncol,
+                     rank_deficient_covariances, run_alone)
 
 
 def bridge(gof, col):
@@ -152,6 +155,37 @@ def test_quad_form_is_invariant_to_coordinate_scaling():
     assert df2[0] == df[0]
     assert stat2[0] == pytest.approx(stat[0], rel=1e-9)
     assert p2[0] == pytest.approx(p[0], rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 6), m=st.integers(1, 12))
+def test_quad_form_equals_the_masked_eigenpairs_bit_for_bit(seed, g, m):
+    # the kept eigenpairs read as slices project as their boolean-mask
+    # copies did: statistics in bytes, df and p-values, at every rank
+    rng = np.random.default_rng(seed)
+    cov = rank_deficient_covariances(rng, g, m)
+    t, mean = rng.normal(size=(g, m)), rng.normal(size=(g, m))
+    stat, df, p = quad_form_test(t, mean, cov)
+    want_stat, want_df = masked_quad_form(t, mean, cov)
+    assert stat.tobytes() == want_stat.tobytes() and df.tolist() == want_df.tolist()
+    assert p == [chi2_sf(s, d) if d else 1.0 for s, d in zip(want_stat.tolist(), want_df.tolist())]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_quad_form_of_one_hot_moments_equals_the_masked_eigenpairs(k):
+    # a one-hot design's permutation covariance drops rank, as its codes
+    # sum to one in every row (a design of one code drops all of it, up to
+    # rounding); stacks of 1 to 12 codes against k gof columns
+    rng = np.random.default_rng(11 + k)
+    values = rng.integers(0, rng.integers(1, 13, 24)[:, None], (24, 90)).astype(float)
+    gof = GofMatrix(rng.normal(size=(90, k)), dichotomized=False)
+    for _, designs, counts in design_groups(values, np.zeros(24, dtype=bool), None, None):
+        t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs, counts)
+        stat, df, _ = quad_form_test(t, mean, cov)
+        want_stat, want_df = masked_quad_form(t, mean, cov)
+        assert designs.shape[-1] == 1 or (df < t.shape[-1]).all()
+        assert df.tolist() == want_df.tolist()
+        assert stat.tobytes() == want_stat.tobytes()
 
 
 # ------------------------------------------------------------------- max abs

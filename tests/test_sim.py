@@ -2,6 +2,8 @@
 
 import csv
 import itertools
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -368,6 +370,21 @@ def test_run_study_stump_gate_follows_the_grow_control():
     from_control = run_study([config], strat_list("mob"), control=wide, seed=0)
     assert from_control == run_study([config], carried, control=wide, seed=0)
     assert from_control != run_study([config], strat_list("mob"), seed=0)
+
+
+def test_run_study_applies_the_control_once_per_strategy():
+    # the stump arm tests every replication with the strategies the control
+    # was applied to once; the pre-pruned tree arm grows with prepruning on
+    config = cell(n=80, replications=4)
+    with mock.patch.object(GrowControl, "apply_to", autospec=True,
+                           side_effect=GrowControl.apply_to) as apply_to:
+        records = run_study([config], strat_list("ctree", "mob"), control=GrowControl(alpha=0.2))
+    assert apply_to.call_count == 2 and len(records) == 8
+    tree = cell(scenario="tree", variation="both", delta=2.0, n=120, replications=2, j_noise=2)
+    off = GrowControl(min_node_size=20, max_depth=2, prepruning=False)
+    on = replace(off, prepruning=True)
+    assert (run_study([tree], strat_list("ctree"), control=off, seed=1)
+            == run_study([tree], strat_list("ctree"), control=on, seed=1))
 
 
 def test_run_study_null_cell_calibration():

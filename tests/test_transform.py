@@ -18,11 +18,12 @@ from lmtrees.transform import (
     TransformError,
     make_gof,
     design_groups,
+    eig_pinv_parts,
     make_split_transform,
     quartile_breaks,
 )
 
-from helpers import ncol, run_alone, stable_orders
+from helpers import groups_by_row, ncol, rank_deficient_covariances, run_alone, stable_orders
 
 
 def small_gof(use_scores, dichotomize):
@@ -328,3 +329,38 @@ def test_sign_tables_counted_from_the_codes_equal_the_design_counts(seed, n, j, 
         want = np.stack((design.sum(axis=-2)[:, None, :] - ones, ones), axis=-2)
         assert table.flags.c_contiguous and table.dtype == np.float64
         assert table.shape == want.shape and table.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 6), m=st.integers(1, 12))
+def test_the_kept_eigenpairs_are_the_last_ones(seed, g, m):
+    # eigh sorts each matrix's eigenvalues ascending and the cut-off is one
+    # number per matrix, so the numerical range is always a suffix
+    eigval, _, keep = eig_pinv_parts(rank_deficient_covariances(np.random.default_rng(seed), g, m))
+    assert (np.diff(eigval, axis=-1) >= 0.0).all()
+    assert np.array_equal(keep, np.arange(m) >= m - keep.sum(axis=-1)[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 120),
+    j=st.integers(1, 6),
+    k=st.sampled_from([1, 2]),
+    levels=st.integers(1, 17),
+    at=st.integers(0, 6),
+)
+def test_an_all_numeric_block_codes_its_rows_as_a_mixed_block_does(seed, n, j, k, levels, at):
+    # the all-numeric block codes its bins without masks; each numeric row
+    # yields the same arrays, in bytes, as inside a block with a level row
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(size=(j, n)), int(rng.integers(0, 2)))
+    at = min(at, j)
+    mixed = np.insert(values, at, rng.integers(0, levels, n), axis=0)
+    numeric = np.arange(j + 1) != at
+    signs = (rng.uniform(size=(n, k)) < rng.uniform()).astype(float)
+    for sign in (None, signs):
+        alone = groups_by_row(design_groups(values, np.ones(j, dtype=bool), stable_orders(values),
+                                            sign))
+        inside = groups_by_row(design_groups(mixed, numeric, stable_orders(mixed), sign))
+        assert alone == {i: inside[i + (i >= at)] for i in range(j)}
