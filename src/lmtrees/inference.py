@@ -352,7 +352,7 @@ class _NullTableCache:
 
     def table(self, k: int, trim_index: int) -> np.ndarray:
         if (k, trim_index) not in self._tables:
-            self._tables[k, trim_index] = np.sort(self.column(k, trim_index).astype(float))
+            self._tables[k, trim_index] = np.sort(self.column(k, trim_index))
         return self._tables[k, trim_index]
 
 
@@ -374,8 +374,12 @@ def suplm_pvalue(statistic: float | np.ndarray, k: int, min_segment: int,
         raise UnsupportedConfigurationError("trimming admits no boundary")
     trim_index = (NULL_TABLE_GRID * min_segment + n - 1) // n
     trim_index = min(max(trim_index, 1), NULL_TABLE_GRID // 2)
-    table = _NULL_TABLES.table(k, trim_index)
-    count_ge = table.shape[0] - np.searchsorted(table, statistic, side="left")
+    table, statistic = _NULL_TABLES.table(k, trim_index), np.asarray(statistic, dtype=float)
+    # float32 v >= statistic exactly when v >= the least float32 at or above it
+    with np.errstate(over="ignore"):
+        key = statistic.astype(np.float32)
+        key = np.where(key < statistic, np.nextafter(key, np.float32(np.inf)), key)
+    count_ge = table.shape[0] - np.searchsorted(table, key, side="left")
     return count_ge / table.shape[0]
 
 
@@ -443,9 +447,11 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
     binned = np.flatnonzero(~numeric | ((mode == MODE_CAT) & (n >= 4)))
     if binned.size == 0:
         return
-    bin_orders = orders[binned] if numeric[binned].any() else None
+    if binned.size < numeric.size:  # gather the binned part; a whole block serves as it is
+        values, numeric = values[binned], numeric[binned]
+        orders = orders[binned] if numeric.any() else None
     signs = gof.values if config.dichotomize else None
-    for group, *arrays in design_groups(values[binned], numeric[binned], bin_orders, signs):
+    for group, *arrays in design_groups(values, numeric, orders, signs):
         if config.dichotomize:
             stat, df = _pearson_tables(*arrays, n)
             yield binned[group], stat, df, _chi2_pvalues(stat, df), LAW_CHI2

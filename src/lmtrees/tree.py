@@ -324,8 +324,10 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
                 found = shared((key, j, control.min_node_size), lambda: cut(rows, orders, y, x, j))
                 split, mask, parts = found
                 if split is not None:
-                    # children at the depth limit are never tested and need no orders
-                    if parts is None and depth + 1 < control.max_depth:
+                    # only a tested child needs orders: one above the depth limit, of 2 x min size
+                    left_n = np.count_nonzero(mask)
+                    if (parts is None and depth + 1 < control.max_depth
+                            and max(left_n, mask.size - left_n) >= 2 * control.min_node_size):
                         parts = found[2] = partition_orders(orders, mask)
                     left, right = parts or (None, None)
                     children = (build(rows[mask], left, depth + 1),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
+from lmtrees import inference
 from lmtrees.inference import NULL_TABLE_GRID, parse_strategy, run_strategy
 from lmtrees.linmod import LinearFit, fit_ols
 from lmtrees.special import _gamma_p_series, _gamma_q_contfrac
@@ -27,6 +28,13 @@ def dense_trim_max(cache, k):
     for trim in range(1, half + 1):
         out[:, trim - 1] = cache.column(k, trim)
     return out
+
+
+def float64_table_pvalue(statistic, k, trim_index):
+    """``suplm_pvalue`` at trimming ``trim_index``, read off the float32
+    null column sorted as float64, as the cache once kept it."""
+    table = np.sort(inference._NULL_TABLES.column(k, trim_index).astype(float))
+    return (table.size - np.searchsorted(table, statistic, side="left")) / table.size
 
 
 def masked_quad_form(statistic, mean, covariance):

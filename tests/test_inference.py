@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from lmtrees.special import chi2_sf
 from lmtrees.transform import (GofMatrix, TransformError, design_groups, make_gof,
                                make_split_transform)
 
-from helpers import (dense_trim_max, enumeration_moments, masked_quad_form, ncol,
-                     rank_deficient_covariances, run_alone)
+from helpers import (dense_trim_max, enumeration_moments, float64_table_pvalue, masked_quad_form,
+                     ncol, rank_deficient_covariances, run_alone)
 
 
 def bridge(gof, col):
@@ -449,6 +450,30 @@ def test_null_table_full_size_stores_stay_small():
     cache = inference._NULL_TABLES
     held = sum(store[k].nbytes for store in (cache._run_ends, cache._run_values) for k in (1, 2))
     assert held < 12e6, f"{held} bytes in the two run stores"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("trim", [1, 100, 250, 500])
+def test_float32_null_table_gives_the_float64_tables_pvalues(k, trim):
+    # min_segment = trim of NULL_TABLE_GRID rows reads trimming `trim`
+    n = inference.NULL_TABLE_GRID
+    values = inference._NULL_TABLES.column(k, trim)
+    above = np.nextafter(values, np.float32(np.inf))
+    values = values.astype(float)
+    # a midpoint of adjacent float32 values casts to either neighbour
+    stats = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf),
+                            (values + above) / 2, [0.0, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1e300 overflows the float32 cast
+        got = suplm_pvalue(stats, k, trim, n)
+        scalars = [(suplm_pvalue(s, k, trim, n), s) for s in [*stats[::97].tolist(), 0.0, 1e300]]
+    want = float64_table_pvalue(stats, k, trim)
+    assert type(got) is type(want) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for p, s in scalars:
+        expected = float64_table_pvalue(s, k, trim)
+        assert type(p) is type(expected) and p == expected
+    assert inference._NULL_TABLES.table(k, trim).dtype == np.float32  # 80 kB, not 160 kB
 
 
 def test_suplm_trim_index_avoids_float_rounding():

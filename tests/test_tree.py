@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lmtrees.cli import main as cli_main
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, SplitColumn
-from lmtrees.dataset import RngStream, write_csv
+from lmtrees.dataset import RngStream, partition_orders, write_csv
 from lmtrees import inference
 from lmtrees import tree as tree_module
 from lmtrees.inference import STRATEGIES, parse_strategy
@@ -588,6 +588,37 @@ def test_trees_grown_on_a_shared_node_cache_equal_trees_grown_alone(source):
         assert grown(name, control, _cache=cache) == grown(name, control)
         assert pruned(name, _cache=cache) == pruned(name)
         assert grown(name, other, _cache=cache) == grown(name, other)
+
+
+@pytest.mark.parametrize("source", ["tree_dgp", "mixed"])
+def test_child_orders_are_partitioned_only_for_a_tested_child(monkeypatch, source):
+    data = cache_data(source)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    calls = []
+
+    def counted(orders, mask):
+        calls.append(mask)
+        return partition_orders(orders, mask)
+
+    monkeypatch.setattr(tree_module, "partition_orders", counted)
+    for name in ("ctree", "mob", "guide"):
+        for depth, size in ((1, 15), (2, 15), (3, 24), (5, 15)):
+            control = GrowControl(min_node_size=size, max_depth=depth, prepruning=False)
+            calls.clear()
+            tree = grow(data, name, control)
+            # without a cache each split partitions at most once, and only
+            # when a child of it runs its tests
+            assert len(calls) == sum(1 for node in iter_nodes(tree)
+                                     if any(child.outcomes for child in node.children))
+            assert all(max(m.sum(), m.size - m.sum()) >= 2 * size for m in calls)
+        # a split whose children sat at the depth limit, reached again by
+        # a deeper tree on the same cache, is partitioned then
+        cache = tree_module._NodeCache(data)
+        shallow, deep = (GrowControl(min_node_size=15, max_depth=d, prepruning=False)
+                         for d in (2, 4))
+        grow(data, name, shallow, _cache=cache)
+        assert (tree_to_dict(grow(data, name, deep, _cache=cache), schema, parse_strategy(name), deep)
+                == tree_to_dict(grow(data, name, deep), schema, parse_strategy(name), deep))
 
 
 def test_a_node_cache_serves_only_its_dataset():
