@@ -437,6 +437,8 @@ def _route_tests(config: StrategyConfig, gof: GofMatrix, values: np.ndarray,
             yield direct, stat, df, suplm_pvalue(stat, k_eff, ms, n), LAW_SUPLM
     elif direct.size:
         designs = values[direct][:, :, None]
+        # exact power-of-two scale to max |value| in [0.5, 1), so no moment overflows or underflows
+        designs = np.ldexp(designs, -np.frexp(np.abs(designs).max(axis=1, keepdims=True))[1])
         t, (mean, cov) = linear_statistic(gof, designs), conditional_moments(gof, designs)
         if gof.k == 1:
             stat, p = max_abs_test(t, mean, cov)

@@ -154,6 +154,11 @@ def _candidate_alphas(knots: list[float]) -> list[float]:
     return [0.0] + mids + knots[-1:] if len(knots) > 1 else [0.0]
 
 
+def _simplest_within(candidates: list[float], loss: np.ndarray, threshold: float, best: int) -> int:
+    # the largest candidate (simplest tree) of loss within threshold, or best; ties go last
+    return max((a, c) for c, a in enumerate(candidates) if c == best or loss[c] <= threshold)[1]
+
+
 def cv_prune(data: Dataset, strategy: StrategyConfig, control: GrowControl, folds: int = 10,
              seed: int = 0, one_se: bool = False, *,
              _cache: _NodeCache | None = None) -> PruneResult:
@@ -211,11 +216,7 @@ def cv_prune(data: Dataset, strategy: StrategyConfig, control: GrowControl, fold
     if one_se and len(fold_means) > 1:
         stacked = np.vstack(fold_means)
         threshold += float(stacked[:, best_idx].std(ddof=1)) / math.sqrt(stacked.shape[0])
-    chosen_idx = best_idx
-    for c in range(len(candidates)):
-        if mean_loss[c] <= threshold and candidates[c] >= candidates[chosen_idx]:
-            chosen_idx = c
-    chosen_alpha = candidates[chosen_idx]
+    chosen_alpha = candidates[_simplest_within(candidates, mean_loss, threshold, best_idx)]
     sizes = [len(path.leaves(k)) for k in range(len(path.knots))]
     alpha_path = tuple(zip(path.knots, sizes, mean_loss.tolist()))
     return PruneResult(tree=path.subtree(path.at(chosen_alpha)), method="cc",

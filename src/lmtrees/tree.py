@@ -14,9 +14,9 @@ them, fold trees of cross-validation included.  A node carries its
 columns' orders as node-local positions; a split hands each child its
 part of them by one stable partition (``partition_orders``), never a
 sort.  Trees grown on one dataset may share a node cache (``sim`` keeps
-one per replication, for every strategy and fold tree): a row set reached
-again reuses its gather, fit, cut search and child orders, none of which
-depends on the strategy.
+one per replication, for every strategy and fold tree): one record per row
+set, so a row set reached again reuses its gather, fit, column orders and
+cut searches, none of which depends on the strategy.
 """
 
 from __future__ import annotations
@@ -249,13 +249,23 @@ def _goes_left(split: Split, col: SplitColumn, values: np.ndarray, unseen_left: 
     return np.isin(values, [code[lab] for lab in split.left_levels or () if lab in code])
 
 
+class _Record:
+    """What trees grown on one dataset share of a row set: the gathered
+    response and regressor with their fit, the column orders once a test
+    needs them, and by (column, ``min_node_size``) the cut with its left
+    mask.  Each depends on the rows alone, never on the strategy or tree."""
+
+    __slots__ = ("y", "x", "fit", "orders", "cuts")
+
+    def __init__(self, data: Dataset, rows: np.ndarray) -> None:
+        self.y, self.x = data.y[rows], data.x[rows]
+        self.fit = fit_ols(self.y, self.x)
+        self.orders, self.cuts = None, {}
+
+
 class _NodeCache(dict):
-    """What the trees grown on one dataset can share of a node: by row set
-    (``rows.tobytes()``) the gathered response and regressor with their
-    fit, by ``(row set,)`` a root's column orders, and by (row set, chosen
-    column, ``min_node_size``) the cut, its left mask and, once a child is
-    tested, the children's orders.  Each depends on the rows alone, never
-    on the strategy or the tree."""
+    """The node records of the trees grown on one dataset, by row set
+    (``rows.tobytes()``)."""
 
     def __init__(self, data: Dataset) -> None:
         super().__init__()
@@ -290,63 +300,52 @@ def grow(data: Dataset, strategy: StrategyConfig | str, control: GrowControl,
     counter = itertools.count()
     names = [col.name for col in data.z]
 
-    def shared(key: bytes | tuple | None, make: Callable[[], list]) -> list:
+    def record(rows: np.ndarray) -> _Record:
+        # without a cache a record lives only as long as its node's recursion
         if _cache is None:
-            return make()
-        return _cache[key] if key in _cache else _cache.setdefault(key, make())
+            return _Record(data, rows)
+        key = rows.tobytes()  # a copy of the rows, made only to share
+        return _cache[key] if key in _cache else _cache.setdefault(key, _Record(data, rows))
 
-    def gathered(rows: np.ndarray) -> list:
-        y, x = data.y[rows], data.x[rows]
-        return [y, x, fit_ols(y, x)]
+    def tested(rows: np.ndarray, depth: int) -> bool:
+        return depth < control.max_depth and rows.shape[0] >= 2 * control.min_node_size
 
-    def cut(rows: np.ndarray, orders: np.ndarray, y: np.ndarray, x: np.ndarray, j: int) -> list:
-        col = data.z[j].take(rows)
-        split = best_split_point(y, x, col, control.min_node_size, orders[j])
-        # growth sees every level of the split, so none is unseen
-        mask = None if split is None else _goes_left(split, col, col.values, unseen_left=False)
-        return [split, mask, None]
-
-    def build(rows: np.ndarray, orders: np.ndarray | None, depth: int) -> TreeNode:
+    def build(rows: np.ndarray, node: _Record, depth: int) -> TreeNode:
         node_id = next(counter)
-        key = None if _cache is None else rows.tobytes()  # a copy of the rows, made only to share
-        y, x, fit = shared(key, lambda: gathered(rows))
-        outcomes: tuple[TestOutcome, ...] = ()
-        split = None
-        children: tuple[TreeNode, ...] = ()
-        if depth < control.max_depth and rows.shape[0] >= 2 * control.min_node_size:
-            outcome_list, chosen = select_variable(strategy, fit, data, rows, orders, (y, x))
+        outcomes, split, children = (), None, ()
+        if tested(rows, depth):
+            outcome_list, chosen = select_variable(strategy, node.fit, data, rows, node.orders,
+                                                   (node.y, node.x))
             outcomes = tuple(outcome_list)
             if not control.prepruning:
                 best = argmin_outcome(outcome_list)
                 chosen = best.variable if best is not None else None
             if chosen is not None:
                 j = names.index(chosen)
-                found = shared((key, j, control.min_node_size), lambda: cut(rows, orders, y, x, j))
-                split, mask, parts = found
+                if (j, control.min_node_size) not in node.cuts:
+                    col = data.z[j].take(rows)
+                    cut = best_split_point(node.y, node.x, col, control.min_node_size, node.orders[j])
+                    # growth sees every level of the split, so none is unseen
+                    mask = None if cut is None else _goes_left(cut, col, col.values, False)
+                    node.cuts[j, control.min_node_size] = cut, mask
+                split, mask = node.cuts[j, control.min_node_size]
                 if split is not None:
-                    # only a tested child needs orders: one above the depth limit, of 2 x min size
-                    left_n = np.count_nonzero(mask)
-                    if (parts is None and depth + 1 < control.max_depth
-                            and max(left_n, mask.size - left_n) >= 2 * control.min_node_size):
-                        parts = found[2] = partition_orders(orders, mask)
-                    left, right = parts or (None, None)
-                    children = (build(rows[mask], left, depth + 1),
-                                build(rows[~mask], right, depth + 1))
-        return TreeNode(
-            id=node_id,
-            depth=depth,
-            fit=fit,
-            p_values={o.variable: o.p_value for o in outcomes},
-            outcomes=outcomes,
-            split=split,
-            children=children,
-        )
+                    parts = rows[mask], rows[~mask]
+                    kids = [record(part) for part in parts]
+                    # a child met before may hold its orders; only a tested one needs them
+                    if any(kid.orders is None and tested(part, depth + 1)
+                           for part, kid in zip(parts, kids)):
+                        for kid, orders in zip(kids, partition_orders(node.orders, mask)):
+                            kid.orders = orders if kid.orders is None else kid.orders
+                    children = tuple(build(part, kid, depth + 1) for part, kid in zip(parts, kids))
+        return TreeNode(id=node_id, depth=depth, fit=node.fit, outcomes=outcomes, split=split,
+                        p_values={o.variable: o.p_value for o in outcomes}, children=children)
 
     root = np.arange(data.n) if rows is None else rows
+    node = record(root)
     # a fold tree's root orders, as its nodes' work, depend on its rows alone
-    orders = shared(None if _cache is None else (root.tobytes(),),
-                    lambda: [data.columns.orders_of(rows)])[0]
-    tree = build(root, orders, 0)
+    node.orders = data.columns.orders_of(rows) if node.orders is None else node.orders
+    tree = build(root, node, 0)
     del build  # a reference cycle that would hold the data until the next gc
     return tree
 

@@ -120,6 +120,17 @@ def all_pruned_costs(tree):
     return options
 
 
+def one_se_index(candidates, mean_loss, threshold, best):
+    """The cross-validated choice as a loop, ``cv_prune``'s oracle: from
+    ``best`` on, each candidate of loss within ``threshold`` that is at
+    least the one held replaces it."""
+    chosen = best
+    for c in range(len(candidates)):
+        if mean_loss[c] <= threshold and candidates[c] >= candidates[chosen]:
+            chosen = c
+    return chosen
+
+
 def assert_fits_follow_routing(tree, data, rows):
     """Every node's fit is ``fit_ols`` on the rows ``route_rows`` sends it,
     bit for bit; returns those rows by node id."""

@@ -868,6 +868,28 @@ def test_statistics_ignore_response_scale(name):
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-7, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ctree", "ctree+dich", "residuals,nodich,lin"])
+def test_linear_route_ignores_a_power_of_two_column_scale(name):
+    # a 200-row stump node with its signal on z1: scaled by 2**e the column
+    # gives the unscaled outcome bit for bit, with no overflow at 2**1000
+    # and no vanishing covariance at 2**-1000
+    rng = np.random.default_rng(0)
+    n = 200
+    z, x = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    y = 1.0 + 2.0 * (z > 0.0) + x + 0.3 * rng.normal(size=n)
+    cfg = parse_strategy(name)
+
+    def bits(values):
+        out = run_alone(cfg, y, x, ncol(values))
+        return out.statistic.hex(), out.df, out.law, out.p_value.hex()
+
+    base = bits(z)
+    assert base[2] != "degenerate" and float.fromhex(base[3]) < 1e-6
+    for e in (-1000, -500, 7, 500, 1000):
+        assert bits(np.ldexp(z, e)) == base, e
+
+
 def test_engines_hold_their_size_under_the_null():
     reps = 400
     master = RngStream(99, 0)

@@ -6,16 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, RngStream
 from lmtrees.dataset import SplitColumn
 from lmtrees.inference import parse_strategy
 from lmtrees.prune import PruneResult, _candidate_alphas, cost_complexity_path, cv_prune, ic_prune
-from lmtrees.prune import prune_at
+from lmtrees.prune import _simplest_within, prune_at
 from lmtrees.tree import GrowControl, grow, iter_nodes, leaves, predict_tree, route_rows
 from lmtrees.tree import tree_to_json
 
-from helpers import all_pruned_costs, hand_node, null_data, stump_data
+from helpers import all_pruned_costs, hand_node, null_data, one_se_index, stump_data
 
 
 # -------------------------------------------------------- cost-complexity path
@@ -338,14 +340,28 @@ def former_cv_prune(data, strategy, control, folds=10, seed=0, one_se=False):
     if one_se and len(fold_means) > 1:
         stacked = np.vstack(fold_means)
         threshold += float(stacked[:, best_idx].std(ddof=1)) / math.sqrt(stacked.shape[0])
-    chosen_idx = best_idx
-    for c in range(len(candidates)):
-        if mean_loss[c] <= threshold and candidates[c] >= candidates[chosen_idx]:
-            chosen_idx = c
+    chosen_idx = one_se_index(candidates, mean_loss, threshold, best_idx)
     alpha_path = tuple((knots[k], len(leaves(path[k][1])), float(mean_loss[k]))
                        for k in range(len(path)))
     return PruneResult(tree=_subtree_at(path, candidates[chosen_idx]), method="cc",
                        chosen_alpha=float(candidates[chosen_idx]), alpha_path=alpha_path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                          st.sampled_from([0.1, 0.2, 0.3, 1.0, math.inf, math.nan])),
+                min_size=1, max_size=12),
+       st.sampled_from([0.0, 0.05, 0.1, 0.5, math.inf, math.nan]))
+def test_one_se_choice_is_the_loop_it_replaced(pairs, spread):
+    # candidates in any order with ties, losses with ties, infinities and
+    # NaNs, and the threshold as cv_prune forms it: the best loss plus a
+    # standard error that may be zero, infinite or NaN
+    candidates = [alpha for alpha, _ in pairs]
+    mean_loss = np.array([loss for _, loss in pairs])
+    best = int(np.argmin(mean_loss))
+    threshold = mean_loss[best] + spread
+    assert (_simplest_within(candidates, mean_loss, threshold, best)
+            == one_se_index(candidates, mean_loss, threshold, best))
 
 
 def mixed_data(seed, n=240):

@@ -621,6 +621,74 @@ def test_child_orders_are_partitioned_only_for_a_tested_child(monkeypatch, sourc
                 == tree_to_dict(grow(data, name, deep), schema, parse_strategy(name), deep))
 
 
+@pytest.mark.parametrize("source", ["tree_dgp", "mixed"])
+def test_a_row_set_record_gets_its_orders_once_and_searches_each_cut_once(monkeypatch, source):
+    data = cache_data(source)
+    schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+    searched, replaced, events = [], [], []
+
+    class Record(tree_module._Record):
+        def __setattr__(self, name, value):
+            held = getattr(self, name, None)
+            if name == "orders" and held is not None and value is not held:
+                replaced.append(self)
+            if name == "orders" and held is None and value is not None:
+                events.append("filled")
+            super().__setattr__(name, value)
+
+    def counted(y, x, col, min_node_size, order=None):
+        # a record's y is its own array, alive as long as its cache
+        searched.append((id(y), col.name, min_node_size))
+        return best_split_point(y, x, col, min_node_size, order)
+
+    def partitioned(orders, mask):
+        events.append("partitioned")
+        return partition_orders(orders, mask)
+
+    monkeypatch.setattr(tree_module, "_Record", Record)
+    monkeypatch.setattr(tree_module, "best_split_point", counted)
+    monkeypatch.setattr(tree_module, "partition_orders", partitioned)
+    shallow, deep = (GrowControl(min_node_size=15, max_depth=d, prepruning=False) for d in (1, 3))
+
+    def as_dict(name, tree):
+        return tree_to_dict(tree, schema, parse_strategy(name), deep)
+
+    for name in ("ctree", "mob", "guide"):
+        alone = grow(data, name, deep)
+        reach = route_rows(alone, data, np.arange(data.n))
+        left, right = (reach[child.id] for child in alone.children)
+        assert max(left.size, right.size) >= 2 * 15  # a child the deep tree tests
+        # the root's children, met untested at the shallow tree's depth
+        # limit, lack orders until the deep tree tests one of them
+        cache = tree_module._NodeCache(data)
+        grow(data, name, shallow, _cache=cache)
+        assert all(cache[rows.tobytes()].orders is None for rows in (left, right))
+        assert as_dict(name, grow(data, name, deep, _cache=cache)) == as_dict(name, alone)
+        for rows in (left, right):
+            np.testing.assert_array_equal(cache[rows.tobytes()].orders, data.columns.orders_of(rows))
+        # a split whose left child holds its orders (as a fold tree's root)
+        # and whose right child lacks them
+        cache = tree_module._NodeCache(data)
+        grow(data, name, deep, rows=left, _cache=cache)
+        assert cache[left.tobytes()].orders is not None and right.tobytes() not in cache
+        assert as_dict(name, grow(data, name, deep, _cache=cache)) == as_dict(name, alone)
+        np.testing.assert_array_equal(cache[right.tobytes()].orders, data.columns.orders_of(right))
+    # every strategy's trees and fold trees on one cache, at two sizes
+    cache = tree_module._NodeCache(data)
+    searched.clear()
+    for name in STRATEGIES:
+        for control in (GrowControl(alpha=0.05, min_node_size=15, max_depth=4), deep):
+            grow(data, name, control, _cache=cache)
+            cv_prune(data, parse_strategy(name), control, folds=4, seed=2, _cache=cache)
+    assert searched and len(set(searched)) == len(searched)
+    # no record's orders are made again: none is replaced, and each
+    # partition fills at least one record that lacked them
+    assert not replaced
+    assert events.count("partitioned") > 0 and all(
+        after == "filled" for event, after in zip(events, events[1:] + [None])
+        if event == "partitioned")
+
+
 def test_a_node_cache_serves_only_its_dataset():
     data, twin = stump_data(seed=3, n=120), stump_data(seed=3, n=120)
     cache = tree_module._NodeCache(data)
