@@ -6,9 +6,9 @@ per-leaf Gaussian profile likelihood.  Both consume trees grown without
 prepruning and only ever collapse internal nodes, so the result is a
 subtree of the input.
 
-The weakest-link search runs once per tree, on its preorder node arrays
-(``_Path``).  That one pass feeds the knot table, ``prune_at`` and the
-cross-validated scoring; a subtree is built only when one is asked for.
+Both routes decide on a tree's preorder node table and build the pruned
+tree through one builder.  The weakest-link search runs once per tree
+(``_Path``) and feeds the knot table, ``prune_at`` and the CV scoring.
 """
 
 from __future__ import annotations
@@ -44,28 +44,41 @@ class PruneResult:
     score: float | None = None
 
 
-def _as_leaf(node: TreeNode) -> TreeNode:
-    return replace(node, split=None, children=())
+def _preorder(tree: TreeNode) -> tuple[list[TreeNode], list[int]]:
+    """``tree``'s nodes in preorder and each one's range end: ``nodes[i + 1:end[i]]``
+    are node ``i``'s descendants, its children (if any) ``i + 1`` and ``end[i + 1]``."""
+    nodes = list(iter_nodes(tree))
+    end = list(range(1, len(nodes) + 1))
+    for i in reversed(range(len(nodes))):  # the second child's range ends where the node's does
+        if nodes[i].children:
+            end[i] = end[end[i + 1]]
+    return nodes, end
+
+
+def _cut(nodes: list[TreeNode], end: list[int], leaf) -> TreeNode:
+    """The tree of ``_preorder``'s table with each highest node ``i`` where
+    ``leaf(i)`` holds made a leaf; it must hold at every leaf."""
+
+    def build(i: int) -> TreeNode:
+        if not leaf(i):
+            return replace(nodes[i], children=(build(i + 1), build(end[i + 1])))
+        return nodes[i] if nodes[i].is_leaf else replace(nodes[i], split=None, children=())
+
+    return build(0)
 
 
 class _Path:
     """The cost-complexity path of a tree, from one weakest-link pass.
 
-    ``nodes`` is the tree in preorder, ``nodes[i + 1:end[i]]`` are node
-    ``i``'s descendants, and it is a leaf of path subtree ``k >= step[i]``,
-    optimal from ``knots[k]`` on.  A step collapses the internal nodes whose
-    rate ties with the running minimum within 1e-15, in preorder; a rate
-    sums the current leaves' rss as a left fold from 0.0 in preorder.
+    ``nodes`` and ``end`` are ``_preorder``'s table; node ``i`` is a leaf of
+    path subtree ``k >= step[i]``, optimal from ``knots[k]`` on.  A step
+    collapses the internal nodes whose rate ties with the running minimum
+    within 1e-15, in preorder; a rate folds its current leaves' rss from 0.0.
     """
 
     def __init__(self, tree: TreeNode) -> None:
-        self.nodes = nodes = list(iter_nodes(tree))
+        self.nodes, self.end = nodes, end = _preorder(tree)
         m = len(nodes)
-        self.end = end = [0] * m
-        for i in reversed(range(m)):  # each child's range starts where the one before ends
-            end[i] = i + 1
-            for _ in nodes[i].children:
-                end[i] = end[end[i]]
         self.step = step = [0 if node.is_leaf else m for node in nodes]
         rss = [node.fit.rss for node in nodes]
 
@@ -111,14 +124,7 @@ class _Path:
 
     def subtree(self, k: int) -> TreeNode:
         """Subtree ``k`` as nodes; subtree 0 is the tree itself."""
-        position = {id(node): i for i, node in enumerate(self.nodes)}
-
-        def build(node: TreeNode) -> TreeNode:
-            if self.step[position[id(node)]] <= k:
-                return node if node.is_leaf else _as_leaf(node)
-            return replace(node, children=tuple(map(build, node.children)))
-
-        return self.nodes[0] if k == 0 else build(self.nodes[0])
+        return self.nodes[0] if k == 0 else _cut(self.nodes, self.end, lambda i: self.step[i] <= k)
 
 
 def cost_complexity_path(tree: TreeNode) -> list[tuple[float, TreeNode]]:
@@ -245,23 +251,17 @@ def ic_prune(tree: TreeNode, criterion: str = "aic", split_df: int = 1) -> Prune
         raise ValueError(f"unknown criterion {criterion!r}")
     penalty = 2.0 if criterion == "aic" else math.log(tree.n)
 
-    def visit(node: TreeNode) -> tuple[TreeNode, float, int, int]:
-        leaf_neg2ll = _neg2_profile_loglik(node.fit.rss, node.n)
-        if node.is_leaf:
-            return node, leaf_neg2ll, 1, 0
-        rebuilt, sub_neg2ll, sub_leaves, sub_splits = [], 0.0, 0, 1
-        for child in node.children:
-            pruned_child, child_neg2ll, child_leaves, child_splits = visit(child)
-            rebuilt.append(pruned_child)
-            sub_neg2ll += child_neg2ll
-            sub_leaves += child_leaves
-            sub_splits += child_splits
-        crit_sub = sub_neg2ll + penalty * (3 * sub_leaves + split_df * sub_splits)
-        crit_leaf = leaf_neg2ll + penalty * 3
-        if crit_leaf <= crit_sub:
-            return _as_leaf(node), leaf_neg2ll, 1, 0
-        return replace(node, children=tuple(rebuilt)), sub_neg2ll, sub_leaves, sub_splits
+    def ic(neg2ll: float, leaf_count: int, split_count: int) -> float:
+        return neg2ll + penalty * (3 * leaf_count + split_df * split_count)
 
-    pruned, neg2ll, leaf_count, split_count = visit(tree)
-    score = neg2ll + penalty * (3 * leaf_count + split_df * split_count)
-    return PruneResult(tree=pruned, method=criterion, score=score)
+    nodes, end = _preorder(tree)
+    best = [None] * len(nodes)  # (neg2ll, leaves, splits) of each node's best subtree
+    for i, node in reversed(list(enumerate(nodes))):  # from the leaves up
+        best[i] = (_neg2_profile_loglik(node.fit.rss, node.n), 1, 0)
+        if not node.is_leaf:
+            (ll_a, leaves_a, splits_a), (ll_b, leaves_b, splits_b) = best[i + 1], best[end[i + 1]]
+            sub = (0.0 + ll_a + ll_b, leaves_a + leaves_b, 1 + splits_a + splits_b)
+            if not (best[i][0] + penalty * 3 <= ic(*sub)):  # ties collapse, a NaN keeps the split
+                best[i] = sub  # kept: a best subtree of one leaf is the node collapsed
+    return PruneResult(tree=_cut(nodes, end, lambda i: best[i][1] == 1), method=criterion,
+                       score=ic(*best[0]))

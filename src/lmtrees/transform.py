@@ -80,7 +80,7 @@ class GofMatrix:
         ``covariance`` on its numerical range and scaled by ``n**-0.5``, and
         the dimension of that range (each row is a product of its own)."""
         eigval, eigvec, keep = eig_pinv_parts(self.covariance)
-        root_inv = eigvec[:, keep] @ np.diag(1.0 / np.sqrt(eigval[keep])) @ eigvec[:, keep].T
+        root_inv = (eigvec[:, keep] * (1.0 / np.sqrt(eigval[keep]))) @ eigvec[:, keep].T
         return (self.centred @ root_inv) / np.sqrt(self.n), int(keep.sum())
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
 from lmtrees import inference
 from lmtrees.inference import NULL_TABLE_GRID, parse_strategy, run_strategy
 from lmtrees.linmod import LinearFit, fit_ols
+from lmtrees.prune import PruneResult, _neg2_profile_loglik
 from lmtrees.special import _gamma_p_series, _gamma_q_contfrac
 from lmtrees.transform import eig_pinv_parts, make_gof
 from lmtrees.tree import Split, TreeNode, iter_nodes, route_rows
@@ -56,6 +58,13 @@ def rank_deficient_covariances(rng, g, m):
     factors = rng.normal(size=(g, m, m)) * 10.0 ** rng.integers(-4, 5, (g, 1, 1))
     factors *= np.arange(m) < rng.integers(0, m + 1, (g, 1, 1))
     return factors @ np.swapaxes(factors, -1, -2)
+
+
+def former_whitening_root(covariance):
+    """``GofMatrix.whitened``'s inverse square root formed as it once was,
+    through ``np.diag`` and two products, its oracle."""
+    eigval, eigvec, keep = eig_pinv_parts(covariance)
+    return eigvec[:, keep] @ np.diag(1.0 / np.sqrt(eigval[keep])) @ eigvec[:, keep].T
 
 
 def groups_by_row(groups):
@@ -118,6 +127,34 @@ def all_pruned_costs(tree):
         for rrss, rcount in all_pruned_costs(tree.children[1]):
             options.append((lrss + rrss, lcount + rcount))
     return options
+
+
+def former_ic_prune(tree, criterion="aic", split_df=1):
+    """``ic_prune`` as it was written before it read the preorder node
+    table: a recursion that rebuilds every node it keeps, its oracle."""
+    criterion = criterion.lower()
+    penalty = 2.0 if criterion == "aic" else math.log(tree.n)
+
+    def visit(node):
+        leaf_neg2ll = _neg2_profile_loglik(node.fit.rss, node.n)
+        if node.is_leaf:
+            return node, leaf_neg2ll, 1, 0
+        rebuilt, sub_neg2ll, sub_leaves, sub_splits = [], 0.0, 0, 1
+        for child in node.children:
+            pruned_child, child_neg2ll, child_leaves, child_splits = visit(child)
+            rebuilt.append(pruned_child)
+            sub_neg2ll += child_neg2ll
+            sub_leaves += child_leaves
+            sub_splits += child_splits
+        crit_sub = sub_neg2ll + penalty * (3 * sub_leaves + split_df * sub_splits)
+        crit_leaf = leaf_neg2ll + penalty * 3
+        if crit_leaf <= crit_sub:
+            return replace(node, split=None, children=()), leaf_neg2ll, 1, 0
+        return replace(node, children=tuple(rebuilt)), sub_neg2ll, sub_leaves, sub_splits
+
+    pruned, neg2ll, leaf_count, split_count = visit(tree)
+    score = neg2ll + penalty * (3 * leaf_count + split_df * split_count)
+    return PruneResult(tree=pruned, method=criterion, score=score)
 
 
 def one_se_index(candidates, mean_loss, threshold, best):

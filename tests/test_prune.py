@@ -1,6 +1,9 @@
 """Post-pruning: cost-complexity path, cross-validated choice, AIC/BIC."""
 
+import functools
+import itertools
 import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -12,12 +15,14 @@ from hypothesis import strategies as st
 from lmtrees.dataset import CATEGORICAL, NUMERIC, CsvSchema, DataError, Dataset, RngStream
 from lmtrees.dataset import SplitColumn
 from lmtrees.inference import parse_strategy
+from lmtrees.sim import ScenarioConfig, generate
 from lmtrees.prune import PruneResult, _candidate_alphas, cost_complexity_path, cv_prune, ic_prune
 from lmtrees.prune import _simplest_within, prune_at
 from lmtrees.tree import GrowControl, grow, iter_nodes, leaves, predict_tree, route_rows
 from lmtrees.tree import tree_to_json
 
-from helpers import all_pruned_costs, hand_node, null_data, one_se_index, stump_data
+from helpers import all_pruned_costs, former_ic_prune, hand_node, null_data, one_se_index
+from helpers import stump_data
 
 
 # -------------------------------------------------------- cost-complexity path
@@ -513,3 +518,70 @@ def test_ic_prune_is_idempotent_and_validates_criterion():
     assert twice.score == pytest.approx(once.score)
     with pytest.raises(ValueError):
         ic_prune(tree, "aicc")
+
+
+def assert_ic_prune_as_former(tree, schema, strategy, control, split_dfs=(0, 1, 2, 5)):
+    # equal score bits, a NaN score equal to a NaN one, and equal tree files
+    for criterion, split_df in itertools.product(("aic", "bic"), split_dfs):
+        got, want = ic_prune(tree, criterion, split_df), former_ic_prune(tree, criterion, split_df)
+        assert got.method == want.method and got.chosen_alpha is None and got.alpha_path == ()
+        assert (math.isnan(got.score) and math.isnan(want.score)
+                or struct.pack("<d", got.score) == struct.pack("<d", want.score))
+        assert tree_to_json(got.tree, schema, strategy, control) == tree_to_json(
+            want.tree, schema, strategy, control)
+
+
+@pytest.mark.parametrize("name", ["ctree", "mob", "guide", "guide+scores"])
+def test_ic_prune_equals_the_former_recursion_on_grown_trees(name):
+    strategy = parse_strategy(name)
+    controls = (GrowControl(min_node_size=10, max_depth=4, prepruning=False),
+                GrowControl(alpha=0.5, min_node_size=15, max_depth=6))
+    for seed in range(4):
+        cell = ScenarioConfig("tree", "both", xi=0.5 * (seed % 2), delta=0.5 + 0.5 * (seed // 2))
+        data = generate(cell, RngStream(seed, 0))
+        schema = CsvSchema("y", "x", tuple((c.name, c.kind) for c in data.z))
+        for control in controls:
+            assert_ic_prune_as_former(grow(data, strategy, control), schema, strategy, control)
+
+
+def _tie_root_rss(child_rss):
+    """A root rss (40 rows) whose AIC leaf criterion equals, exactly, that
+    of a split into two 20-row leaves of ``child_rss`` at ``split_df`` 0,
+    or None when no float near the solution gives the tie."""
+    sub = 0.0 + neg2ll(child_rss, 20) + neg2ll(child_rss, 20) + 2.0 * (3 * 2 + 0 * 1)
+    low = high = 40.0 * math.exp((sub - 6.0) / 40.0 - 1.0) / (2.0 * math.pi)
+    for _ in range(50):  # the floats nearest the real solution, outwards
+        for rss in (low, high):
+            if neg2ll(rss, 40) + 2.0 * 3 == sub:
+                return rss
+        low, high = math.nextafter(low, -math.inf), math.nextafter(high, math.inf)
+    return None
+
+
+def test_ic_prune_equals_the_former_recursion_on_hand_built_trees():
+    # rss of 0 (a -inf likelihood term), inf and NaN, read from tree files
+    # as they are; stumps with every rss and 5-node trees of both shapes
+    schema = CsvSchema("y", "x", (("z1", NUMERIC),))
+    check = functools.partial(assert_ic_prune_as_former, schema=schema, split_dfs=(0, 1),
+                              strategy=parse_strategy("ctree"), control=GrowControl())
+    values = (0.0, 1.0, 5.0, 50.0, math.inf, math.nan, -1.0)
+    for rss in itertools.product(values, repeat=3):
+        stump = hand_node(0, 0, 40, rss[0], (hand_node(1, 1, 20, rss[1]), hand_node(2, 1, 20, rss[2])))
+        check(stump)
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        rss = [values[i] for i in rng.integers(0, len(values), 5)]
+        inner = hand_node(1, 1, 20, rss[1], (hand_node(2, 2, 10, rss[2]), hand_node(3, 2, 10, rss[3])))
+        outer = hand_node(4, 1, 20, rss[4])
+        for kids in ((inner, outer), (outer, inner)):
+            check(hand_node(0, 0, 40, rss[0], kids))
+    # a tie between the leaf and subtree criteria collapses the split
+    ties = [(r, _tie_root_rss(r)) for r in (2.0, 3.0, 7.5, 10.0, 14.0, 17.0)]
+    ties = [(r, root) for r, root in ties if root is not None]
+    assert ties
+    for child_rss, root_rss in ties:
+        stump = hand_node(0, 0, 40, root_rss,
+                          (hand_node(1, 1, 20, child_rss), hand_node(2, 1, 20, child_rss)))
+        assert ic_prune(stump, "aic", split_df=0).tree.is_leaf
+        check(stump)
+        check(hand_node(0, 0, 80, 1e4, (stump, hand_node(3, 1, 40, 1e4))))

@@ -23,7 +23,8 @@ from lmtrees.transform import (
     quartile_breaks,
 )
 
-from helpers import groups_by_row, ncol, rank_deficient_covariances, run_alone, stable_orders
+from helpers import former_whitening_root, groups_by_row, ncol, rank_deficient_covariances, run_alone
+from helpers import stable_orders
 
 
 def small_gof(use_scores, dichotomize):
@@ -364,3 +365,20 @@ def test_an_all_numeric_block_codes_its_rows_as_a_mixed_block_does(seed, n, j, k
                                             sign))
         inside = groups_by_row(design_groups(mixed, numeric, stable_orders(mixed), sign))
         assert alone == {i: inside[i + (i >= at)] for i in range(j)}
+
+
+def test_whitening_equals_the_former_diag_product_bit_for_bit():
+    # scaling the kept eigenvector columns by the reciprocal roots is the
+    # product with their diagonal matrix, entry for entry; a third of the
+    # gof matrices are rank-deficient (a column constant or a multiple of the other)
+    rng = np.random.default_rng(20)
+    for case in range(3000):
+        n, k = int(rng.integers(2, 40)), int(rng.integers(1, 3))
+        values = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-6, 7, k)
+        if case % 3 == 0:
+            values[:, -1] = rng.normal() if k == 1 or case % 2 else values[:, 0] * rng.normal()
+        gof = GofMatrix(values, dichotomized=False)
+        white, rank = gof.whitened
+        want = (gof.centred @ former_whitening_root(gof.covariance)) / np.sqrt(gof.n)
+        assert white.shape == want.shape and white.tobytes() == want.tobytes()
+        assert rank == int(eig_pinv_parts(gof.covariance)[2].sum())
