@@ -71,9 +71,9 @@ class _Path:
     """The cost-complexity path of a tree, from one weakest-link pass.
 
     ``nodes`` and ``end`` are ``_preorder``'s table; node ``i`` is a leaf of
-    path subtree ``k >= step[i]``, optimal from ``knots[k]`` on.  A step
-    collapses the internal nodes whose rate ties with the running minimum
-    within 1e-15, in preorder; a rate folds its current leaves' rss from 0.0.
+    path subtree ``k >= step[i]``, optimal from ``knots[k]`` on.  Each step rates
+    the splits left, a rate folding its leaves' rss from 0.0, and collapses those
+    tying the running minimum within 1e-15, in preorder; a NaN rate never does.
     """
 
     def __init__(self, tree: TreeNode) -> None:
@@ -89,21 +89,18 @@ class _Path:
                 total += rss[j]
             return (rss[i] - total) / (len(below) - 1)
 
-        rates = {i: rate(i) for i in range(m) if step[i] == m}  # the internal nodes, in preorder
         self.knots = [0.0]
-        while rates:
+        while rates := {i: rate(i) for i in range(m) if step[i] == m}:  # the splits left
             best, ids = math.inf, []
             for i, g in rates.items():
                 if g < best - 1e-15:
                     best, ids = g, [i]
                 elif g <= best + 1e-15:
                     ids.append(i)
-            for j in (j for i in ids for j in range(i, end[i]) if j in rates):
-                del rates[j]
+            if not ids:  # every rate left is NaN, and a NaN rate is never the weakest link
+                break
+            for j in (j for i in ids for j in range(i, end[i]) if step[j] == m):
                 step[j] = len(self.knots)
-            for i in rates:  # only the rates above a collapse change
-                if any(i < j < end[i] for j in ids):
-                    rates[i] = rate(i)
             self.knots.append(max(best, 0.0))
 
     def at(self, alpha: float) -> int:
@@ -136,7 +133,7 @@ def cost_complexity_path(tree: TreeNode) -> list[tuple[float, TreeNode]]:
 
         g(t) = (rss(t) - rss(subtree under t)) / (leaves under t - 1)
 
-    is collapsed, so parameters are nondecreasing along the path.
+    is collapsed (a NaN g(t) never is), so parameters are nondecreasing along the path.
     """
     path = _Path(tree)
     return [(alpha, path.subtree(k)) for k, alpha in enumerate(path.knots)]

@@ -1,7 +1,9 @@
 """Builders and reference functions shared by the test modules."""
 
+import contextlib
 import itertools
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +12,8 @@ from lmtrees.dataset import NUMERIC, Dataset, SplitColumn
 from lmtrees import inference
 from lmtrees.inference import NULL_TABLE_GRID, parse_strategy, run_strategy
 from lmtrees.linmod import LinearFit, fit_ols
-from lmtrees.prune import PruneResult, _neg2_profile_loglik
-from lmtrees.special import _gamma_p_series, _gamma_q_contfrac
+from lmtrees.prune import PruneResult, _neg2_profile_loglik, _preorder
+from lmtrees.special import _gamma_p_series, _gamma_q_contfrac, chi2_sf
 from lmtrees.transform import eig_pinv_parts, make_gof
 from lmtrees.tree import Split, TreeNode, iter_nodes, route_rows
 
@@ -157,6 +159,67 @@ def former_ic_prune(tree, criterion="aic", split_df=1):
     return PruneResult(tree=pruned, method=criterion, score=score)
 
 
+def former_weakest_links(tree):
+    """The weakest-link pass as it was before each step rated the splits
+    left afresh, its oracle: rates kept in a dict, collapsed splits
+    deleted from it and each split above a collapse rated again.  Returns
+    ``(step, knots)``.  It never ends once only NaN rates are left, so feed
+    it finite rss only."""
+    nodes, end = _preorder(tree)
+    m = len(nodes)
+    step = [0 if node.is_leaf else m for node in nodes]
+    rss = [node.fit.rss for node in nodes]
+
+    def rate(i):
+        below, j = [], i
+        while j < end[i]:  # the leaves below i that are not yet collapsed
+            if step[j] < m:
+                below.append(j)
+                j = end[j]
+            else:
+                j += 1
+        total = 0.0
+        for j in below:
+            total += rss[j]
+        return (rss[i] - total) / (len(below) - 1)
+
+    rates = {i: rate(i) for i in range(m) if step[i] == m}
+    knots = [0.0]
+    while rates:
+        best, ids = math.inf, []
+        for i, g in rates.items():
+            if g < best - 1e-15:
+                best, ids = g, [i]
+            elif g <= best + 1e-15:
+                ids.append(i)
+        for j in (j for i in ids for j in range(i, end[i]) if j in rates):
+            del rates[j]
+            step[j] = len(knots)
+        for i in rates:
+            if any(i < j < end[i] for j in ids):
+                rates[i] = rate(i)
+        knots.append(max(best, 0.0))
+    return step, knots
+
+
+@contextlib.contextmanager
+def ends_within(seconds):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds`` of
+    wall time, so a loop that never ends fails its test instead of
+    stalling the run (``SIGALRM``, so the main thread only)."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def one_se_index(candidates, mean_loss, threshold, best):
     """The cross-validated choice as a loop, ``cv_prune``'s oracle: from
     ``best`` on, each candidate of loss within ``threshold`` that is at
@@ -199,6 +262,19 @@ def run_alone(config, y, x, col):
 
 def tree_depth(node):
     return max(n.depth for n in iter_nodes(node))
+
+
+def ncx2_sf(c, k, lam):
+    """Noncentral chi-square survival P(X >= c) on ``k`` df with
+    noncentrality ``lam``: the Poisson(lam / 2) mixture of ``chi2_sf`` on
+    k + 2j df, summed until the weights left are below 1e-15."""
+    total, weight, left, j = 0.0, math.exp(-lam / 2.0), 1.0, 0
+    while left > 1e-15:
+        total += weight * chi2_sf(c, k + 2 * j)
+        left -= weight
+        j += 1
+        weight *= lam / 2.0 / j
+    return total
 
 
 def regularized_gamma_p(a, x):

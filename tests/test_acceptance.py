@@ -39,7 +39,8 @@ from lmtrees.tree import (
     tree_to_json,
 )
 
-from helpers import all_pruned_costs, enumeration_moments, hand_node, run_alone, strat_list
+from helpers import all_pruned_costs, enumeration_moments, hand_node, ncx2_sf, run_alone
+from helpers import strat_list
 
 HEADLINE = ("ctree", "mob", "guide", "guide+scores")
 
@@ -236,6 +237,52 @@ def test_post_pruning_rescues_binned_strategies():
     assert rescue >= 0.15
     assert gap_ctree <= 0.1
     assert gap_mob <= 0.1
+
+
+# ------------------------------------------------ 6b: local-power oracles
+
+
+def z1_rejection_rate(cell, name):
+    """The share of ``cell``'s replications whose raw p-value on z1,
+    under strategy ``name``, is below 0.05."""
+    records = run_study([cell], strat_list(name), seed=0)
+    return sum(r.p_values["z1"] < 0.05 for r in records) / len(records)
+
+
+def test_local_power_of_the_linear_statistic_on_intercept_variation():
+    # ctree's z1 statistic on the intercept and slope scores is, under a
+    # jump of +-delta at xi, noncentral chi-square on 2 df, with
+    # lambda = 3 n delta^2 (1 - xi^2)^2 / (4 sigma^2), where sigma^2 =
+    # 1 + delta^2 (1 - xi^2) is the error variance of the one-line fit
+    n, reps, critical = 250, 400, -2.0 * math.log(0.05)  # chi2_2's 95 % point
+    worst, rows = 0.0, []
+    for xi in (0.0, 0.5, 0.8):
+        for delta in (0.1, 0.2, 0.3):
+            cell = ScenarioConfig("stump", "intercept", xi=xi, delta=delta, n=n, replications=reps)
+            sigma2 = 1.0 + delta**2 * (1.0 - xi**2)
+            power = ncx2_sf(critical, 2, 3.0 * n * delta**2 * (1.0 - xi**2) ** 2 / (4.0 * sigma2))
+            rate = z1_rejection_rate(cell, "ctree")
+            z = (rate - power) / math.sqrt(power * (1.0 - power) / reps)
+            worst = max(worst, abs(z))
+            rows.append(f"xi={xi} delta={delta}: {power:.3f}/{rate:.3f}")
+    ok = worst <= 3.0
+    report("local-power-ctree", ok,
+           f"predicted/simulated {'; '.join(rows)}; max |z| {worst:.2f} (<=3)")
+    assert ok
+
+
+def test_local_power_of_binned_sign_screening_on_slope_variation():
+    # a slope change leaves the residual signs independent of z1 (lambda
+    # is 0), so guide rejects at its size whatever delta is
+    reps, rates = 400, []
+    for xi in (0.0, 0.8):
+        cell = ScenarioConfig("stump", "slope", xi=xi, delta=0.3, n=250, replications=reps)
+        rates.append(z1_rejection_rate(cell, "guide"))
+    bound = 3.0 * math.sqrt(0.05 * 0.95 / reps)
+    ok = all(abs(rate - 0.05) <= bound for rate in rates)
+    report("local-power-guide-slope", ok,
+           f"rates {', '.join(f'{r:.3f}' for r in rates)} at xi 0, 0.8 (0.05 +- {bound:.3f})")
+    assert ok
 
 
 # -------------------------------------------------------------- 7: exact oracles

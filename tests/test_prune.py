@@ -17,12 +17,12 @@ from lmtrees.dataset import SplitColumn
 from lmtrees.inference import parse_strategy
 from lmtrees.sim import ScenarioConfig, generate
 from lmtrees.prune import PruneResult, _candidate_alphas, cost_complexity_path, cv_prune, ic_prune
-from lmtrees.prune import _simplest_within, prune_at
+from lmtrees.prune import _Path, _simplest_within, prune_at
 from lmtrees.tree import GrowControl, grow, iter_nodes, leaves, predict_tree, route_rows
-from lmtrees.tree import tree_to_json
+from lmtrees.tree import tree_from_json, tree_to_json
 
-from helpers import all_pruned_costs, former_ic_prune, hand_node, null_data, one_se_index
-from helpers import stump_data
+from helpers import all_pruned_costs, ends_within, former_ic_prune, former_weakest_links, hand_node
+from helpers import null_data, one_se_index, stump_data
 
 
 # -------------------------------------------------------- cost-complexity path
@@ -247,6 +247,130 @@ def test_path_on_node_arrays_equals_the_former_path_on_grown_trees(name):
     for f in range(3):
         train = np.flatnonzero(np.arange(data.n) % 3 != f)
         assert_same_path(grow(data, name, control, rows=train), data)
+
+
+def assert_path_as_former_pass(tree, schema, strategy, control):
+    """``_Path`` equals the former pass in steps and knot bits, and
+    ``prune_at`` at knots and between them (about a dozen probes, spread
+    along the path) gives the path's subtree."""
+    path = _Path(tree)
+    step, knots = former_weakest_links(tree)
+    assert path.step == step
+    assert [a.hex() for a in path.knots] == [a.hex() for a in knots]
+    assert all(b >= a for a, b in zip(knots, knots[1:]))
+    subtrees = cost_complexity_path(tree)
+    probes = sorted(knots + [0.5 * (a + b) for a, b in zip(knots, knots[1:])])
+    for alpha in probes[::-(-len(probes) // 12)] + probes[-1:]:
+        k = max(k for k, a in enumerate(knots) if a <= alpha)  # the last subtree optimal at alpha
+        assert (tree_to_json(prune_at(tree, alpha), schema, strategy, control)
+                == tree_to_json(subtrees[k][1], schema, strategy, control))
+
+
+TREE_SCHEMA = CsvSchema("y", "x", tuple((f"z{j}", NUMERIC) for j in range(1, 11)))
+# the file settings a hand-built tree is written with
+HAND_SETTINGS = (CsvSchema("y", "x", (("z1", NUMERIC),)), parse_strategy("ctree"), GrowControl())
+
+
+@pytest.mark.parametrize("name", ["ctree", "mob", "guide", "guide+scores"])
+def test_path_equals_the_former_pass_on_grown_trees(name):
+    strategy = parse_strategy(name)
+    controls = (GrowControl(prepruning=False), GrowControl(max_depth=4, prepruning=False))
+    for seed, (xi, delta) in enumerate(((0.0, 1.0), (0.5, 0.5))):
+        data = generate(ScenarioConfig("tree", "both", xi=xi, delta=delta), RngStream(seed, 0))
+        for control in controls:
+            tree = grow(data, strategy, control)
+            assert_path_as_former_pass(tree, TREE_SCHEMA, strategy, control)
+    # 211 to 285 nodes, the size of the largest tree CI's "Prune cost" times
+    data = generate(ScenarioConfig("tree", "both", xi=0.0, delta=1.0, n=2000), RngStream(0, 0))
+    control = GrowControl(max_depth=8, min_node_size=5, prepruning=False)
+    tree = grow(data, strategy, control)
+    assert sum(1 for _ in iter_nodes(tree)) > 200
+    assert_path_as_former_pass(tree, TREE_SCHEMA, strategy, control)
+
+
+def test_path_equals_the_former_pass_on_tied_hand_built_trees():
+    # exact ties, ancestor and descendant ties, and 1-ulp ties inside
+    # the 1e-15 band, from rss drawn of a few small integers and 1 +- 1 ulp
+    for tree in TIED_TREES.values():
+        assert_path_as_former_pass(tree, *HAND_SETTINGS)
+    values = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0))
+    rng = np.random.default_rng(35)
+
+    def draw(depth, ids):
+        nid = next(ids)
+        if depth == 0 or rng.random() < 0.3:
+            return hand_node(nid, depth, 10, float(rng.choice(values)))
+        children = (draw(depth - 1, ids), draw(depth - 1, ids))
+        return hand_node(nid, depth, 10, 4.0 * float(rng.choice(values)), children)
+
+    ties = 0
+    for _ in range(200):
+        tree = draw(4, itertools.count())
+        assert_path_as_former_pass(tree, *HAND_SETTINGS)
+        steps = [k for k, n in zip(former_weakest_links(tree)[0], iter_nodes(tree)) if n.children]
+        ties += len(set(steps)) < len(steps)
+    assert ties > 50  # many draws collapse two splits or more at one step
+
+
+def nan_rated(tree):
+    """The ids of ``tree``'s splits whose rate is NaN: a NaN rss at or
+    below the split, or an inf rss less an inf sum of its leaves'."""
+    return {n.id for n in iter_nodes(tree) if n.children
+            and math.isnan(n.fit.rss - sum(leaf.fit.rss for leaf in leaves(n)))}
+
+
+NAN_TREES = {
+    # the root's rate is NaN; node 1's, 5 - 2 = 3, is not
+    "nan_root": hand_node(0, 0, 40, math.nan, children=(pair(1, 1, 5.0), hand_node(4, 1, 20, 1.0))),
+    # a NaN leaf makes its ancestors' rates NaN; nodes 3 and 6, of 4 - 2
+    # and 8 - 2, are not
+    "nan_leaf": hand_node(0, 0, 60, 100.0, children=(
+        hand_node(1, 1, 20, 10.0, children=(hand_node(2, 2, 10, math.nan), pair(3, 2, 4.0))),
+        pair(6, 1, 8.0))),
+    # inf - (inf + 1) is NaN, as when a response past 2^510 overflows the rss
+    "inf_over_inf": hand_node(0, 0, 60, math.inf, children=(
+        hand_node(1, 1, 40, math.inf, children=(hand_node(2, 2, 20, math.inf),
+                                                hand_node(3, 2, 20, 1.0))),
+        pair(4, 1, 5.0))),
+}
+# the knots of the finite rates, which collapse as they would without the NaN ones
+NAN_KNOTS = {"nan_root": [0.0, 3.0], "nan_leaf": [0.0, 2.0, 6.0], "inf_over_inf": [0.0, 3.0]}
+
+
+def assert_nan_splits_stay(tree, knots):
+    with ends_within(5.0):
+        path = cost_complexity_path(tree)
+        assert [alpha for alpha, _ in path] == knots
+        last = path[-1][1]
+        assert {n.id for n in iter_nodes(last) if n.children} == nan_rated(tree) != set()
+        for alpha in (-1.0, 0.0, knots[-1], 1e300, math.inf):
+            kept = {n.id for n in iter_nodes(prune_at(tree, alpha)) if n.children}
+            assert kept >= nan_rated(tree)
+        assert {n.id for n in iter_nodes(prune_at(tree, math.inf)) if n.children} == nan_rated(tree)
+
+
+@pytest.mark.parametrize("name", sorted(NAN_TREES))
+def test_path_ends_and_keeps_the_splits_of_nan_rate(name):
+    assert_nan_splits_stay(NAN_TREES[name], NAN_KNOTS[name])
+
+
+def test_path_ends_on_a_tree_file_holding_nan():
+    # the reader accepts "rss": NaN, and ic_prune keeps such a split too
+    text = tree_to_json(NAN_TREES["nan_leaf"], *HAND_SETTINGS)
+    assert '"rss": NaN' in text
+    tree = tree_from_json(text)[0]
+    assert_nan_splits_stay(tree, NAN_KNOTS["nan_leaf"])
+    assert {n.id for n in iter_nodes(ic_prune(tree, "aic").tree) if n.children} >= nan_rated(tree)
+
+
+def test_cv_prune_ends_when_the_response_overflows_the_rss():
+    # y at 2^510 gives an rss past the largest double (2^1028 at 250 rows),
+    # so the root and its children read inf and the root's rate NaN
+    data = generate(ScenarioConfig("tree", "both", xi=0.0, delta=1.0), RngStream(0, 0))
+    big = Dataset(np.ldexp(data.y, 510), data.x, data.z)
+    with ends_within(30.0), np.errstate(over="ignore", invalid="ignore"):
+        result = cv_prune(big, parse_strategy("guide"), GrowControl())
+    assert not result.tree.is_leaf and nan_rated(result.tree)
 
 
 # -------------------------------------------------------------- cross-validation

@@ -88,6 +88,24 @@ def test_rank_routes_do_not_depend_on_a_monotone_map_of_the_split_columns(name, 
         assert_same_tree(grow(moved, name, control), moved, grow(data, name, control), data)
 
 
+# these strategies' quadratic-form routes move in their last bits under
+# the scale (2.6e-14 seen); every other route keeps its bits
+SCALE_REL = {"ctree": 1e-12, "ctree+cat": 1e-12, "mob+cat": 1e-12}
+
+
+@pytest.mark.parametrize("control", CONTROLS.values(), ids=CONTROLS.keys())
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_trees_do_not_depend_on_a_power_of_two_scale_of_the_response(name, control):
+    # 2^±500 keeps every rss a normal double: 250 rows at 2^510 overflow it
+    for cell in CELLS:
+        data = tree_data(*cell)
+        want = grow(data, name, control)
+        for e in (-500, -300, 300, 500):
+            scaled = Dataset(np.ldexp(data.y, e), data.x, data.z)
+            assert_same_tree(grow(scaled, name, control), scaled, want, data,
+                             rel=SCALE_REL.get(name, 0.0))
+
+
 def gate_cut(node, alpha):
     """``node`` with every node whose Bonferroni-gated minimum p-value
     misses ``alpha`` made a leaf."""
